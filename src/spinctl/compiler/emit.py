@@ -146,6 +146,8 @@ class _Compiler:
         self.images.append(self.builder.image)
         self.n_list_entries += self.builder.scheduled
         self.builder = self._new_builder()
+        # The next trigger starts both banks together, after the longer one.
+        self.cursors = [max(self.cursors)] * 2
 
     # -- primitive emissions ------------------------------------------------
 

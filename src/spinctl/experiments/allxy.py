@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..compiler.ir import GateOp
-from ..physics import sample_noise, shot_rng
-from .base import Bench, binomial_stderr, estimate_p_up
+from ..physics import shot_rng
+from .base import Bench
 from .correction import corrected_p_up
 
 # Standard ordering: 5 ground pairs, 12 equator pairs, 4 excited pairs.
@@ -46,24 +46,12 @@ class AllxyResult:
 def run_allxy(bench: Bench, *, qubit: int = 2, shots: int = 10_000, seed: int = 0,
               engine: str = "dense") -> AllxyResult:
     """Run the 21 pairs; readout error is removed via the confusion inverse."""
-    model = bench.model
-    fid = model.readout_q1 if qubit == 1 else model.readout_q2
-    noisy = model.sigma_detune > 0 or model.sigma_j > 0
+    fid = bench.model.readout_q1 if qubit == 1 else bench.model.readout_q2
     values = []
     for k, pair in enumerate(ALLXY_PAIRS):
-        ops = [GateOp(g, qubit) for g in pair]
-        prog = bench.compile(ops)
-        if not noisy:
-            state = bench.final_state(prog, engine=engine)
-            p_hat = estimate_p_up(state, model, qubit, shots, shot_rng(seed, k))
-        else:
-            hits = 0
-            for s in range(shots):
-                rng = shot_rng(seed, k, s)
-                state = bench.final_state(prog, noise=sample_noise(model, rng), engine=engine)
-                hits += estimate_p_up(state, model, qubit, 1, rng)
-            p_hat = hits / shots
-        p_corr, _ = corrected_p_up(p_hat, fid)
+        prog = bench.compile([GateOp(g, qubit) for g in pair])
+        (hits,) = bench.sample(prog, (qubit,), shots, shot_rng(seed, k), engine=engine)
+        p_corr, _ = corrected_p_up(hits / shots, fid)
         values.append(2.0 * p_corr - 1.0)
     return AllxyResult(pairs=list(ALLXY_PAIRS), sigma_z=values, shots=shots, seed=seed)
 

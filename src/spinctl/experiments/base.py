@@ -2,9 +2,11 @@
 
 Every experiment goes compiler -> transmitter -> physics -> readout and
 differs only in the programs it builds and the statistics it extracts.
+``Bench.sample`` is that path: one execution of a compiled program, one
+batched propagator stack over the point's noise draws, vectorized readout.
 Randomness follows the substream contract in ``spinctl.physics.device``:
-point p / shot s of an experiment seeded with ``seed`` draws from
-``shot_rng(seed, p, s)``.
+point p of an experiment seeded with ``seed`` draws all of its shots from
+``shot_rng(seed, p)``, noise batch first, then readout.
 """
 
 from __future__ import annotations
@@ -23,14 +25,18 @@ from ..compiler import (
 from ..controller.executor import ExecutionTrace, Transmitter, TxConfig
 from ..physics import (
     DeviceModel,
-    QuantumState,
     ZERO_NOISE,
-    evolve,
-    evolve_trace,
+    dense_propagators,
     readout_probabilities,
-    shot_rng,
+    sample_noise_batch,
+    trace_propagators,
 )
 from ..physics.evolve import FastPathUnavailable
+from ..physics.state import renormalized
+
+# "dense" integrates the DAC sample stream; "trace" uses the structured fast
+# path; "auto" prefers the fast path and falls back when bursts overlap.
+ENGINES = ("dense", "trace", "auto")
 
 
 @dataclass
@@ -76,37 +82,38 @@ class Bench:
         wf = tx.execute_sequence(prog.images, trace)
         return wf, trace
 
-    def final_state(self, prog: CompiledProgram, *, noise=ZERO_NOISE,
-                    state: QuantumState | None = None, engine: str = "dense") -> QuantumState:
-        """Evolve |00> (or ``state``) through a compiled program.
+    def sample(self, prog: CompiledProgram, qubits, shots: int, rng: np.random.Generator,
+               *, engine: str = "dense") -> np.ndarray:
+        """Counts of shots reading 1 per qubit in ``qubits``, starting from |00>.
 
-        ``engine``: "dense" integrates the DAC sample stream; "trace" uses
-        the structured fast path; "auto" prefers the fast path and falls
-        back when bursts overlap.
+        A noisy model gets one quasi-static noise draw per shot and one
+        single-shot readout per draw; a noiseless one evolves once and
+        draws one binomial per qubit, in the order of ``qubits``.
         """
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+        if shots < 1:
+            raise ValueError("shots must be at least 1")
+        model = self.model
+        noisy = model.sigma_detune > 0 or model.sigma_j > 0
+        noise = sample_noise_batch(model, rng, shots) if noisy else ZERO_NOISE
         wf, trace = self.run_program(prog)
-        state = state or QuantumState.ground()
-        if engine in ("trace", "auto"):
+        physics = dict(model=model, lo_freq=self.cfg.lo_freq, exchange_on=self.exchange_on,
+                       noise=noise)
+        props = None
+        if engine != "dense":
             try:
-                return evolve_trace(
-                    state, trace, self.model, self.cfg.lo_freq,
-                    exchange_on=self.exchange_on, noise=noise,
-                )
+                props = trace_propagators(trace, **physics)
             except FastPathUnavailable:
                 if engine == "trace":
                     raise
-        return evolve(
-            state, wf, self.model, self.cfg.lo_freq,
-            exchange_on=self.exchange_on, noise=noise,
-        )
-
-
-def estimate_p_up(state: QuantumState, model: DeviceModel, qubit: int,
-                  shots: int, rng: np.random.Generator) -> float:
-    """Sampled fraction of shots reading 1 on one qubit (analytic channel)."""
-    p1, p2 = readout_probabilities(state, model)
-    p = p1 if qubit == 1 else p2
-    return rng.binomial(shots, p) / shots
+        if props is None:
+            props = dense_propagators(wf, **physics)
+        amps = renormalized(props[:, :, 0], len(wf))  # each unitary applied to |00>
+        p_read1 = np.stack(readout_probabilities(amps, model))[np.subtract(qubits, 1)]
+        if noisy:
+            return np.count_nonzero(rng.random((shots, len(qubits))) < p_read1.T, axis=0)
+        return rng.binomial(shots, p_read1[:, 0])
 
 
 def binomial_stderr(p_hat: float, shots: int) -> float:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..compiler.ir import GateOp
-from ..physics import sample_noise, shot_rng
-from .base import Bench, binomial_stderr, estimate_p_up
+from ..physics import shot_rng
+from .base import Bench, binomial_stderr
 from .correction import corrected_p_up
 
 ORACLES = ("cnot", "z_cnot", "identity", "x2")
@@ -67,22 +67,10 @@ def run_dj(bench: Bench, *, shots: int = 10_000, seed: int = 0,
     """Run all four oracles; the query qubit's P(read 1) is readout-corrected."""
     if not bench.exchange_on:
         raise ValueError("the algorithm needs an exchange-on frequency plan")
-    model = bench.model
-    noisy = model.sigma_detune > 0 or model.sigma_j > 0
     p_out, err = {}, {}
     for k, oracle in enumerate(ORACLES):
         prog = bench.compile(dj_program(oracle))
-        if not noisy:
-            state = bench.final_state(prog, engine=engine)
-            p_hat = estimate_p_up(state, model, 2, shots, shot_rng(seed, k))
-        else:
-            hits = 0.0
-            for s in range(shots):
-                rng = shot_rng(seed, k, s)
-                state = bench.final_state(prog, noise=sample_noise(model, rng), engine=engine)
-                hits += estimate_p_up(state, model, 2, 1, rng)
-            p_hat = hits / shots
-        p_corr, _ = corrected_p_up(p_hat, model.readout_q2)
-        p_out[oracle] = p_corr
-        err[oracle] = binomial_stderr(p_hat, shots)
+        (hits,) = bench.sample(prog, (2,), shots, shot_rng(seed, k), engine=engine)
+        p_out[oracle], _ = corrected_p_up(hits / shots, bench.model.readout_q2)
+        err[oracle] = binomial_stderr(hits / shots, shots)
     return DjResult(p_output_one=p_out, stderr=err, shots=shots, seed=seed)

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..compiler.ir import GateOp
 from ..physics import shot_rng
-from .base import Bench, estimate_p_up
+from .base import Bench
 from .correction import corrected_p_up
 
 # Pre-measurement rotation per axis; m = 2*P(read 1) - 1 after correction.
@@ -69,10 +69,9 @@ def measured_projection(bench: Bench, prefix_ops, basis_gate, qubit, shots, rng)
     ops = list(prefix_ops)
     if basis_gate is not None:
         ops.append(GateOp(basis_gate, qubit))
-    state = bench.final_state(bench.compile(ops))
+    (hits,) = bench.sample(bench.compile(ops), (qubit,), shots, rng)
     fid = bench.model.readout_q1 if qubit == 1 else bench.model.readout_q2
-    p_hat = estimate_p_up(state, bench.model, qubit, shots, rng)
-    p_corr, _ = corrected_p_up(p_hat, fid)
+    p_corr, _ = corrected_p_up(hits / shots, fid)
     return 2.0 * p_corr - 1.0
 
 

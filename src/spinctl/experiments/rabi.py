@@ -9,25 +9,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..controller.executor import ExecutionTrace, Transmitter
+from ..compiler import CompiledProgram
 from ..controller.memory import Instruction, MemoryImage
-from ..physics import QuantumState, evolve, sample_noise, shot_rng
-from .base import Bench, SweepResult, binomial_stderr, estimate_p_up
+from ..physics import shot_rng
+from .base import Bench, SweepResult, binomial_stderr
 
 
 def _rabi_image(bench: Bench, qubits, max_samples: int) -> tuple[MemoryImage, dict]:
+    """One full-length burst per qubit; returns the image and each burst's
+    (bank, nco) -> envelope start address."""
     img = MemoryImage()
     img.envelope.amp_bits = bench.cfg.amp_bits
     img.envelope.phase_mod_bits = bench.cfg.phase_mod_bits
     slots = [bench.plan.for_qubit(q)[0] for q in qubits]
-    ranges = {}
+    starts = {}
     for slot in slots:
         amp = bench.cal.for_slot(slot).amplitude
         start, stop = img.envelope.write_values(np.full(max_samples, amp))
         img.add_instruction(slot.bank, slot.nco, Instruction(slot.nco, start_addr=start, stop_addr=stop))
         img.schedule(slot.bank, slot.nco, len(img.tables[slot.bank][slot.nco]) - 1)
-        ranges[(slot.bank, slot.nco)] = (start, stop)
-    return img, ranges
+        starts[(slot.bank, slot.nco)] = start
+    return img, starts
 
 
 def run_rabi(
@@ -50,47 +52,19 @@ def run_rabi(
     if max_n < 2:
         raise ValueError("longest duration must cover at least 2 samples")
     qubits = (1, 2) if simultaneous else (qubit,)
-    img, ranges = _rabi_image(bench, qubits, max_n)
+    img, starts = _rabi_image(bench, qubits, max_n)
+    prog = CompiledProgram(images=[img], ftws=bench.plan.ftws(), report={})
+    idle = CompiledProgram(images=[], ftws=prog.ftws, report={})
 
     result = SweepResult(
         x_name="duration_s", meta={"qubit": qubit, "simultaneous": simultaneous}
     )
-    noisy = bench.model.sigma_detune > 0 or bench.model.sigma_j > 0
     for k, t in enumerate(durations):
         n = int(round(t * f_clk))
-        for (bank, nco), (start, _) in ranges.items():
-            instr = img.tables[bank][nco][0]
-            if n <= 0:
-                instr.start_addr, instr.stop_addr = start, start
-            else:
-                instr.start_addr, instr.stop_addr = start, start + n - 1
-        def point_probs(noise):
-            tx = Transmitter(bench.cfg, bench.plan.ftws())
-            wf = tx.execute(img)
-            if n <= 0:
-                state = QuantumState.ground()
-            else:
-                state = evolve(
-                    QuantumState.ground(), wf, bench.model, bench.cfg.lo_freq,
-                    exchange_on=bench.exchange_on, noise=noise,
-                )
-            return state
-
-        if not noisy:
-            from ..physics import ZERO_NOISE
-
-            state = point_probs(ZERO_NOISE)
-            rng = shot_rng(seed, k)
-            p1 = estimate_p_up(state, bench.model, 1, shots, rng)
-            p2 = estimate_p_up(state, bench.model, 2, shots, rng)
-        else:
-            h1 = h2 = 0.0
-            for s in range(shots):
-                rng = shot_rng(seed, k, s)
-                state = point_probs(sample_noise(bench.model, rng))
-                h1 += estimate_p_up(state, bench.model, 1, 1, rng)
-                h2 += estimate_p_up(state, bench.model, 2, 1, rng)
-            p1, p2 = h1 / shots, h2 / shots
-        p_t = p1 if qubit == 1 else p2
-        result.add(t, p1, p2, binomial_stderr(p_t, shots))
+        # An instruction plays at least one sample; n <= 0 plays the idle program.
+        for (bank, nco), start in starts.items():
+            img.tables[bank][nco][0].stop_addr = start + max(n, 1) - 1
+        counts = bench.sample(prog if n > 0 else idle, (1, 2), shots, shot_rng(seed, k))
+        p1, p2 = counts / shots
+        result.add(t, p1, p2, binomial_stderr(p1 if qubit == 1 else p2, shots))
     return result

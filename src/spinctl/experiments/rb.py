@@ -19,10 +19,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from ..compiler.ir import GateOp
-from ..physics import readout_probabilities, shot_rng
-from ..physics.device import sample_noise_batch, NoiseSample
-from ..physics.evolve import trace_propagators
-from ..physics.state import QuantumState
+from ..physics import shot_rng
 from .base import Bench
 from .cliffords import AVG_PRIMITIVES, N_CLIFFORDS, recovery_index, sequence_primitives
 from .correction import corrected_p_up
@@ -106,9 +103,9 @@ def run_rb(
     seed: int = 0,
     depolarizing_eps: float | None = None,
 ) -> RbResult:
-    """Benchmark one qubit.  Physics mode draws fresh quasi-static noise per
-    repetition and evolves each sequence on the structured engine;
-    depolarizing mode applies the analytic channel instead."""
+    """Benchmark one qubit.  Physics mode samples each sequence on the
+    structured engine (one quasi-static noise draw per repetition when the
+    model is noisy); depolarizing mode applies the analytic channel instead."""
     lengths = list(lengths)
     per_sequence = []
     split_lengths = []
@@ -129,22 +126,8 @@ def run_rb(
             prog = bench.compile(ops)
             if prog.report["split"] and m not in split_lengths:
                 split_lengths.append(m)
-            _, trace = bench.run_program(prog)
-            d1, d2, dj = sample_noise_batch(bench.model, rng, repetitions)
-            noises = [NoiseSample(a, b, c) for a, b, c in zip(d1, d2, dj)]
-            props = trace_propagators(
-                trace, bench.model, bench.cfg.lo_freq,
-                exchange_on=bench.exchange_on, noises=noises,
-            )
-            ground = QuantumState.ground().amplitudes
-            survived = np.empty(repetitions, dtype=bool)
-            draws = rng.random(repetitions)
-            for r in range(repetitions):
-                state = QuantumState(props[r] @ ground)
-                p1, p2 = readout_probabilities(state, bench.model)
-                p_read1 = p1 if qubit == 1 else p2
-                survived[r] = draws[r] >= p_read1  # single shot reads 0
-            seq_surv[si] = survived.mean()
+            (hits,) = bench.sample(prog, (qubit,), repetitions, rng, engine="trace")
+            seq_surv[si] = (repetitions - hits) / repetitions  # shots reading 0
         per_sequence.append(seq_surv)
     survival = [float(np.mean(s)) for s in per_sequence]
     if fid.f0 + fid.f1 > 1.0 and (fid.f0 < 1.0 or fid.f1 < 1.0):

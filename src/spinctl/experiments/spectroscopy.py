@@ -11,8 +11,8 @@ import numpy as np
 
 from ..compiler.ir import GateOp
 from ..controller.nco import offset_to_ftw
-from ..physics import sample_noise, shot_rng
-from .base import Bench, SweepResult, binomial_stderr, estimate_p_up
+from ..physics import shot_rng
+from .base import Bench, SweepResult, binomial_stderr
 
 
 def run_spectroscopy(
@@ -40,40 +40,20 @@ def run_spectroscopy(
 
     other = 2 if qubit == 1 else 1
     probe_slot = bench.plan.for_qubit(qubit)[0]
-    cal_entry = bench.cal.for_slot(probe_slot)
-    ops = []
-    if prepare_other:
-        ops.append(GateOp("x2", other))
-    if burst_rabi is None:
-        ops.append(GateOp("x2", qubit, shape=shape, branch=probe_slot.branch))
-    else:
-        dur = 1.0 / (2.0 * burst_rabi)
-        ops.append(GateOp("x2", qubit, shape=shape, duration=dur, branch=probe_slot.branch))
+    # Exchange-off plans name their one slot per qubit "main"; "both" selects it.
+    branch = "both" if probe_slot.branch == "main" else probe_slot.branch
+    duration = None if burst_rabi is None else 1.0 / (2.0 * burst_rabi)
+    ops = [GateOp("x2", other)] if prepare_other else []
+    ops.append(GateOp("x2", qubit, shape=shape, duration=duration, branch=branch))
     prog = bench.compile(ops)
 
     result = SweepResult(x_name="frequency_hz", meta={"qubit": qubit, "shape": shape})
-    noisy = bench.model.sigma_detune > 0 or bench.model.sigma_j > 0
     for k, f in enumerate(frequencies):
         prog.ftws[(probe_slot.bank, probe_slot.nco)] = offset_to_ftw(
             f - bench.cfg.lo_freq, bench.cfg.f_clk
         )
-        if not noisy:
-            state = bench.final_state(prog, engine=engine)
-            rng = shot_rng(seed, k)
-            p1 = estimate_p_up(state, bench.model, 1, shots, rng)
-            p2 = estimate_p_up(state, bench.model, 2, shots, rng)
-        else:
-            h1 = h2 = 0.0
-            for s in range(shots):
-                rng = shot_rng(seed, k, s)
-                state = bench.final_state(
-                    prog, noise=sample_noise(bench.model, rng), engine=engine
-                )
-                h1 += estimate_p_up(state, bench.model, 1, 1, rng)
-                h2 += estimate_p_up(state, bench.model, 2, 1, rng)
-            p1, p2 = h1 / shots, h2 / shots
-        p_probe = p1 if qubit == 1 else p2
-        result.add(f, p1, p2, binomial_stderr(p_probe, shots))
+        p1, p2 = bench.sample(prog, (1, 2), shots, shot_rng(seed, k), engine=engine) / shots
+        result.add(f, p1, p2, binomial_stderr(p1 if qubit == 1 else p2, shots))
     return result
 
 

@@ -1,8 +1,16 @@
-from .device import DeviceModel, NoiseSample, ReadoutFidelity, ZERO_NOISE, sample_noise, shot_rng
+from .device import (
+    DeviceModel,
+    NoiseSample,
+    ReadoutFidelity,
+    ZERO_NOISE,
+    sample_noise_batch,
+    shot_rng,
+)
 from .state import QuantumState
 from .hamiltonian import detunings, generator, transition_frequencies
 from .evolve import (
     FastPathUnavailable,
+    dense_propagators,
     evolve,
     evolve_trace,
     rabi_probability,
@@ -17,13 +25,14 @@ __all__ = [
     "NoiseSample",
     "ReadoutFidelity",
     "ZERO_NOISE",
-    "sample_noise",
+    "sample_noise_batch",
     "shot_rng",
     "QuantumState",
     "detunings",
     "generator",
     "transition_frequencies",
     "FastPathUnavailable",
+    "dense_propagators",
     "evolve",
     "evolve_trace",
     "rabi_probability",

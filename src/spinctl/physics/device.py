@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,40 +64,37 @@ class DeviceModel:
         return self.j_on if exchange_on else self.j_off
 
 
-@dataclass(frozen=True)
-class NoiseSample:
-    """One quasi-static draw: detuning offsets per qubit and exchange offset."""
+class NoiseSample(NamedTuple):
+    """Quasi-static noise: detuning offsets per qubit and exchange offset, Hz.
 
-    delta_f1: float = 0.0
-    delta_f2: float = 0.0
-    delta_j: float = 0.0
+    Fields are floats for one draw or equal-length arrays for a batch.
+    """
+
+    delta_f1: float | np.ndarray = 0.0
+    delta_f2: float | np.ndarray = 0.0
+    delta_j: float | np.ndarray = 0.0
 
 
 ZERO_NOISE = NoiseSample()
 
 
-def sample_noise(model: DeviceModel, rng: np.random.Generator) -> NoiseSample:
-    """Independent Gaussian draws with the configured spreads."""
-    return NoiseSample(
-        delta_f1=model.sigma_detune * rng.standard_normal() if model.sigma_detune else 0.0,
-        delta_f2=model.sigma_detune * rng.standard_normal() if model.sigma_detune else 0.0,
-        delta_j=model.sigma_j * rng.standard_normal() if model.sigma_j else 0.0,
-    )
-
-
-def sample_noise_batch(model: DeviceModel, rng: np.random.Generator, n: int):
-    """Vectorized draws: arrays (delta_f1, delta_f2, delta_j) of length n."""
+def sample_noise_batch(model: DeviceModel, rng: np.random.Generator, n: int) -> NoiseSample:
+    """``n`` independent Gaussian draws with the configured spreads."""
     d1 = model.sigma_detune * rng.standard_normal(n) if model.sigma_detune else np.zeros(n)
     d2 = model.sigma_detune * rng.standard_normal(n) if model.sigma_detune else np.zeros(n)
     dj = model.sigma_j * rng.standard_normal(n) if model.sigma_j else np.zeros(n)
-    return d1, d2, dj
+    return NoiseSample(d1, d2, dj)
 
 
 def shot_rng(seed: int, *path: int) -> np.random.Generator:
     """Counter-based substream contract.
 
-    Shot s of sweep point p uses ``shot_rng(seed, p, s)``; every consumer of
-    randomness derives its generator this way, so results are reproducible
-    and shots parallelize without shared state.
+    Point p of a sweep uses ``shot_rng(seed, p)`` for all of its shots: it
+    first draws the point's noise batch (one draw per shot, when the model
+    is noisy), then the readout.  Runners with more structure add indices
+    to the path (RB: ``(length, sequence)``; tomography: ``(point,
+    basis)``).  Every consumer of randomness derives its generator this
+    way, so results are reproducible and points parallelize without shared
+    state.
     """
     return np.random.default_rng(np.random.SeedSequence((seed, *path)))

@@ -1,8 +1,9 @@
 """Time evolution under synthesized drive waveforms.
 
-Two engines share the same physics definitions:
+Two engines share the same physics definitions, and both return one
+total unitary per quasi-static noise draw, shape (r, 4, 4):
 
-``evolve``
+``dense_propagators``
     Reference path.  Consumes the DAC output sample stream and applies the
     exact matrix exponential of the piecewise-constant generator, sample by
     sample (batched eigendecompositions plus a pairwise product, so the
@@ -16,6 +17,9 @@ Two engines share the same physics definitions:
     to one matrix power.  This evaluates the idealized synthesis (no
     phase-table or DAC requantization) and is vectorized over quasi-static
     noise draws, which is what makes randomized benchmarking tractable.
+
+``evolve`` and ``evolve_trace`` apply either engine to one state.  Both
+share the norm policy of ``renormalized``.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from .hamiltonian import (
     drive_operator,
     generator_batch,
 )
-from .state import QuantumState
+from .state import QuantumState, renormalized
 
-_CHUNK = 8192
+_CHUNK = 2048
 _KVEC = np.diag(NUMBER_OP).real  # (0, 1, 1, 2)
 
 
@@ -69,6 +73,49 @@ def _matrix_power_batch(m: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _sampled_product(z: np.ndarray, energies: np.ndarray, drive: np.ndarray, dt: float) -> np.ndarray:
+    """Ordered product of the per-sample propagators of envelope ``z``, one
+    per row of ``energies``, shape (r, 4, 4).
+
+    Generators are built in blocks of at most _CHUNK sample-draw pairs, so
+    memory stays flat in both the program length and the number of draws.
+    """
+    r = len(energies)
+    if r > _CHUNK:
+        return np.concatenate(
+            [_sampled_product(z, energies[i : i + _CHUNK], drive, dt) for i in range(0, r, _CHUNK)]
+        )
+    total = np.broadcast_to(np.eye(4, dtype=complex), (r, 4, 4)).copy()
+    step = _CHUNK // r
+    for start in range(0, len(z), step):
+        h = generator_batch(z[start : start + step], energies, drive)
+        total = _ordered_product(_expm_batch(h, dt)) @ total
+    return total
+
+
+def _energies(model: DeviceModel, lo_freq: float, exchange_on: bool, noise: NoiseSample) -> np.ndarray:
+    """Diagonal energies per noise draw, shape (r, 4); r = 1 for scalar noise."""
+    return np.atleast_2d(diagonal_energies(*detunings(model, lo_freq, exchange_on, noise)))
+
+
+def dense_propagators(
+    waveform: BasebandWaveform,
+    model: DeviceModel,
+    lo_freq: float,
+    *,
+    exchange_on: bool = False,
+    noise: NoiseSample = ZERO_NOISE,
+) -> np.ndarray:
+    """Total unitaries over every DAC sample of ``waveform``, one per noise
+    draw, shape (r, 4, 4).
+
+    Idle samples (zero envelope) evolve under the drive-free generator.
+    """
+    energies = _energies(model, lo_freq, exchange_on, noise)
+    dt = 1.0 / waveform.sample_rate
+    return _sampled_product(waveform.envelope, energies, drive_operator(model), dt)
+
+
 def evolve(
     state: QuantumState,
     waveform: BasebandWaveform,
@@ -79,37 +126,14 @@ def evolve(
     noise: NoiseSample = ZERO_NOISE,
     expected_sample_rate: float | None = None,
 ) -> QuantumState:
-    """Propagate through every DAC sample of ``waveform``.
-
-    Idle samples (zero envelope) evolve under the drive-free generator.
-    The state norm is preserved to 1e-12 by construction.
-    """
+    """Propagate one state through every DAC sample of ``waveform``."""
     if expected_sample_rate is not None and waveform.sample_rate != expected_sample_rate:
         raise ValueError(
             f"waveform sampled at {waveform.sample_rate} Hz, expected "
             f"{expected_sample_rate} Hz"
         )
-    d1, d2, j = detunings(model, lo_freq, exchange_on, noise)
-    drive = drive_operator(model)
-    dt = 1.0 / waveform.sample_rate
-    env = waveform.envelope
-    psi = state.amplitudes.copy()
-    for start in range(0, len(env), _CHUNK):
-        z = env[start : start + _CHUNK]
-        h = generator_batch(z, d1, d2, j, drive)
-        psi = _ordered_product(_expm_batch(h, dt)) @ psi
-    out = QuantumState(psi)
-    out.check_norm()
-    return out
-
-
-def _as_noise_arrays(noises):
-    if isinstance(noises, NoiseSample):
-        noises = [noises]
-    d1 = np.array([n.delta_f1 for n in noises])
-    d2 = np.array([n.delta_f2 for n in noises])
-    dj = np.array([n.delta_j for n in noises])
-    return d1, d2, dj
+    u = dense_propagators(waveform, model, lo_freq, exchange_on=exchange_on, noise=noise)[0]
+    return QuantumState(renormalized(u @ state.amplitudes, len(waveform)))
 
 
 def trace_propagators(
@@ -118,24 +142,16 @@ def trace_propagators(
     lo_freq: float,
     *,
     exchange_on: bool = False,
-    noises=ZERO_NOISE,
+    noise: NoiseSample = ZERO_NOISE,
 ) -> np.ndarray:
     """Total unitaries of a burst trace, one per noise draw, shape (r, 4, 4).
 
     Segments must not overlap in time (one tone at a time); overlapping
     traces raise FastPathUnavailable and belong on the dense path.
     """
-    nd1, nd2, ndj = _as_noise_arrays(noises)
-    r = len(nd1)
-    base_d1, base_d2, base_j = detunings(model, lo_freq, exchange_on)
-    energies = np.stack(
-        [
-            diagonal_energies(base_d1 + a, base_d2 + b, base_j + c)
-            for a, b, c in zip(nd1, nd2, ndj)
-        ]
-    )  # (r, 4)
-    drive_x = drive_operator(model)
-    drive_x = drive_x + drive_x.conj().T
+    energies = _energies(model, lo_freq, exchange_on, noise)  # (r, 4)
+    r = len(energies)
+    drive = drive_operator(model)
     dt = 1.0 / trace.sample_rate
     mod_shift = PHASE_BITS - trace.phase_mod_bits
 
@@ -165,7 +181,11 @@ def trace_propagators(
         amp = seg.amp_values
         codes = seg.phase_codes
         if not (np.all(amp == amp[0]) and np.all(codes == codes[0])):
-            total = _segment_dense(seg, energies, model, dt, mod_shift) @ total
+            # Shaped burst: rebuild its samples and take the per-sample product.
+            k = np.arange(1, seg.n + 1, dtype=np.int64)
+            words = (seg.ftw * (seg.t0 + k) + seg.ref_word + (codes << mod_shift)) % PHASE_WORDS
+            z = amp * np.exp(2j * np.pi * words / PHASE_WORDS)
+            total = _sampled_product(z, energies, drive, dt) @ total
             continue
         a = float(amp[0])
         if a == 0.0:
@@ -175,11 +195,7 @@ def trace_propagators(
         theta0 = 2.0 * np.pi * word0 / PHASE_WORDS
         dtheta = 2.0 * np.pi * seg.ftw / PHASE_WORDS
 
-        hbar = np.zeros((r, 4, 4), dtype=complex)
-        idx = np.arange(4)
-        hbar[:, idx, idx] = energies
-        hbar += 0.5 * a * drive_x
-        u_bar = _expm_batch(hbar, dt)
+        u_bar = _expm_batch(generator_batch(np.array([a]), energies, drive)[0], dt)
 
         p_diag = np.exp(-1j * theta0 * _KVEC)
         vinv_diag = np.exp(1j * dtheta * _KVEC)
@@ -194,23 +210,6 @@ def trace_propagators(
     return total
 
 
-def _segment_dense(seg, energies, model, dt, mod_shift):
-    """Per-sample fallback for shaped (non-constant) bursts."""
-    k = np.arange(1, seg.n + 1, dtype=np.int64)
-    words = (seg.ftw * (seg.t0 + k) + seg.ref_word + (seg.phase_codes << mod_shift)) % PHASE_WORDS
-    z = seg.amp_values * np.exp(2j * np.pi * words / PHASE_WORDS)
-    drive = drive_operator(model)
-    out = []
-    for e in energies:
-        h = np.zeros((seg.n, 4, 4), dtype=complex)
-        idx = np.arange(4)
-        h[:, idx, idx] = e
-        h += 0.5 * np.conj(z)[:, None, None] * drive
-        h += 0.5 * z[:, None, None] * drive.conj().T
-        out.append(_ordered_product(_expm_batch(h, dt)))
-    return np.stack(out)
-
-
 def evolve_trace(
     state: QuantumState,
     trace: ExecutionTrace,
@@ -220,13 +219,9 @@ def evolve_trace(
     exchange_on: bool = False,
     noise: NoiseSample = ZERO_NOISE,
 ) -> QuantumState:
-    u = trace_propagators(trace, model, lo_freq, exchange_on=exchange_on, noises=noise)[0]
-    out = QuantumState(u @ state.amplitudes)
-    # Repeated squaring in the matrix powers costs a few more float digits
-    # than the sample-by-sample product; the result is still unitary math.
-    out.check_norm(tol=1e-9)
-    out.amplitudes = out.amplitudes / out.norm()
-    return out
+    """Propagate one state through a burst trace on the structured engine."""
+    u = trace_propagators(trace, model, lo_freq, exchange_on=exchange_on, noise=noise)[0]
+    return QuantumState(renormalized(u @ state.amplitudes, trace.n_samples))
 
 
 # --- closed-form two-level references ---------------------------------------

@@ -45,8 +45,10 @@ def detunings(model: DeviceModel, lo_freq: float, exchange_on: bool,
     return d1, d2, j
 
 
-def diagonal_energies(d1: float, d2: float, j: float) -> np.ndarray:
-    return np.array([0.0, d2 - j / 2, d1 - j / 2, d1 + d2])
+def diagonal_energies(d1, d2, j) -> np.ndarray:
+    """Diagonal of the generator, shape (..., 4) for scalar or array inputs."""
+    d1, d2, j = np.broadcast_arrays(d1, d2, j)
+    return np.stack([np.zeros_like(d1), d2 - j / 2, d1 - j / 2, d1 + d2], axis=-1)
 
 
 def drive_operator(model: DeviceModel) -> np.ndarray:
@@ -64,15 +66,14 @@ def generator(model: DeviceModel, z: complex, lo_freq: float, *,
     return h
 
 
-def generator_batch(z: np.ndarray, d1: float, d2: float, j: float,
-                    drive: np.ndarray) -> np.ndarray:
-    """Generators for a block of envelope samples, shape (n, 4, 4)."""
-    n = len(z)
-    h = np.zeros((n, 4, 4), dtype=complex)
+def generator_batch(z: np.ndarray, energies: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """Generators for a block of envelope samples under each row of
+    ``energies`` (one row per noise draw), shape (n, r, 4, 4)."""
+    h = np.zeros((len(z), len(energies), 4, 4), dtype=complex)
     idx = np.arange(4)
-    h[:, idx, idx] = diagonal_energies(d1, d2, j)
-    h += 0.5 * np.conj(z)[:, None, None] * drive
-    h += 0.5 * z[:, None, None] * drive.conj().T
+    h[..., idx, idx] = energies
+    h += 0.5 * np.conj(z)[:, None, None, None] * drive
+    h += 0.5 * z[:, None, None, None] * drive.conj().T
     return h
 
 

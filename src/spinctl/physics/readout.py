@@ -16,18 +16,27 @@ from .device import DeviceModel
 from .state import QuantumState
 
 
-def born_probabilities(state: QuantumState) -> tuple[float, float]:
-    """(P(q1 = 1), P(q2 = 1)) before any readout imperfection."""
-    return state.p_up(1), state.p_up(2)
+def born_probabilities(state) -> tuple:
+    """(P(q1 = 1), P(q2 = 1)) before any readout imperfection.
+
+    ``state`` is a QuantumState or an amplitude array of shape (..., 4);
+    arrays give arrays of shape (...).
+    """
+    amps = state.amplitudes if isinstance(state, QuantumState) else np.asarray(state)
+    probs = np.abs(amps) ** 2
+    return probs[..., 2] + probs[..., 3], probs[..., 1] + probs[..., 3]
 
 
-def _through_confusion(p_up: float, fid) -> float:
+def _through_confusion(p_up, fid):
     """Probability of *reading* 1 given P(true 1) = p_up."""
     return fid.f1 * p_up + (1.0 - fid.f0) * (1.0 - p_up)
 
 
-def readout_probabilities(state: QuantumState, model: DeviceModel) -> tuple[float, float]:
-    """Analytic per-qubit probabilities of reading 1, with all errors applied."""
+def readout_probabilities(state, model: DeviceModel) -> tuple:
+    """Analytic per-qubit probabilities of reading 1, with all errors applied.
+
+    Takes what ``born_probabilities`` takes and returns the same shapes.
+    """
     p1, p2 = born_probabilities(state)
     d = model.crot_readout_fidelity
     p1_mapped = d * p1 + (1.0 - d) / 2.0

@@ -10,7 +10,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Norm drift that counts as rounding: NORM_TOL at least, and ROUNDING_PER_FACTOR
+# for every per-sample unitary multiplied into a propagator.  Measured on RB
+# programs of up to 200 Cliffords: the trace engine's repeated squaring drifts
+# by up to 4.5 eps per factor, the dense engine's pairwise product by 0.7 eps.
 NORM_TOL = 1e-12
+ROUNDING_PER_FACTOR = 16 * np.finfo(float).eps
+
+
+def renormalized(amplitudes: np.ndarray, n_factors: int) -> np.ndarray:
+    """Amplitudes of shape (..., 4) rescaled to unit norm, after a drift check.
+
+    ``n_factors`` is the number of per-sample unitaries in the propagator
+    (the program length in samples, for either engine).  Drift within the
+    rounding allowance is removed; more means a wrong propagator and raises.
+    """
+    norms = np.linalg.norm(amplitudes, axis=-1, keepdims=True)
+    tol = max(NORM_TOL, n_factors * ROUNDING_PER_FACTOR)
+    drift = float(np.max(np.abs(norms - 1.0), initial=0.0))
+    if drift >= tol:
+        raise ValueError(
+            f"state norm drifted by {drift:.3g} over {n_factors} factors, beyond {tol:.3g}"
+        )
+    return amplitudes / norms
 
 
 @dataclass
@@ -34,10 +56,6 @@ class QuantumState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def check_norm(self, tol: float = NORM_TOL) -> None:
-        if abs(self.norm() - 1.0) >= tol:
-            raise ValueError(f"state norm {self.norm()} drifted beyond {tol}")
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2

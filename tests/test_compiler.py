@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinctl.errors import CapacityError, ConfigError, ProgramError
-from spinctl.controller.executor import TxConfig, execute
+from spinctl.controller.executor import Transmitter, TxConfig, execute
 from spinctl.controller.nco import PHASE_WORDS, offset_to_ftw
 from spinctl.compiler import (
     allocate_frequencies,
@@ -246,3 +246,14 @@ def test_report_occupancy():
     assert occ["envelope_used"] == (
         cal.gates[(1, "main")].half_pi_samples + cal.gates[(1, "main")].pi_samples
     )
+
+
+def test_split_two_qubit_program_plays_its_reported_duration():
+    # Every trigger restarts both banks together, so the compiler's timeline
+    # must restart them together too, or the lagging bank gets idle pads.
+    m, plan, cal = plan_and_cal()
+    q1, q2 = GateOp("x", 1, duration=4e-9), GateOp("y", 2, duration=6e-9)
+    prog = compile_program([q1, q1, q2] * 700, plan, cal)
+    assert prog.n_triggers >= 2
+    tx = Transmitter(TxConfig(lo_freq=LO), prog.ftws)
+    assert len(tx.execute_sequence(prog.images)) == prog.report["duration_samples"]

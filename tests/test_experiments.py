@@ -1,0 +1,243 @@
+"""Experiment runners against analytic oracles, plus fixed-seed golden outputs."""
+
+import warnings
+
+import numpy as np
+import pytest
+from scipy.optimize import curve_fit
+
+from spinctl.compiler import default_calibration
+from spinctl.compiler.ir import GateOp
+from spinctl.compiler.plan import hold_factor
+from spinctl.controller.executor import TxConfig
+from spinctl.experiments import (
+    IDEAL_SIGMA_Z,
+    Bench,
+    locate_peaks,
+    run_allxy,
+    run_dj,
+    run_qst_trajectory,
+    run_rabi,
+    run_rb,
+    run_spectroscopy,
+)
+from spinctl.experiments.allxy import allxy_oracle
+from spinctl.physics import (
+    DeviceModel,
+    QuantumState,
+    evolve,
+    evolve_trace,
+    rabi_probability,
+    shot_rng,
+)
+
+
+def plain_bench(**model_kw):
+    return Bench(DeviceModel(**model_kw), TxConfig())
+
+
+def exchange_bench():
+    return Bench(DeviceModel(), TxConfig(), exchange_on=True)
+
+
+def rabi_rate(bench, qubit):
+    """Calibrated Rabi rate of a qubit's first slot, with the hold factor."""
+    slot = bench.plan.for_qubit(qubit)[0]
+    amp = bench.cal.for_slot(slot).amplitude
+    coupling = bench.model.drive_coupling[qubit - 1]
+    return coupling * amp * hold_factor(slot.offset_hz, bench.cfg.f_clk)
+
+
+# --- analytic oracles ----------------------------------------------------------
+
+
+def test_allxy_reproduces_ideal_pattern():
+    res = run_allxy(plain_bench(), shots=100_000, seed=1, engine="trace")
+    np.testing.assert_allclose(res.sigma_z, IDEAL_SIGMA_Z, atol=0.02)
+
+
+def test_allxy_amplitude_miscalibration_follows_oracle():
+    # Calibrating against a model whose coupling is 1/0.9 too strong leaves
+    # every rotation at 0.9 of its intended angle.
+    scale = 0.9
+    model = DeviceModel()
+    strong = DeviceModel(drive_coupling=tuple(c / scale for c in model.drive_coupling))
+    nominal = Bench(model, TxConfig())
+    bench = Bench(
+        model, TxConfig(), plan=nominal.plan,
+        cal=default_calibration(strong, nominal.plan, amp_bits=nominal.cfg.amp_bits),
+    )
+    res = run_allxy(bench, shots=100_000, seed=1, engine="trace")
+    oracle = allxy_oracle(amplitude_scale=scale)
+    assert np.max(np.abs(oracle - IDEAL_SIGMA_Z)) > 0.4  # the shape is visible
+    np.testing.assert_allclose(res.sigma_z, oracle, atol=0.02)
+
+
+def test_dj_separates_constant_from_balanced_oracles():
+    # Crosstalk at J / Rabi = 10 leaves about 0.05 of error on each oracle.
+    res = run_dj(exchange_bench(), shots=20_000, seed=0)
+    for oracle in ("cnot", "z_cnot"):
+        assert res.p_output_one[oracle] == pytest.approx(1.0, abs=0.1)
+    for oracle in ("identity", "x2"):
+        assert res.p_output_one[oracle] == pytest.approx(0.0, abs=0.1)
+
+
+def test_rb_depolarizing_mode_recovers_eps():
+    eps = 0.01
+    res = run_rb(plain_bench(), (1, 10, 30, 60, 100), n_sequences=10,
+                 repetitions=200, seed=2, depolarizing_eps=eps)
+    assert abs((1.0 - res.p) - eps) < 2.0 * res.p_stderr
+
+
+def test_rabi_frequency_matches_calibrated_rate():
+    bench = plain_bench()
+    durations = np.linspace(0.0, 1.5e-6, 31)
+    res = run_rabi(bench, durations, qubit=2, shots=5000, seed=4)
+    expected = rabi_rate(bench, 2)
+    (f_fit,), _ = curve_fit(lambda t, f: rabi_probability(t, f), durations,
+                            res.p1_q2, p0=(0.9 * expected,))
+    assert f_fit == pytest.approx(expected, rel=2e-3)
+    np.testing.assert_allclose(res.p1_q2, rabi_probability(durations, expected), atol=0.03)
+
+
+def test_spectroscopy_exchange_on_finds_both_conditional_lines():
+    model = DeviceModel()
+    bench = exchange_bench()
+    step = 0.25e6
+    for prepare, line in ((False, model.f2 - model.j_on / 2), (True, model.f2 + model.j_on / 2)):
+        freqs = line + 0.1e6 + step * np.arange(-6, 7)
+        res = run_spectroscopy(bench, 2, freqs, shots=2000, seed=5,
+                               prepare_other=prepare, engine="trace")
+        assert abs(locate_peaks(res, 2)[0] - line) <= step
+
+
+def test_spectroscopy_exchange_off_finds_qubit_frequency():
+    model = DeviceModel()
+    step = 0.25e6
+    freqs = model.f2 + 0.1e6 + step * np.arange(-6, 7)
+    res = run_spectroscopy(plain_bench(), 2, freqs, shots=2000, seed=5, engine="trace")
+    assert abs(locate_peaks(res, 2)[0] - model.f2) <= step
+
+
+def test_qst_trajectory_tracks_x_rotation_inside_bloch_ball():
+    bench = plain_bench()
+    times = np.linspace(0.0, 0.5e-6, 6)
+    res = run_qst_trajectory(bench, times, shots=20_000, seed=6)
+    rate = rabi_rate(bench, 2)
+    for point in res.points:
+        theta = 2.0 * np.pi * rate * point.time
+        ideal = np.array([0.0, -np.sin(theta), -np.cos(theta)])
+        assert np.linalg.norm(point.bloch_mle) <= 1.0 + 1e-12
+        np.testing.assert_allclose(point.bloch_raw, ideal, atol=0.05)
+
+
+def test_long_program_runs_on_both_engines_and_they_agree():
+    # 80 quarter turns (20240 samples) drift the norm past a flat 1e-12.
+    bench = plain_bench()
+    prog = bench.compile([GateOp("x", 2)] * 80)
+    wf, trace = bench.run_program(prog)
+    args = (bench.model, bench.cfg.lo_freq)
+    dense = evolve(QuantumState.ground(), wf, *args).amplitudes
+    fast = evolve_trace(QuantumState.ground(), trace, *args).amplitudes
+    assert abs(np.vdot(dense, fast)) ** 2 > 0.999
+    (hits,) = bench.sample(prog, (2,), 1000, shot_rng(0, 0))
+    assert hits < 50  # twenty full turns end near |00>
+
+
+def test_noisy_ramsey_decays_as_gaussian_average():
+    # Quasi-static detuning of spread sigma: P(read 1) after x, idle tau, x is
+    # 1/2 (1 + exp(-(2 pi sigma tau_eff)^2 / 2)); finite pi/2 pulses of length
+    # t_p add 4 t_p / pi to the free time.
+    sigma = 150e3
+    bench = plain_bench(sigma_detune=sigma)
+    t_p = bench.cal.for_slot(bench.plan.for_qubit(2)[0]).half_pi_samples / bench.cfg.f_clk
+    shots = 4000
+    for k, tau in enumerate((1e-6, 2e-6)):
+        prog = bench.compile([GateOp("x", 2), GateOp("i", 2, duration=tau), GateOp("x", 2)])
+        (hits,) = bench.sample(prog, (2,), shots, shot_rng(1, k), engine="trace")
+        tau_eff = tau + 4.0 * t_p / np.pi
+        oracle = 0.5 * (1.0 + np.exp(-0.5 * (2.0 * np.pi * sigma * tau_eff) ** 2))
+        assert hits / shots == pytest.approx(oracle, abs=0.03)
+
+
+def test_noisy_sampling_agrees_across_engines():
+    # Both engines see the same noise draws and readout uniforms of the point.
+    bench = plain_bench(sigma_detune=300e3)
+    prog = bench.compile([GateOp("y2", 2), GateOp("x", 2)])
+    dense = bench.sample(prog, (1, 2), 100, shot_rng(3, 0), engine="dense")
+    fast = bench.sample(prog, (1, 2), 100, shot_rng(3, 0), engine="trace")
+    assert np.all(np.abs(dense - fast) <= 3)
+
+
+def test_sample_rejects_unknown_engine_and_empty_shot_count():
+    bench = plain_bench()
+    prog = bench.compile([GateOp("x", 2)])
+    with pytest.raises(ValueError, match="engine"):
+        bench.sample(prog, (2,), 10, shot_rng(0, 0), engine="fast")
+    with pytest.raises(ValueError, match="shots"):
+        bench.sample(prog, (2,), 0, shot_rng(0, 0))
+
+
+# --- golden outputs -------------------------------------------------------------
+# Noiseless runs draw one binomial per qubit and point; these values were
+# recorded before the runners shared one sampling path and must not move.
+
+ALLXY_DENSE = [
+    -1.0, -1.0, -1.0, -1.0, -1.0, -0.04600000000000004, -0.014000000000000012,
+    0.02400000000000002, 0.028000000000000025, -0.07799999999999996,
+    0.03200000000000003, -0.05600000000000005, 0.026000000000000023,
+    -0.02400000000000002, -0.05800000000000005, -0.02200000000000002,
+    -0.008000000000000007, 1.0, 1.0, 1.0, 1.0,
+]
+ALLXY_TRACE = [
+    -1.0, -1.0, -1.0, -1.0, -1.0, -0.04600000000000004, -0.014000000000000012,
+    0.02400000000000002, 0.028000000000000025, -0.07799999999999996,
+    0.03200000000000003, -0.05600000000000005, 0.026000000000000023,
+    -0.026000000000000023, -0.06000000000000005, -0.02400000000000002,
+    -0.010000000000000009, 1.0, 1.0, 1.0, 1.0,
+]
+
+
+@pytest.mark.parametrize("engine, golden", [("dense", ALLXY_DENSE), ("trace", ALLXY_TRACE)])
+def test_allxy_noiseless_golden(engine, golden):
+    assert run_allxy(plain_bench(), shots=1000, seed=3, engine=engine).sigma_z == golden
+
+
+def test_dj_noiseless_golden():
+    res = run_dj(exchange_bench(), shots=1000, seed=5)
+    assert res.p_output_one == {"cnot": 0.96, "z_cnot": 0.968, "identity": 0.033, "x2": 0.043}
+
+
+def test_spectroscopy_noiseless_golden():
+    model = DeviceModel()
+    freqs = model.f2 - model.j_on / 2 + 0.5e6 * np.arange(-3, 4)
+    res = run_spectroscopy(exchange_bench(), 2, freqs, shots=500, seed=7,
+                           shape="gaussian", engine="trace")
+    assert res.p1_q1 == [0.0] * 7
+    assert res.p1_q2 == [0.162, 0.274, 0.326, 0.39, 0.334, 0.288, 0.198]
+
+
+def test_rabi_noiseless_golden():
+    res = run_rabi(plain_bench(), np.arange(7) * 0.1e-6, simultaneous=True, shots=500, seed=9)
+    assert res.p1_q1 == [0.0, 0.114, 0.3, 0.64, 0.884, 1.0, 0.9]
+    assert res.p1_q2 == [0.0, 0.122, 0.36, 0.634, 0.9, 1.0, 0.924]
+
+
+def test_qst_noiseless_golden():
+    res = run_qst_trajectory(plain_bench(), [0.0, 0.1e-6, 0.25e-6], shots=500, seed=11)
+    assert [p.bloch_raw.tolist() for p in res.points] == [
+        [0.040000000000000036, 0.008000000000000007, -1.0],
+        [0.0040000000000000036, -0.5960000000000001, -0.808],
+        [0.040000000000000036, -1.0, -0.0040000000000000036],
+    ]
+
+
+def test_rb_noisy_golden():
+    # RB keeps one stream per (length, sequence): noise batch, then readout.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a 3-length fit has no covariance
+        res = run_rb(plain_bench(sigma_detune=300e3), (1, 8, 24), n_sequences=3,
+                     repetitions=20, seed=13)
+    assert [s.tolist() for s in res.per_sequence] == [
+        [0.65, 0.75, 0.9], [0.6, 0.55, 0.4], [0.55, 0.8, 0.9],
+    ]

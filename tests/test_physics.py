@@ -15,6 +15,7 @@ from spinctl.physics import (
     DeviceModel,
     NoiseSample,
     QuantumState,
+    dense_propagators,
     evolve,
     evolve_trace,
     generator,
@@ -233,11 +234,29 @@ def test_trace_engine_batches_noise_draws():
     ftw = offset_to_ftw(24e6)
     img = burst_image(cfg, 0.5, 300)
     _, trace = executed(img, cfg, {(0, 0): ftw})
-    noises = [NoiseSample(delta_f1=d) for d in (0.0, 20e3, -40e3)]
-    batch = trace_propagators(trace, m, LO, noises=noises)
+    deltas = np.array([0.0, 20e3, -40e3])
+    batch = trace_propagators(trace, m, LO, noise=NoiseSample(delta_f1=deltas))
     assert batch.shape == (3, 4, 4)
-    for u, nz in zip(batch, noises):
-        single = evolve_trace(QuantumState.ground(), trace, m, LO, noise=nz)
+    for u, d in zip(batch, deltas):
+        single = evolve_trace(QuantumState.ground(), trace, m, LO, noise=NoiseSample(delta_f1=d))
+        assert np.max(np.abs(u @ QuantumState.ground().amplitudes - single.amplitudes)) < 1e-12
+
+
+def test_dense_engine_batches_noise_draws():
+    # Three draws over 1500 samples span several generator blocks; one
+    # draw at a time spans one, so the products also differ in grouping.
+    m = model()
+    wf = resonant_waveform(24e6, 0.5, 1500)
+    noise = NoiseSample(
+        delta_f1=np.array([0.0, 20e3, -40e3]),
+        delta_f2=np.array([5e3, 0.0, -5e3]),
+        delta_j=np.array([0.0, 1e3, 2e3]),
+    )
+    batch = dense_propagators(wf, m, LO, exchange_on=True, noise=noise)
+    assert batch.shape == (3, 4, 4)
+    for u, draw in zip(batch, zip(*noise)):
+        single = evolve(QuantumState.ground(), wf, m, LO, exchange_on=True,
+                        noise=NoiseSample(*draw))
         assert np.max(np.abs(u @ QuantumState.ground().amplitudes - single.amplitudes)) < 1e-12
 
 

@@ -9,7 +9,7 @@ from spinctl.physics import (
     ReadoutFidelity,
     measure,
     readout_probabilities,
-    sample_noise,
+    sample_noise_batch,
     shot_rng,
 )
 from spinctl.physics.readout import empirical_p_up
@@ -79,15 +79,14 @@ def test_measure_requires_shots():
 
 
 def test_noise_zero_sigmas_give_zero_offsets():
-    s = sample_noise(model(), shot_rng(0, 0))
-    assert (s.delta_f1, s.delta_f2, s.delta_j) == (0.0, 0.0, 0.0)
+    s = sample_noise_batch(model(), shot_rng(0, 0), 1)
+    assert (s.delta_f1[0], s.delta_f2[0], s.delta_j[0]) == (0.0, 0.0, 0.0)
 
 
 def test_noise_stddev_matches_sigma():
     m = model(sigma_detune=10e3, sigma_j=2e3)
-    draws = [sample_noise(m, shot_rng(123, 0, s)) for s in range(10_000)]
-    d1 = np.array([d.delta_f1 for d in draws])
-    dj = np.array([d.delta_j for d in draws])
+    draws = sample_noise_batch(m, shot_rng(123, 0), 10_000)
+    d1, dj = draws.delta_f1, draws.delta_j
     assert abs(d1.std() / 10e3 - 1) < 0.03
     assert abs(dj.std() / 2e3 - 1) < 0.05
     assert abs(d1.mean()) < 3 * 10e3 / np.sqrt(10_000)
