@@ -22,11 +22,12 @@ import numpy as np
 
 from ..controller.memory import (
     LIST_CAPACITY,
-    EnvelopeEntry,
+    EnvelopeMemory,
     Instruction,
     MemoryImage,
+    quantize_codes,
 )
-from ..controller.nco import PHASE_WORDS, quantize_unit
+from ..controller.nco import PHASE_WORDS
 from ..errors import CapacityError
 from .envelopes import synthesize_envelope_samples
 from .ir import AXIS_QUARTER_TURNS, GateOp, ROTATION_GATES
@@ -54,12 +55,9 @@ class CompiledProgram:
 class _ImageBuilder:
     """One memory image under construction, with dedup maps and rollback."""
 
-    def __init__(self, amp_bits: int, phase_mod_bits: int, dedup: bool):
-        self.image = MemoryImage()
-        self.image.envelope.amp_bits = amp_bits
-        self.image.envelope.phase_mod_bits = phase_mod_bits
-        self.dedup = dedup
-        self.env_blocks = {}
+    def __init__(self, amp_bits: int, phase_mod_bits: int):
+        self.image = MemoryImage(EnvelopeMemory(amp_bits, phase_mod_bits))
+        self.env_blocks = {}  # code bytes -> (start, stop)
         self.zero_block = None  # (start, length)
         self.slot_map = {}
 
@@ -69,7 +67,7 @@ class _ImageBuilder:
 
     def checkpoint(self):
         return (
-            len(self.image.envelope.entries),
+            len(self.image.envelope),
             [[len(t) for t in bank] for bank in self.image.tables],
             len(self.image.instruction_list),
             dict(self.env_blocks),
@@ -79,7 +77,7 @@ class _ImageBuilder:
 
     def restore(self, cp):
         n_env, table_lens, n_list, env_blocks, zero_block, slot_map = cp
-        del self.image.envelope.entries[n_env:]
+        self.image.envelope.truncate(n_env)
         for bank, lens in zip(self.image.tables, table_lens):
             for table, n in zip(bank, lens):
                 del table[n:]
@@ -88,20 +86,19 @@ class _ImageBuilder:
         self.zero_block = zero_block
         self.slot_map = slot_map
 
-    def envelope_block(self, codes: tuple) -> tuple[int, int]:
-        if self.dedup and codes in self.env_blocks:
-            return self.env_blocks[codes]
-        block = self.image.envelope.extend(EnvelopeEntry(int(c), 0) for c in codes)
-        if self.dedup:
-            self.env_blocks[codes] = block
-        return block
+    def envelope_block(self, codes: np.ndarray) -> tuple[int, int]:
+        """Address range of a block of amplitude codes, stored once per image."""
+        key = codes.tobytes()
+        if key not in self.env_blocks:
+            self.env_blocks[key] = self.image.envelope.write_codes(codes)
+        return self.env_blocks[key]
 
     def zero_range(self, n: int) -> tuple[int, int]:
         """A run of n zero entries; shares a prefix of the largest zero block."""
         if self.zero_block is not None and n <= self.zero_block[1]:
             start = self.zero_block[0]
             return start, start + n - 1
-        block = self.image.envelope.extend(EnvelopeEntry(0, 0) for _ in range(n))
+        block = self.image.envelope.write_codes(np.zeros(n, dtype=np.int64))
         self.zero_block = (block[0], n)
         return block
 
@@ -126,12 +123,11 @@ class _ImageBuilder:
 
 class _Compiler:
     def __init__(self, plan: FrequencyPlan, cal: CalibrationSet, *, amp_bits: int,
-                 phase_mod_bits: int, dedup_envelopes: bool):
+                 phase_mod_bits: int):
         self.plan = plan
         self.cal = cal
         self.amp_bits = amp_bits
         self.phase_mod_bits = phase_mod_bits
-        self.dedup = dedup_envelopes
         self.frames = {1: 0, 2: 0}
         self.applied_ref = {(s.bank, s.nco): 0 for s in plan.slots}
         self.cursors = [0, 0]
@@ -140,7 +136,7 @@ class _Compiler:
         self.n_list_entries = 0
 
     def _new_builder(self) -> _ImageBuilder:
-        return _ImageBuilder(self.amp_bits, self.phase_mod_bits, self.dedup)
+        return _ImageBuilder(self.amp_bits, self.phase_mod_bits)
 
     def _finalize_image(self):
         self.images.append(self.builder.image)
@@ -176,8 +172,7 @@ class _Compiler:
         self.cursors[bank] += n
 
     def _burst(self, slot, amplitudes: np.ndarray):
-        scale = 1 << (self.amp_bits - 1)
-        codes = tuple(int(c) for c in np.asarray(quantize_unit(amplitudes, self.amp_bits) * scale, dtype=np.int64))
+        codes = quantize_codes(amplitudes, self.amp_bits)
         start, stop = self.builder.envelope_block(codes)
         self.builder.schedule_burst(slot.bank, slot.nco, start, stop)
         self.cursors[slot.bank] += len(codes)
@@ -289,18 +284,11 @@ def compile_program(
     *,
     amp_bits: int = 10,
     phase_mod_bits: int = 10,
-    dedup_envelopes: bool = True,
 ) -> CompiledProgram:
     """Lower a gate sequence onto controller memories.
 
     Raises CapacityError when a single gate cannot fit even in a fresh
     image; longer programs split across triggers, reported in the result.
     """
-    compiler = _Compiler(
-        plan,
-        cal,
-        amp_bits=amp_bits,
-        phase_mod_bits=phase_mod_bits,
-        dedup_envelopes=dedup_envelopes,
-    )
+    compiler = _Compiler(plan, cal, amp_bits=amp_bits, phase_mod_bits=phase_mod_bits)
     return compiler.compile(ops)

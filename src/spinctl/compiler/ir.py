@@ -97,19 +97,3 @@ def parse_program(text: str) -> list[GateOp]:
         except ValueError as exc:
             raise ProgramError(str(exc), line=lineno) from exc
     return ops
-
-
-def format_program(ops: list[GateOp]) -> str:
-    lines = []
-    for op in ops:
-        parts = [op.name, f"q{op.target}"]
-        if op.duration is not None:
-            parts.append(f"dur={op.duration!r}")
-        if op.shape is not None:
-            parts.append(f"shape={op.shape}")
-        if op.angle is not None:
-            parts.append(f"angle={op.angle!r}")
-        if op.branch != "both":
-            parts.append(f"branch={op.branch}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"

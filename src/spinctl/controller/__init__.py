@@ -13,7 +13,6 @@ from .memory import (
     LIST_CAPACITY,
     N_BANKS,
     N_NCOS,
-    EnvelopeEntry,
     EnvelopeMemory,
     Instruction,
     ListEntry,
@@ -35,7 +34,6 @@ __all__ = [
     "LIST_CAPACITY",
     "N_BANKS",
     "N_NCOS",
-    "EnvelopeEntry",
     "EnvelopeMemory",
     "Instruction",
     "ListEntry",

@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 from ..errors import ImageFormatError
 from .memory import (
-    EnvelopeEntry,
+    ENVELOPE_CAPACITY,
     EnvelopeMemory,
     Instruction,
     MemoryImage,
@@ -37,27 +39,39 @@ from .memory import (
 MAGIC = b"SQMI"
 VERSION = 1
 
+# Record layouts of the three arrays in the file (packed, little-endian).
+ENV_RECORD = np.dtype([("amp", "<i2"), ("pm", "<u2")])
+INSTR_RECORD = np.dtype([("kind", "u1"), ("start", "<u4"), ("stop", "<u4"), ("phase", "<u4")])
+LIST_RECORD = np.dtype([("bank", "u1"), ("nco", "u1"), ("slot", "u1")])
+
 
 def dump_image(image: MemoryImage) -> bytes:
     env = image.envelope
-    parts = [MAGIC, struct.pack("<HBB", VERSION, env.amp_bits, env.phase_mod_bits)]
-    parts.append(struct.pack("<I", len(env)))
-    for e in env.entries:
-        parts.append(struct.pack("<hH", e.amp_code, e.phase_mod))
+    entries = np.empty(len(env), dtype=ENV_RECORD)
+    entries["amp"] = env.amp_codes
+    entries["pm"] = env.phase_mods
+    if not (
+        np.array_equal(entries["amp"], env.amp_codes)
+        and np.array_equal(entries["pm"], env.phase_mods)
+    ):
+        raise ImageFormatError(
+            "envelope codes do not fit the file's int16 amplitude / uint16 phase "
+            f"fields (amp_bits={env.amp_bits}, phase_mod_bits={env.phase_mod_bits})"
+        )
+    parts = [MAGIC, struct.pack("<HBBI", VERSION, env.amp_bits, env.phase_mod_bits, len(env))]
+    parts.append(entries.tobytes())
     for bank in range(N_BANKS):
         for nco in range(N_NCOS):
             table = image.tables[bank][nco]
+            records = [
+                (1, 0, 0, i.phase_update) if i.is_phase_update else (0, i.start_addr, i.stop_addr, 0)
+                for i in table
+            ]
             parts.append(struct.pack("<B", len(table)))
-            for instr in table:
-                if instr.is_phase_update:
-                    parts.append(struct.pack("<BIII", 1, 0, 0, instr.phase_update))
-                else:
-                    parts.append(
-                        struct.pack("<BIII", 0, instr.start_addr, instr.stop_addr, 0)
-                    )
-    parts.append(struct.pack("<I", len(image.instruction_list)))
-    for ref in image.instruction_list:
-        parts.append(struct.pack("<BBB", ref.bank, ref.nco, ref.slot))
+            parts.append(np.array(records, dtype=INSTR_RECORD).tobytes())
+    refs = [(r.bank, r.nco, r.slot) for r in image.instruction_list]
+    parts.append(struct.pack("<I", len(refs)))
+    parts.append(np.array(refs, dtype=LIST_RECORD).tobytes())
     return b"".join(parts)
 
 
@@ -66,13 +80,18 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
+    def _advance(self, size: int) -> int:
         if self.pos + size > len(self.data):
             raise ImageFormatError("truncated image file", offset=self.pos)
-        out = struct.unpack_from(fmt, self.data, self.pos)
+        start = self.pos
         self.pos += size
-        return out
+        return start
+
+    def take(self, fmt: str):
+        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
+
+    def records(self, dtype: np.dtype, count: int) -> np.ndarray:
+        return np.frombuffer(self.data, dtype, count, self._advance(dtype.itemsize * count))
 
 
 def load_image(data: bytes) -> MemoryImage:
@@ -85,28 +104,26 @@ def load_image(data: bytes) -> MemoryImage:
         raise ImageFormatError(f"unsupported format version {version}", offset=4)
     (n_env,) = r.take("<I")
     image = MemoryImage()
-    image.envelope = EnvelopeMemory(amp_bits=amp_bits, phase_mod_bits=phase_mod_bits)
     try:
-        for _ in range(n_env):
-            amp, pm = r.take("<hH")
-            image.envelope.append(EnvelopeEntry(amp, pm))
+        entries = r.records(ENV_RECORD, n_env)
+        image.envelope = EnvelopeMemory(amp_bits, phase_mod_bits, entries["amp"], entries["pm"])
         for bank in range(N_BANKS):
             for nco in range(N_NCOS):
                 (count,) = r.take("<B")
-                for _ in range(count):
-                    kind, start, stop, pu = r.take("<BIII")
+                base = r.pos
+                records = r.records(INSTR_RECORD, count).tolist()
+                for k, (kind, start, stop, pu) in enumerate(records):
                     if kind == 1:
                         instr = Instruction(nco, phase_update=pu)
                     elif kind == 0:
                         instr = Instruction(nco, start_addr=start, stop_addr=stop)
                     else:
                         raise ImageFormatError(
-                            f"unknown instruction kind {kind}", offset=r.pos - 13
+                            f"unknown instruction kind {kind}", offset=base + k * INSTR_RECORD.itemsize
                         )
                     image.add_instruction(bank, nco, instr)
         (n_list,) = r.take("<I")
-        for _ in range(n_list):
-            bank, nco, slot = r.take("<BBB")
+        for bank, nco, slot in r.records(LIST_RECORD, n_list).tolist():
             image.schedule(bank, nco, slot)
     except ImageFormatError:
         raise
@@ -125,14 +142,12 @@ def disassemble(image: MemoryImage) -> str:
         f"bits amp={env.amp_bits} phase_mod={env.phase_mod_bits}",
     ]
     # Run-length grouping of identical envelope entries.
-    i = 0
-    while i < len(env):
-        j = i
-        while j + 1 < len(env) and env.entries[j + 1] == env.entries[i]:
-            j += 1
-        e = env.entries[i]
-        lines.append(f"env {i}..{j} amp={e.amp_code} pm={e.phase_mod}")
-        i = j + 1
+    changes = np.flatnonzero((np.diff(env.amp_codes) != 0) | (np.diff(env.phase_mods) != 0)) + 1
+    starts = [0, *changes.tolist()] if len(env) else []
+    stops = [s - 1 for s in starts[1:]] + [len(env) - 1]
+    amps, pms = env.amp_codes.tolist(), env.phase_mods.tolist()
+    for i, j in zip(starts, stops):
+        lines.append(f"env {i}..{j} amp={amps[i]} pm={pms[i]}")
     for bank in range(N_BANKS):
         for nco in range(N_NCOS):
             for slot, instr in enumerate(image.tables[bank][nco]):
@@ -152,7 +167,7 @@ def disassemble(image: MemoryImage) -> str:
 def assemble(text: str) -> MemoryImage:
     """Parse a disassembly listing back into a memory image."""
     image = MemoryImage()
-    pending_env = {}
+    runs = []  # (start, stop, amp code, phase code) per "env" line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(";")[0].strip()
         if not line:
@@ -165,9 +180,10 @@ def assemble(text: str) -> MemoryImage:
                 image.envelope.phase_mod_bits = int(kv["phase_mod"])
             elif fields[0] == "env":
                 start, stop = (int(x) for x in fields[1].split(".."))
+                if not 0 <= start <= stop:
+                    raise ValueError(f"envelope range {start}..{stop} is not ordered")
                 kv = dict(f.split("=") for f in fields[2:])
-                for addr in range(start, stop + 1):
-                    pending_env[addr] = EnvelopeEntry(int(kv["amp"]), int(kv["pm"]))
+                runs.append((start, stop, int(kv["amp"]), int(kv["pm"])))
             elif fields[0] == "instr":
                 bank, nco, slot = (int(x[1:]) for x in fields[1].split("."))
                 if fields[2] == "phase":
@@ -189,11 +205,20 @@ def assemble(text: str) -> MemoryImage:
             raise
         except Exception as exc:
             raise ImageFormatError(f"line {lineno}: {exc}") from exc
-    if pending_env:
-        top = max(pending_env)
-        missing = [a for a in range(top + 1) if a not in pending_env]
-        if missing:
-            raise ImageFormatError(f"envelope addresses missing: {missing[:5]}...")
-        for addr in range(top + 1):
-            image.envelope.append(pending_env[addr])
+    size = max((stop + 1 for _, stop, _, _ in runs), default=0)
+    if size > ENVELOPE_CAPACITY:
+        raise ImageFormatError(f"envelope address {size - 1} beyond capacity {ENVELOPE_CAPACITY}")
+    codes = np.zeros((2, size), dtype=np.int64)
+    listed = np.zeros(size, dtype=bool)
+    try:
+        for start, stop, amp, pm in runs:
+            codes[:, start : stop + 1] = [[amp], [pm]]
+            listed[start : stop + 1] = True
+        missing = np.flatnonzero(~listed)
+        if missing.size:
+            raise ValueError(f"envelope addresses missing: {missing[:5].tolist()}...")
+        if size:
+            image.envelope.write_codes(codes[0], codes[1])
+    except (ValueError, OverflowError) as exc:
+        raise ImageFormatError(str(exc)) from exc
     return image

@@ -20,77 +20,98 @@ N_BANKS = 2
 N_NCOS = 16
 
 
-@dataclass(frozen=True)
-class EnvelopeEntry:
-    """One envelope point: signed amplitude code and unsigned phase code."""
-
-    amp_code: int
-    phase_mod: int = 0
+def quantize_codes(amplitudes, amp_bits: int) -> np.ndarray:
+    """Signed amplitude codes of float amplitudes in [-1, 1)."""
+    scale = 1 << (amp_bits - 1)
+    return (quantize_unit(amplitudes, amp_bits) * scale).astype(np.int64)
 
 
-@dataclass
+def _no_codes() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
+
+
+@dataclass(eq=False)
 class EnvelopeMemory:
-    """Ordered amplitude/phase points shared by all NCOs of a transmitter."""
+    """Ordered amplitude/phase points shared by all NCOs of a transmitter.
+
+    Point k is the signed amplitude code ``amp_codes[k]`` and the unsigned
+    phase code ``phase_mods[k]``.  Blocks are only ever appended whole or
+    truncated away; the arrays are never changed in place.
+    """
 
     amp_bits: int = 10
     phase_mod_bits: int = 10
-    entries: list[EnvelopeEntry] = field(default_factory=list)
+    amp_codes: np.ndarray = field(default_factory=_no_codes)
+    phase_mods: np.ndarray = field(default_factory=_no_codes)
 
     def __post_init__(self):
-        if len(self.entries) > ENVELOPE_CAPACITY:
-            raise CapacityError("envelope memory", ENVELOPE_CAPACITY, len(self.entries))
-        for e in self.entries:
-            self._check_entry(e)
+        self.amp_codes, self.phase_mods = self._checked(self.amp_codes, self.phase_mods, 0)
 
-    def _check_entry(self, e: EnvelopeEntry):
+    def _checked(self, amp, phase, used: int) -> tuple[np.ndarray, np.ndarray]:
+        amp, phase = np.asarray(amp), np.asarray(phase)
+        if amp.ndim != 1 or amp.shape != phase.shape:
+            raise ValueError(
+                f"amplitude and phase codes must be equal-length 1-D arrays, "
+                f"got shapes {amp.shape} and {phase.shape}"
+            )
+        if used + len(amp) > ENVELOPE_CAPACITY:
+            raise CapacityError("envelope memory", ENVELOPE_CAPACITY, used + len(amp))
+        if len(amp) == 0:
+            return _no_codes(), _no_codes()
+        for name, codes in (("amplitude", amp), ("phase", phase)):
+            if not np.issubdtype(codes.dtype, np.integer):
+                raise ValueError(f"{name} codes must be integers, got {codes.dtype}")
         lim = 1 << (self.amp_bits - 1)
-        if not -lim <= e.amp_code < lim:
-            raise ValueError(f"amplitude code {e.amp_code} outside {self.amp_bits}-bit grid")
-        if not 0 <= e.phase_mod < (1 << self.phase_mod_bits):
-            raise ValueError(f"phase code {e.phase_mod} outside {self.phase_mod_bits}-bit range")
+        bad = (amp < -lim) | (amp >= lim)
+        if bad.any():
+            raise ValueError(f"amplitude code {amp[bad][0]} outside {self.amp_bits}-bit grid")
+        bad = (phase < 0) | (phase >= 1 << self.phase_mod_bits)
+        if bad.any():
+            raise ValueError(
+                f"phase code {phase[bad][0]} outside {self.phase_mod_bits}-bit range"
+            )
+        return amp.astype(np.int64), phase.astype(np.int64)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.amp_codes)
 
-    def append(self, entry: EnvelopeEntry) -> int:
-        if len(self.entries) + 1 > ENVELOPE_CAPACITY:
-            raise CapacityError("envelope memory", ENVELOPE_CAPACITY, len(self.entries) + 1)
-        self._check_entry(entry)
-        self.entries.append(entry)
-        return len(self.entries) - 1
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EnvelopeMemory):
+            return NotImplemented
+        return (
+            (self.amp_bits, self.phase_mod_bits) == (other.amp_bits, other.phase_mod_bits)
+            and np.array_equal(self.amp_codes, other.amp_codes)
+            and np.array_equal(self.phase_mods, other.phase_mods)
+        )
 
-    def extend(self, entries) -> tuple[int, int]:
-        """Append a block; returns its (start, stop) inclusive address range."""
-        entries = list(entries)
-        if not entries:
+    def write_codes(self, amp_codes, phase_mods=None) -> tuple[int, int]:
+        """Append a block of integer codes; returns its (start, stop) inclusive
+        address range.  A block that does not fit or has a bad code is
+        rejected whole: nothing is written."""
+        amp = np.asarray(amp_codes)
+        if amp.size == 0:
             raise ValueError("cannot store an empty envelope block")
-        if len(self.entries) + len(entries) > ENVELOPE_CAPACITY:
-            raise CapacityError(
-                "envelope memory", ENVELOPE_CAPACITY, len(self.entries) + len(entries)
-            )
-        for e in entries:
-            self._check_entry(e)
-        start = len(self.entries)
-        self.entries.extend(entries)
-        return start, len(self.entries) - 1
+        phase = np.zeros_like(amp) if phase_mods is None else phase_mods
+        amp, phase = self._checked(amp, phase, len(self))
+        start = len(self)
+        self.amp_codes = np.concatenate([self.amp_codes, amp])
+        self.phase_mods = np.concatenate([self.phase_mods, phase])
+        return start, len(self) - 1
 
     def write_values(self, amplitudes, phase_mods=None) -> tuple[int, int]:
         """Quantize float amplitudes in [-1, 1) onto the grid and store them."""
-        amplitudes = np.asarray(amplitudes, dtype=float)
-        scale = 1 << (self.amp_bits - 1)
-        codes = (quantize_unit(amplitudes, self.amp_bits) * scale).astype(int)
-        if phase_mods is None:
-            phase_mods = np.zeros(len(codes), dtype=int)
-        return self.extend(
-            EnvelopeEntry(int(a), int(p)) for a, p in zip(codes, phase_mods)
-        )
+        return self.write_codes(quantize_codes(amplitudes, self.amp_bits), phase_mods)
+
+    def truncate(self, n: int) -> None:
+        """Drop every point from address ``n`` on."""
+        self.amp_codes = self.amp_codes[:n]
+        self.phase_mods = self.phase_mods[:n]
 
     def amp_values(self, start: int, stop: int) -> np.ndarray:
-        scale = 1 << (self.amp_bits - 1)
-        return np.array([e.amp_code for e in self.entries[start : stop + 1]]) / scale
+        return self.amp_codes[start : stop + 1] / (1 << (self.amp_bits - 1))
 
     def phase_codes(self, start: int, stop: int) -> np.ndarray:
-        return np.array([e.phase_mod for e in self.entries[start : stop + 1]], dtype=np.int64)
+        return self.phase_mods[start : stop + 1].copy()
 
 
 @dataclass

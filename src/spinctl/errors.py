@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct process exit codes, so new error
-conditions should reuse one of the classes below rather than raising
-bare ValueErrors from user-facing paths.
+Every user-facing failure is a SpinctlError subclass, so callers can tell
+configuration, capacity, program-text and image-file faults apart; new
+error conditions should reuse one of the classes below rather than
+raising bare ValueErrors from user-facing paths.
 """
 
 from __future__ import annotations

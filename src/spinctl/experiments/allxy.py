@@ -35,13 +35,6 @@ class AllxyResult:
     shots: int = 0
     seed: int = 0
 
-    def rows(self):
-        for k, (pair, value, ideal) in enumerate(zip(self.pairs, self.sigma_z, self.ideal)):
-            yield (k, "*".join(pair), value, ideal)
-
-    def header(self):
-        return ("index", "pair", "sigma_z", "ideal")
-
 
 def run_allxy(bench: Bench, *, qubit: int = 2, shots: int = 10_000, seed: int = 0,
               engine: str = "dense") -> AllxyResult:

@@ -136,9 +136,3 @@ class SweepResult:
         self.p1_q1.append(float(p1))
         self.p1_q2.append(float(p2))
         self.stderr.append(float(err))
-
-    def rows(self):
-        return zip(self.x, self.p1_q1, self.p1_q2, self.stderr)
-
-    def header(self):
-        return (self.x_name, "p1_q1", "p1_q2", "stderr")

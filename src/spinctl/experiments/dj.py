@@ -21,7 +21,6 @@ from .base import Bench, binomial_stderr
 from .correction import corrected_p_up
 
 ORACLES = ("cnot", "z_cnot", "identity", "x2")
-CONSTANT_OUTCOME = {"cnot": 1.0, "z_cnot": 1.0, "identity": 0.0, "x2": 0.0}
 
 
 def dj_program(oracle: str) -> list[GateOp]:
@@ -52,14 +51,6 @@ class DjResult:
     shots: int
     seed: int
     meta: dict = field(default_factory=dict)
-
-    def rows(self):
-        for oracle in ORACLES:
-            yield (oracle, self.p_output_one[oracle], self.stderr[oracle],
-                   CONSTANT_OUTCOME[oracle])
-
-    def header(self):
-        return ("oracle", "p_output_1", "stderr", "ideal")
 
 
 def run_dj(bench: Bench, *, shots: int = 10_000, seed: int = 0,

@@ -44,13 +44,6 @@ class TomoResult:
     shots_per_basis: int = 1000
     seed: int = 0
 
-    def rows(self):
-        for p in self.points:
-            yield (p.time, *p.bloch_mle, *p.bloch_raw)
-
-    def header(self):
-        return ("time_s", "x", "y", "z", "x_raw", "y_raw", "z_raw")
-
 
 def project_physical(bloch: np.ndarray) -> tuple[np.ndarray, bool]:
     """Closest physical state (Frobenius norm): eigenvalue truncation.

@@ -13,10 +13,11 @@ and fitting chain against a known answer.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from ..compiler.ir import GateOp
 from ..physics import shot_rng
@@ -33,7 +34,8 @@ class RbResult:
     amplitude: float
     offset: float
     p: float
-    p_stderr: float
+    p_stderr: float  # inf when p_at_bound: no covariance on the bound
+    p_at_bound: bool = False  # the fit pinned p at 0 or 1 (e.g. noiseless physics)
     avg_primitives: float = AVG_PRIMITIVES
     n_sequences: int = 32
     repetitions: int = 200
@@ -52,45 +54,32 @@ class RbResult:
     def fidelity_gate_stderr(self) -> float:
         return self.p_stderr / 2.0 / self.avg_primitives
 
-    def rows(self):
-        for m, s in zip(self.lengths, self.survival):
-            yield (m, s)
 
-    def header(self):
-        return ("length", "survival")
-
-    def summary(self) -> dict:
-        return {
-            "A": self.amplitude,
-            "B": self.offset,
-            "p": self.p,
-            "p_stderr": self.p_stderr,
-            "fidelity_clifford": self.fidelity_clifford,
-            "fidelity_gate": self.fidelity_gate,
-            "fidelity_gate_stderr": self.fidelity_gate_stderr,
-            "lengths": list(self.lengths),
-            "survival": list(self.survival),
-            "n_sequences": self.n_sequences,
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "split_lengths": list(self.split_lengths),
-        }
+# The bounded fit stops this close to a bound of p in [0, 1] it pins on.
+P_BOUND_ATOL = 1e-9
 
 
 def _fit_decay(lengths, survivals):
+    """Fit A p^m + B; returns (a, b, p), their stderrs, and whether p is
+    pinned at a bound of [0, 1]."""
     def decay(m, a, b, p):
         return a * p**m + b
 
-    popt, pcov = curve_fit(
-        decay,
-        np.asarray(lengths, dtype=float),
-        np.asarray(survivals, dtype=float),
-        p0=(0.5, 0.5, 0.995),
-        bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
-        maxfev=20_000,
-    )
+    with warnings.catch_warnings():
+        # scipy warns that the covariance is undefined when p sits on a
+        # bound; that case is reported as p_at_bound instead.
+        warnings.simplefilter("ignore", OptimizeWarning)
+        popt, pcov = curve_fit(
+            decay,
+            np.asarray(lengths, dtype=float),
+            np.asarray(survivals, dtype=float),
+            p0=(0.5, 0.5, 0.995),
+            bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+            maxfev=20_000,
+        )
     perr = np.sqrt(np.diag(pcov))
-    return popt, perr
+    p = popt[2]
+    return popt, perr, bool(min(p, 1.0 - p) < P_BOUND_ATOL)
 
 
 def run_rb(
@@ -132,7 +121,7 @@ def run_rb(
     survival = [float(np.mean(s)) for s in per_sequence]
     if fid.f0 + fid.f1 > 1.0 and (fid.f0 < 1.0 or fid.f1 < 1.0):
         survival = [1.0 - corrected_p_up(1.0 - s, fid)[0] for s in survival]
-    (a, b, p), (ea, eb, ep) = _fit_decay(lengths, survival)
+    (a, b, p), (ea, eb, ep), p_at_bound = _fit_decay(lengths, survival)
     return RbResult(
         lengths=lengths,
         survival=survival,
@@ -141,6 +130,7 @@ def run_rb(
         offset=float(b),
         p=float(p),
         p_stderr=float(ep),
+        p_at_bound=p_at_bound,
         n_sequences=n_sequences,
         repetitions=repetitions,
         seed=seed,

@@ -239,8 +239,3 @@ def two_tone_report(signal, f_a: float, f_b: float, window: str = "rectangular",
         "products_dbc": products,
         "imd_worst_dbc": largest,
     }
-
-
-def spectrum_to_rows(spec: Spectrum):
-    """(freq_hz, dbc) row pairs for CSV export."""
-    return zip(spec.freqs.tolist(), spec.power_dbc.tolist())

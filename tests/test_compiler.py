@@ -1,11 +1,14 @@
 """Frequency allocation, envelope synthesis, and program lowering."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from spinctl.errors import CapacityError, ConfigError, ProgramError
-from spinctl.controller.executor import Transmitter, TxConfig, execute
-from spinctl.controller.nco import PHASE_WORDS, offset_to_ftw
+from spinctl.controller.image_io import dump_image
+from spinctl.controller.executor import ExecutionTrace, Transmitter, TxConfig, execute
+from spinctl.controller.nco import PHASE_WORDS, offset_to_ftw, quantize_unit
 from spinctl.compiler import (
     allocate_frequencies,
     compile_program,
@@ -167,14 +170,48 @@ def test_identical_envelopes_stored_once():
 
 def test_dedup_does_not_change_waveform():
     m, plan, cal = plan_and_cal()
-    ops = parse_program("x q2\ny q2\nx q2\nx2 q2\nz q2 angle=pi/4\nx q2\n")
-    cfg = TxConfig(lo_freq=LO)
-    a = compile_program(ops, plan, cal, dedup_envelopes=True)
-    b = compile_program(ops, plan, cal, dedup_envelopes=False)
-    wf_a = execute(a.images[0], cfg, ftws=a.ftws)
-    wf_b = execute(b.images[0], cfg, ftws=b.ftws)
-    assert wf_a.i.tobytes() == wf_b.i.tobytes()
-    assert wf_a.q.tobytes() == wf_b.q.tobytes()
+    text = "x q2\ny q2\nx q2 shape=gaussian\nx2 q2\nz q2 angle=pi/4\nx q2\ny q2 shape=gaussian\n"
+    ops = parse_program(text)
+    prog = compile_program(ops, plan, cal)
+    trace = ExecutionTrace()
+    execute(prog.images[0], TxConfig(lo_freq=LO), ftws=prog.ftws, trace=trace)
+    entry = cal.gates[(2, "main")]
+    gates = [op for op in ops if op.name != "z"]
+    assert len(trace.segments) == len(gates)
+    assert len(prog.images[0].envelope) < sum(s.n for s in trace.segments)  # blocks shared
+    for op, seg in zip(gates, trace.segments):
+        n = entry.pi_samples if op.name == "x2" else entry.half_pi_samples
+        own = synthesize_envelope_samples(op.shape or "rectangular", n, entry.amplitude)
+        np.testing.assert_array_equal(seg.amp_values, quantize_unit(own, 10))
+
+
+def _mixed_program_text(n_gates=1000):
+    """Rotations on both qubits, every third gaussian, every fifth a virtual Z."""
+    gates = ("x", "y", "x2", "y2", "mx", "my")
+    lines = []
+    for k in range(n_gates):
+        q = 1 + k % 2
+        if k % 5 == 4:
+            lines.append(f"z q{q} angle=pi/{1 + k % 4}")
+        else:
+            shape = " shape=gaussian" if k % 3 == 0 else ""
+            lines.append(f"{gates[k % 6]} q{q}{shape}")
+    return "\n".join(lines) + "\n"
+
+
+# sha256 over the dumped images of _mixed_program_text(): pins envelope
+# addresses, zero-padding sharing, dedup and trigger splits at once.
+MIXED_PROGRAM_SHA256 = "e1f4cd7b972dace5845624fc3e7c055e8baaf20d00794005afcd22ed12b7f06b"
+
+
+def test_compiled_images_golden():
+    m, plan, cal = plan_and_cal()
+    prog = compile_program(parse_program(_mixed_program_text()), plan, cal)
+    assert prog.n_triggers == 67
+    digest = hashlib.sha256()
+    for img in prog.images:
+        digest.update(dump_image(img))
+    assert digest.hexdigest() == MIXED_PROGRAM_SHA256
 
 
 def test_cross_bank_gates_are_padded_sequential():

@@ -89,6 +89,27 @@ def test_rb_depolarizing_mode_recovers_eps():
     assert abs((1.0 - res.p) - eps) < 2.0 * res.p_stderr
 
 
+def test_noiseless_rb_decays_with_p_at_one():
+    # Noiseless physics leaves only the DAC/PAC quantisation error, so
+    # p ~ 1 (Magesan et al., PRL 106, 180504, 2011); the fit pins on the bound.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_rb(plain_bench(), (1, 10, 50), n_sequences=4, repetitions=100, seed=0)
+    assert res.p >= 1.0 - 1e-4
+    assert res.p_at_bound
+
+
+def test_rb_fit_pinned_at_bound_is_flagged_not_warned():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_rb(plain_bench(sigma_detune=300e3), (1, 8, 24), n_sequences=3,
+                     repetitions=20, seed=13)
+        free = run_rb(plain_bench(), (1, 10, 30, 60, 100), n_sequences=10,
+                      repetitions=200, seed=2, depolarizing_eps=0.01)
+    assert res.p_at_bound and res.p == pytest.approx(1.0)
+    assert not free.p_at_bound and np.isfinite(free.p_stderr)
+
+
 def test_rabi_frequency_matches_calibrated_rate():
     bench = plain_bench()
     durations = np.linspace(0.0, 1.5e-6, 31)

@@ -1,12 +1,14 @@
 """Binary round trips and disassembly of memory images."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinctl.errors import ImageFormatError
 from spinctl.controller.image_io import assemble, disassemble, dump_image, load_image
-from spinctl.controller.memory import Instruction, MemoryImage
+from spinctl.controller.memory import EnvelopeMemory, Instruction, MemoryImage
 
 
 def sample_image():
@@ -22,7 +24,10 @@ def sample_image():
 
 
 def images_equal(a, b):
-    if a.envelope.entries != b.envelope.entries:
+    if not (
+        np.array_equal(a.envelope.amp_codes, b.envelope.amp_codes)
+        and np.array_equal(a.envelope.phase_mods, b.envelope.phase_mods)
+    ):
         return False
     if (a.envelope.amp_bits, a.envelope.phase_mod_bits) != (
         b.envelope.amp_bits,
@@ -32,6 +37,21 @@ def images_equal(a, b):
     if a.tables != b.tables:
         return False
     return a.instruction_list == b.instruction_list
+
+
+# sha256 of the byte layout and the listing of sample_image().  Round trips
+# alone would pass if dump and load changed the layout together.
+SAMPLE_DUMP_SHA256 = "76555eb690ac02558e35a5ed0d5f4d586881811712f0269509eb8fa15ae1d4e1"
+SAMPLE_LISTING_SHA256 = "47943e58e21a24e20abb1f3ba13b938c23e14d9c204c96d2b691560a755d3cdd"
+
+
+def test_dump_bytes_golden():
+    assert hashlib.sha256(dump_image(sample_image())).hexdigest() == SAMPLE_DUMP_SHA256
+
+
+def test_disassembly_golden():
+    text = disassemble(sample_image())
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLE_LISTING_SHA256
 
 
 def test_binary_round_trip():
@@ -65,6 +85,29 @@ def test_one_gate_listing_shape():
     assert "run b1.n0.s0" in text
 
 
+def test_codes_wider_than_the_file_rejected_before_writing():
+    img = MemoryImage(EnvelopeMemory(amp_bits=20))
+    img.envelope.write_values(np.full(4, 0.5))  # code 2**18 needs 20 bits
+    with pytest.raises(ImageFormatError, match="amp_bits=20"):
+        dump_image(img)
+    img = MemoryImage(EnvelopeMemory(phase_mod_bits=20))
+    img.envelope.write_codes([1, 2], [0, 1 << 16])
+    with pytest.raises(ImageFormatError, match="phase_mod_bits=20"):
+        dump_image(img)
+
+
+def test_wide_image_with_narrow_codes_round_trips():
+    img = MemoryImage(EnvelopeMemory(amp_bits=20, phase_mod_bits=20))
+    img.envelope.write_codes([-(1 << 15), (1 << 15) - 1], [0, (1 << 16) - 1])
+    assert images_equal(load_image(dump_image(img)), img)
+
+
+def test_listing_with_bad_code_raises_format_error():
+    text = disassemble(sample_image()).replace("amp=256", "amp=4096")
+    with pytest.raises(ImageFormatError, match="amplitude code 4096"):
+        assemble(text)
+
+
 def test_truncated_file_reports_offset():
     data = dump_image(sample_image())
     with pytest.raises(ImageFormatError) as err:
@@ -91,10 +134,7 @@ def test_trailing_bytes_rejected():
 @settings(max_examples=25, deadline=None)
 def test_round_trip_random_images(codes, phase):
     img = MemoryImage()
-    for c in codes:
-        from spinctl.controller.memory import EnvelopeEntry
-
-        img.envelope.append(EnvelopeEntry(c, 0))
+    img.envelope.write_codes(codes)
     img.add_instruction(0, 1, Instruction(1, start_addr=0, stop_addr=len(codes) - 1))
     img.add_instruction(0, 1, Instruction(1, phase_update=phase))
     img.schedule(0, 1, 1)

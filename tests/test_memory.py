@@ -9,7 +9,6 @@ from spinctl.controller.memory import (
     ENVELOPE_CAPACITY,
     LIST_CAPACITY,
     TABLE_CAPACITY,
-    EnvelopeEntry,
     EnvelopeMemory,
     Instruction,
     ListEntry,
@@ -19,36 +18,80 @@ from spinctl.controller.memory import (
 
 def test_envelope_fills_to_capacity_then_rejects():
     mem = EnvelopeMemory()
-    mem.extend(EnvelopeEntry(0) for _ in range(ENVELOPE_CAPACITY))
+    mem.write_codes(np.zeros(ENVELOPE_CAPACITY, dtype=int))
     assert len(mem) == ENVELOPE_CAPACITY
     with pytest.raises(CapacityError):
-        mem.append(EnvelopeEntry(0))
+        mem.write_codes([0])
 
 
 @given(st.integers(min_value=1, max_value=200))
 @settings(max_examples=25)
 def test_envelope_overflow_rejected_without_partial_write(extra):
     mem = EnvelopeMemory()
-    mem.extend(EnvelopeEntry(1) for _ in range(ENVELOPE_CAPACITY - 10))
+    mem.write_codes(np.ones(ENVELOPE_CAPACITY - 10, dtype=int))
     with pytest.raises(CapacityError):
-        mem.extend(EnvelopeEntry(2) for _ in range(10 + extra))
+        mem.write_codes(np.full(10 + extra, 2))
     assert len(mem) == ENVELOPE_CAPACITY - 10  # nothing truncated in
 
 
 def test_amplitude_code_range_checked():
     mem = EnvelopeMemory(amp_bits=8)
-    mem.append(EnvelopeEntry(127))
-    mem.append(EnvelopeEntry(-128))
+    mem.write_codes([127])
+    mem.write_codes([-128])
     with pytest.raises(ValueError):
-        mem.append(EnvelopeEntry(128))
+        mem.write_codes([128])
 
 
 def test_write_values_quantizes_to_grid():
     mem = EnvelopeMemory(amp_bits=10)
     start, stop = mem.write_values(np.array([0.5, -0.25, 0.999]))
     assert (start, stop) == (0, 2)
-    codes = [e.amp_code for e in mem.entries]
+    codes = mem.amp_codes.tolist()
     assert codes == [256, -128, 511]
+
+
+def test_bad_block_is_rejected_whole():
+    mem = EnvelopeMemory(amp_bits=8, phase_mod_bits=4)
+    mem.write_codes([1, 2, 3], [0, 1, 15])
+    for amp, phase in (
+        ([5, 6, 128], None),  # one amplitude code off the grid
+        ([5, 6, 7], [0, 16, 0]),  # one phase code out of range
+        ([5, 6, 7], [0, 1]),  # lengths differ
+        ([0.5, 1.0], None),  # not integer codes
+        ([], None),
+    ):
+        with pytest.raises(ValueError):
+            mem.write_codes(amp, phase)
+    assert mem.amp_codes.tolist() == [1, 2, 3]
+    assert mem.phase_mods.tolist() == [0, 1, 15]
+
+
+def test_write_values_rejects_length_mismatch():
+    mem = EnvelopeMemory()
+    with pytest.raises(ValueError, match="equal-length"):
+        mem.write_values(np.full(3, 0.5), [1])
+    assert len(mem) == 0
+
+
+def test_equality_is_a_bool():
+    a, b = EnvelopeMemory(), EnvelopeMemory()
+    for mem in (a, b):
+        mem.write_values(np.full(4, 0.5), [0, 1, 2, 3])
+    assert (a == b) is True and (a != b) is False
+    b.write_codes([0])
+    assert (a == b) is False and (a != b) is True
+    assert EnvelopeMemory(amp_bits=12) != EnvelopeMemory()
+    assert MemoryImage(a) == MemoryImage(EnvelopeMemory(10, 10, a.amp_codes, a.phase_mods))
+
+
+def test_rollback_truncates():
+    mem = EnvelopeMemory()
+    mem.write_codes([1, 2, 3])
+    mem.truncate(1)
+    assert mem.write_codes([7, 8]) == (1, 2)
+    assert mem.amp_codes.tolist() == [1, 7, 8]
+    assert mem.amp_values(1, 2).tolist() == [7 / 512, 8 / 512]
+    assert mem.phase_codes(0, 2).tolist() == [0, 0, 0]
 
 
 def test_table_rejects_ninth_instruction():
