@@ -52,9 +52,6 @@ class FrequencyPlan:
     def slot(self, qubit: int, branch: str) -> Slot:
         return self.for_qubit(qubit, branch)[0]
 
-    def bank_of(self, qubit: int) -> int:
-        return self.for_qubit(qubit)[0].bank
-
     def pad_nco(self, bank: int) -> int:
         for s in self.slots:
             if s.bank == bank:

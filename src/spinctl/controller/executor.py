@@ -1,12 +1,19 @@
-"""Memory-driven waveform synthesis for one transmitter.
+"""Memory-driven execution of one transmitter, in two steps.
 
-A transmitter owns two banks of 16 NCOs.  The instruction list is
+Play: a transmitter owns two banks of 16 NCOs.  The instruction list is
 dispatched in order; each bank plays its own instructions back to back,
 starting at the trigger, so entries on different banks overlap in time
 (that is how two tones are emitted at once) while entries on the same
 bank are strictly sequential.  NCO phase accumulators advance on every
 clock from the trigger onward whether or not their NCO is selected, so
 bursts are phase-coherent across idle gaps, instructions, and triggers.
+Playing images yields an ``ExecutionTrace``: every burst with its start
+sample, tuning word, reference phase and envelope codes.
+
+Synthesize: ``synthesize`` turns a trace into DAC samples (PAC lookup,
+DAC quantization, bank sum, clipping).  ``Transmitter.execute`` is play
+followed by synthesize; the structured physics engine reads the trace
+and never needs the samples.
 """
 
 from __future__ import annotations
@@ -99,7 +106,7 @@ class BasebandWaveform:
 
 @dataclass(frozen=True)
 class BurstSegment:
-    """Trace record of one envelope burst, enough to rebuild its samples."""
+    """One envelope burst as played: enough to rebuild its samples."""
 
     bank: int
     nco: int
@@ -114,19 +121,51 @@ class BurstSegment:
     def t_end(self) -> int:
         return self.t0 + self.n
 
+    def phase_words(self, phase_mod_bits: int) -> np.ndarray:
+        """Output phase word of each sample, envelope phase code included.
+
+        The accumulator advances before the output, so sample k of the burst
+        (k = 1..n) reads ftw * (t0 + k) + ref_word plus the phase code scaled
+        up to full phase-word units.
+        """
+        k = np.arange(self.t0 + 1, self.t_end + 1, dtype=np.int64)
+        mod = self.phase_codes << (PHASE_BITS - phase_mod_bits)
+        return (self.ftw * k + self.ref_word + mod) % PHASE_WORDS
+
 
 @dataclass
 class ExecutionTrace:
-    """Structured record of an execution: bursts plus total span."""
+    """Everything one play did: its bursts and its span of the global clock."""
 
-    segments: list[BurstSegment] = field(default_factory=list)
-    n_samples: int = 0
-    phase_mod_bits: int = 10
-    sample_rate: float = 1e9
+    segments: list[BurstSegment]
+    start: int  # global sample index where the span begins
+    end: int  # global sample index one past the span
+    phase_mod_bits: int
+    sample_rate: float
+
+    @property
+    def n_samples(self) -> int:
+        return self.end - self.start
+
+
+def synthesize(trace: ExecutionTrace, cfg: TxConfig) -> BasebandWaveform:
+    """DAC output of a played trace: PAC lookup and DAC quantization of each
+    burst, the banks summed and clipped to the DAC rails."""
+    banks = np.zeros((2, N_BANKS, trace.n_samples))  # (i/q, bank, sample)
+    for seg in trace.segments:
+        t = seg.t0 - trace.start
+        banks[:, seg.bank, t : t + seg.n] = pac_convert(
+            seg.phase_words(trace.phase_mod_bits),
+            seg.amp_values,
+            pac_addr_bits=cfg.pac_addr_bits,
+            dac_bits=cfg.dac_bits,
+        )
+    i, q = np.clip(banks.sum(axis=1), *cfg.dac_rails)
+    return BasebandWaveform(cfg.f_clk, i, q, start_time=trace.start * cfg.sample_period)
 
 
 class Transmitter:
-    """Stateful sequencer: executes memory images, keeps phase across triggers."""
+    """Stateful sequencer: plays memory images, keeps phase across triggers."""
 
     def __init__(self, cfg: TxConfig, ftws=None):
         self.cfg = cfg
@@ -153,97 +192,55 @@ class Transmitter:
             raise ValueError(f"ftw {ftw} not an unsigned {PHASE_BITS}-bit word")
         self.ftws[bank, nco] = ftw
 
-    def execute(self, image: MemoryImage, trace: ExecutionTrace | None = None) -> BasebandWaveform:
-        """Run one trigger: play the instruction list, return the summed banks.
+    def play(self, images) -> ExecutionTrace:
+        """Run triggers back to back and record every burst they play.
 
-        Validation happens before any sample is produced.  If ``trace`` is
-        given, burst metadata is appended to it for the structured physics
-        path.
+        Each image is validated before it changes any state; playing it
+        applies its phase updates and advances the clock by its longest bank.
         """
-        image.validate()
         cfg = self.cfg
-        env = image.envelope
-        if env.amp_bits != cfg.amp_bits or env.phase_mod_bits != cfg.phase_mod_bits:
-            raise ValueError(
-                "image envelope bit widths do not match the transmitter configuration"
-            )
-
-        # First pass: per-bank cursors give the total length up front.
-        cursors = [0] * N_BANKS
-        placed = []  # (entry, instr, bank-local start)
-        for ref in image.instruction_list:
-            instr = image.tables[ref.bank][ref.nco][ref.slot]
-            placed.append((ref, instr, cursors[ref.bank]))
-            cursors[ref.bank] += instr.n_samples
-        total = max(cursors) if cursors else 0
-
-        bank_i = np.zeros((N_BANKS, total))
-        bank_q = np.zeros((N_BANKS, total))
-        start_time = self.sample_count * cfg.sample_period
-
-        for ref, instr, local_t0 in placed:
-            if instr.is_phase_update:
-                self.ref_phase[ref.bank, ref.nco] = (
-                    self.ref_phase[ref.bank, ref.nco] + instr.phase_update
-                ) % PHASE_WORDS
-                continue
-            n = instr.n_samples
-            g0 = self.sample_count + local_t0
-            ftw = int(self.ftws[ref.bank, ref.nco])
-            ref_word = int(self.ref_phase[ref.bank, ref.nco])
-            k = np.arange(1, n + 1, dtype=np.int64)
-            words = (g0 * ftw + k * ftw + ref_word) % PHASE_WORDS
-            amp = env.amp_values(instr.start_addr, instr.stop_addr)
-            codes = env.phase_codes(instr.start_addr, instr.stop_addr)
-            i, q = pac_convert(
-                words,
-                amp,
-                codes,
-                pac_addr_bits=cfg.pac_addr_bits,
-                dac_bits=cfg.dac_bits,
-                phase_mod_bits=cfg.phase_mod_bits,
-            )
-            bank_i[ref.bank, local_t0 : local_t0 + n] = i
-            bank_q[ref.bank, local_t0 : local_t0 + n] = q
-            if trace is not None:
-                trace.segments.append(
+        start = self.sample_count
+        segments = []
+        for image in images:
+            image.validate()
+            env = image.envelope
+            if env.amp_bits != cfg.amp_bits or env.phase_mod_bits != cfg.phase_mod_bits:
+                raise ValueError(
+                    "image envelope bit widths do not match the transmitter configuration"
+                )
+            cursors = [0] * N_BANKS  # each bank plays its bursts back to back
+            for ref in image.instruction_list:
+                instr = image.tables[ref.bank][ref.nco][ref.slot]
+                if instr.is_phase_update:
+                    self.ref_phase[ref.bank, ref.nco] = (
+                        self.ref_phase[ref.bank, ref.nco] + instr.phase_update
+                    ) % PHASE_WORDS
+                    continue
+                segments.append(
                     BurstSegment(
                         bank=ref.bank,
                         nco=ref.nco,
-                        t0=g0,
-                        n=n,
-                        ftw=ftw,
-                        ref_word=ref_word,
-                        amp_values=amp,
-                        phase_codes=codes,
+                        t0=self.sample_count + cursors[ref.bank],
+                        n=instr.n_samples,
+                        ftw=int(self.ftws[ref.bank, ref.nco]),
+                        ref_word=int(self.ref_phase[ref.bank, ref.nco]),
+                        amp_values=env.amp_values(instr.start_addr, instr.stop_addr),
+                        phase_codes=env.phase_codes(instr.start_addr, instr.stop_addr),
                     )
                 )
+                cursors[ref.bank] += instr.n_samples
+            self.sample_count += max(cursors)
+        return ExecutionTrace(segments, start, self.sample_count, cfg.phase_mod_bits, cfg.f_clk)
 
-        lo, hi = cfg.dac_rails
-        i_sum = np.clip(bank_i.sum(axis=0), lo, hi)
-        q_sum = np.clip(bank_q.sum(axis=0), lo, hi)
-        self.sample_count += total
-        if trace is not None:
-            trace.n_samples = self.sample_count
-            trace.phase_mod_bits = cfg.phase_mod_bits
-            trace.sample_rate = cfg.f_clk
-        return BasebandWaveform(
-            sample_rate=cfg.f_clk, i=i_sum, q=q_sum, start_time=start_time
-        )
+    def execute(self, image: MemoryImage) -> BasebandWaveform:
+        """Run one trigger and return the summed banks."""
+        return synthesize(self.play([image]), self.cfg)
 
-    def execute_sequence(self, images, trace: ExecutionTrace | None = None) -> BasebandWaveform:
+    def execute_sequence(self, images) -> BasebandWaveform:
         """Chain several triggers back to back into one waveform."""
-        parts = [self.execute(img, trace) for img in images]
-        if not parts:
-            return BasebandWaveform(self.cfg.f_clk, np.zeros(0), np.zeros(0))
-        return BasebandWaveform(
-            sample_rate=self.cfg.f_clk,
-            i=np.concatenate([p.i for p in parts]),
-            q=np.concatenate([p.q for p in parts]),
-            start_time=parts[0].start_time,
-        )
+        return synthesize(self.play(images), self.cfg)
 
 
-def execute(image: MemoryImage, cfg: TxConfig, ftws=None, trace: ExecutionTrace | None = None) -> BasebandWaveform:
+def execute(image: MemoryImage, cfg: TxConfig, ftws=None) -> BasebandWaveform:
     """One-shot execution on a fresh transmitter."""
-    return Transmitter(cfg, ftws).execute(image, trace)
+    return Transmitter(cfg, ftws).execute(image)

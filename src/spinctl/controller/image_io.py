@@ -102,11 +102,15 @@ def load_image(data: bytes) -> MemoryImage:
     version, amp_bits, phase_mod_bits = r.take("<HBB")
     if version != VERSION:
         raise ImageFormatError(f"unsupported format version {version}", offset=4)
+    try:
+        image = MemoryImage(EnvelopeMemory(amp_bits, phase_mod_bits))
+    except ValueError as exc:
+        raise ImageFormatError(str(exc), offset=6) from exc
     (n_env,) = r.take("<I")
-    image = MemoryImage()
     try:
         entries = r.records(ENV_RECORD, n_env)
-        image.envelope = EnvelopeMemory(amp_bits, phase_mod_bits, entries["amp"], entries["pm"])
+        if n_env:
+            image.envelope.write_codes(entries["amp"], entries["pm"])
         for bank in range(N_BANKS):
             for nco in range(N_NCOS):
                 (count,) = r.take("<B")
@@ -176,8 +180,7 @@ def assemble(text: str) -> MemoryImage:
             fields = line.split()
             if fields[0] == "bits":
                 kv = dict(f.split("=") for f in fields[1:])
-                image.envelope.amp_bits = int(kv["amp"])
-                image.envelope.phase_mod_bits = int(kv["phase_mod"])
+                image.envelope = EnvelopeMemory(int(kv["amp"]), int(kv["phase_mod"]))
             elif fields[0] == "env":
                 start, stop = (int(x) for x in fields[1].split(".."))
                 if not 0 <= start <= stop:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import CapacityError
-from .nco import PHASE_WORDS, quantize_unit
+from .nco import PHASE_BITS, PHASE_WORDS, quantize_unit
 
 ENVELOPE_CAPACITY = 40960
 TABLE_CAPACITY = 8
@@ -45,6 +45,10 @@ class EnvelopeMemory:
     phase_mods: np.ndarray = field(default_factory=_no_codes)
 
     def __post_init__(self):
+        if not 2 <= self.amp_bits <= 30:
+            raise ValueError(f"amp_bits={self.amp_bits} outside supported range 2..30")
+        if not 1 <= self.phase_mod_bits <= PHASE_BITS:
+            raise ValueError(f"phase_mod_bits={self.phase_mod_bits} outside 1..{PHASE_BITS}")
         self.amp_codes, self.phase_mods = self._checked(self.amp_codes, self.phase_mods, 0)
 
     def _checked(self, amp, phase, used: int) -> tuple[np.ndarray, np.ndarray]:

@@ -101,26 +101,15 @@ def max_grid_value(bits: int) -> float:
     return (scale - 1) / scale
 
 
-def pac_convert(
-    phase,
-    amplitude,
-    phase_mod,
-    *,
-    pac_addr_bits: int,
-    dac_bits: int,
-    phase_mod_bits: int,
-):
+def pac_convert(phase, amplitude, *, pac_addr_bits: int, dac_bits: int):
     """Phase-to-amplitude conversion followed by DAC quantization.
 
-    ``phase`` are output phase words; ``phase_mod`` are envelope phase codes
-    scaled up to full phase-word units before the lookup.  The table address
-    keeps the top ``pac_addr_bits`` bits of the effective phase.  Returns
-    (i, q) = amplitude * (sin, cos) of the table angle, on the DAC grid.
+    ``phase`` are output phase words, envelope phase modulation included.
+    The table address keeps the top ``pac_addr_bits`` bits of the phase.
+    Returns (i, q) = amplitude * (sin, cos) of the table angle, on the DAC
+    grid.
     """
-    phase = np.asarray(phase, dtype=np.int64)
-    mod_shift = PHASE_BITS - phase_mod_bits
-    eff = (phase + (np.asarray(phase_mod, dtype=np.int64) << mod_shift)) % PHASE_WORDS
-    addr = eff >> (PHASE_BITS - pac_addr_bits)
+    addr = np.asarray(phase, dtype=np.int64) >> (PHASE_BITS - pac_addr_bits)
     theta = addr * (2.0 * np.pi / (1 << pac_addr_bits))
     i = quantize_unit(amplitude * np.sin(theta), dac_bits)
     q = quantize_unit(amplitude * np.cos(theta), dac_bits)

@@ -1,5 +1,4 @@
 from .base import Bench, SweepResult
-from .correction import ConfusionMatrix, readout_correct
 from .allxy import ALLXY_PAIRS, IDEAL_SIGMA_Z, AllxyResult, run_allxy
 from .qst import TomoResult, run_qst_trajectory
 from .rb import RbResult, run_rb
@@ -10,8 +9,6 @@ from .spectroscopy import locate_peaks, run_spectroscopy
 __all__ = [
     "Bench",
     "SweepResult",
-    "ConfusionMatrix",
-    "readout_correct",
     "ALLXY_PAIRS",
     "IDEAL_SIGMA_Z",
     "AllxyResult",

@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..compiler.ir import GateOp
-from ..physics import shot_rng
+from ..physics import corrected_p_up, shot_rng
 from .base import Bench
-from .correction import corrected_p_up
 
 # Standard ordering: 5 ground pairs, 12 equator pairs, 4 excited pairs.
 ALLXY_PAIRS = [
@@ -39,13 +38,11 @@ class AllxyResult:
 def run_allxy(bench: Bench, *, qubit: int = 2, shots: int = 10_000, seed: int = 0,
               engine: str = "dense") -> AllxyResult:
     """Run the 21 pairs; readout error is removed via the confusion inverse."""
-    fid = bench.model.readout_q1 if qubit == 1 else bench.model.readout_q2
     values = []
     for k, pair in enumerate(ALLXY_PAIRS):
         prog = bench.compile([GateOp(g, qubit) for g in pair])
         (hits,) = bench.sample(prog, (qubit,), shots, shot_rng(seed, k), engine=engine)
-        p_corr, _ = corrected_p_up(hits / shots, fid)
-        values.append(2.0 * p_corr - 1.0)
+        values.append(2.0 * corrected_p_up(hits / shots, bench.model, qubit) - 1.0)
     return AllxyResult(pairs=list(ALLXY_PAIRS), sigma_z=values, shots=shots, seed=seed)
 
 

@@ -2,8 +2,10 @@
 
 Every experiment goes compiler -> transmitter -> physics -> readout and
 differs only in the programs it builds and the statistics it extracts.
-``Bench.sample`` is that path: one execution of a compiled program, one
-batched propagator stack over the point's noise draws, vectorized readout.
+``Bench.sample`` is that path: one play of a compiled program into a burst
+trace, one batched propagator stack over the point's noise draws on the
+chosen engine, vectorized readout.  DAC samples are synthesized only for
+the dense engine.
 Randomness follows the substream contract in ``spinctl.physics.device``:
 point p of an experiment seeded with ``seed`` draws all of its shots from
 ``shot_rng(seed, p)``, noise batch first, then readout.
@@ -22,7 +24,7 @@ from ..compiler import (
     allocate_frequencies,
     default_calibration,
 )
-from ..controller.executor import ExecutionTrace, Transmitter, TxConfig
+from ..controller.executor import ExecutionTrace, Transmitter, TxConfig, synthesize
 from ..physics import (
     DeviceModel,
     ZERO_NOISE,
@@ -31,12 +33,11 @@ from ..physics import (
     sample_noise_batch,
     trace_propagators,
 )
-from ..physics.evolve import FastPathUnavailable
 from ..physics.state import renormalized
 
-# "dense" integrates the DAC sample stream; "trace" uses the structured fast
-# path; "auto" prefers the fast path and falls back when bursts overlap.
-ENGINES = ("dense", "trace", "auto")
+# "dense" evolves the DAC samples synthesized from the trace; "trace" evolves
+# the bursts themselves and rejects programs whose bursts overlap.
+ENGINES = ("dense", "trace")
 
 
 @dataclass
@@ -75,12 +76,9 @@ class Bench:
             phase_mod_bits=self.cfg.phase_mod_bits,
         )
 
-    def run_program(self, prog: CompiledProgram):
-        """Execute all triggers; returns (waveform, trace)."""
-        tx = Transmitter(self.cfg, prog.ftws)
-        trace = ExecutionTrace()
-        wf = tx.execute_sequence(prog.images, trace)
-        return wf, trace
+    def run_program(self, prog: CompiledProgram) -> ExecutionTrace:
+        """Play all triggers on a fresh transmitter; returns the burst trace."""
+        return Transmitter(self.cfg, prog.ftws).play(prog.images)
 
     def sample(self, prog: CompiledProgram, qubits, shots: int, rng: np.random.Generator,
                *, engine: str = "dense") -> np.ndarray:
@@ -97,19 +95,14 @@ class Bench:
         model = self.model
         noisy = model.sigma_detune > 0 or model.sigma_j > 0
         noise = sample_noise_batch(model, rng, shots) if noisy else ZERO_NOISE
-        wf, trace = self.run_program(prog)
+        trace = self.run_program(prog)
         physics = dict(model=model, lo_freq=self.cfg.lo_freq, exchange_on=self.exchange_on,
                        noise=noise)
-        props = None
-        if engine != "dense":
-            try:
-                props = trace_propagators(trace, **physics)
-            except FastPathUnavailable:
-                if engine == "trace":
-                    raise
-        if props is None:
-            props = dense_propagators(wf, **physics)
-        amps = renormalized(props[:, :, 0], len(wf))  # each unitary applied to |00>
+        if engine == "trace":
+            props = trace_propagators(trace, **physics)
+        else:
+            props = dense_propagators(synthesize(trace, self.cfg), **physics)
+        amps = renormalized(props[:, :, 0], trace.n_samples)  # each unitary applied to |00>
         p_read1 = np.stack(readout_probabilities(amps, model))[np.subtract(qubits, 1)]
         if noisy:
             return np.count_nonzero(rng.random((shots, len(qubits))) < p_read1.T, axis=0)

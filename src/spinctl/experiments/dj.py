@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..compiler.ir import GateOp
-from ..physics import shot_rng
+from ..physics import corrected_p_up, shot_rng
 from .base import Bench, binomial_stderr
-from .correction import corrected_p_up
 
 ORACLES = ("cnot", "z_cnot", "identity", "x2")
 
@@ -62,6 +61,6 @@ def run_dj(bench: Bench, *, shots: int = 10_000, seed: int = 0,
     for k, oracle in enumerate(ORACLES):
         prog = bench.compile(dj_program(oracle))
         (hits,) = bench.sample(prog, (2,), shots, shot_rng(seed, k), engine=engine)
-        p_out[oracle], _ = corrected_p_up(hits / shots, bench.model.readout_q2)
+        p_out[oracle] = corrected_p_up(hits / shots, bench.model, 2)
         err[oracle] = binomial_stderr(hits / shots, shots)
     return DjResult(p_output_one=p_out, stderr=err, shots=shots, seed=seed)

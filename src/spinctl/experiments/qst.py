@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..compiler.ir import GateOp
-from ..physics import shot_rng
+from ..physics import corrected_p_up, shot_rng
 from .base import Bench
-from .correction import corrected_p_up
 
 # Pre-measurement rotation per axis; m = 2*P(read 1) - 1 after correction.
 BASES = [("-z", None), ("+x", "y"), ("-y", "x"), ("+z", "x2")]
@@ -63,21 +62,12 @@ def measured_projection(bench: Bench, prefix_ops, basis_gate, qubit, shots, rng)
     if basis_gate is not None:
         ops.append(GateOp(basis_gate, qubit))
     (hits,) = bench.sample(bench.compile(ops), (qubit,), shots, rng)
-    fid = bench.model.readout_q1 if qubit == 1 else bench.model.readout_q2
-    p_corr, _ = corrected_p_up(hits / shots, fid)
-    return 2.0 * p_corr - 1.0
+    return 2.0 * corrected_p_up(hits / shots, bench.model, qubit) - 1.0
 
 
 def run_qst_trajectory(bench: Bench, times, *, qubit: int = 2, shots: int = 1000,
                        seed: int = 0) -> TomoResult:
-    """Tomography of the state after an x burst of each duration in ``times``.
-
-    Requires an invertible confusion matrix (F0 + F1 > 1), checked before
-    any simulation runs.
-    """
-    fid = bench.model.readout_q1 if qubit == 1 else bench.model.readout_q2
-    if fid.f0 + fid.f1 <= 1.0:
-        raise ValueError("confusion matrix is singular: cannot invert readout errors")
+    """Tomography of the state after an x burst of each duration in ``times``."""
     result = TomoResult(shots_per_basis=shots, seed=seed)
     for idx, t in enumerate(times):
         prefix = [] if t <= 0 else [GateOp("x2", qubit, duration=float(t))]

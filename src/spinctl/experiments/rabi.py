@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..compiler import CompiledProgram
-from ..controller.memory import Instruction, MemoryImage
+from ..controller.memory import EnvelopeMemory, Instruction, MemoryImage
 from ..physics import shot_rng
 from .base import Bench, SweepResult, binomial_stderr
 
@@ -18,9 +18,7 @@ from .base import Bench, SweepResult, binomial_stderr
 def _rabi_image(bench: Bench, qubits, max_samples: int) -> tuple[MemoryImage, dict]:
     """One full-length burst per qubit; returns the image and each burst's
     (bank, nco) -> envelope start address."""
-    img = MemoryImage()
-    img.envelope.amp_bits = bench.cfg.amp_bits
-    img.envelope.phase_mod_bits = bench.cfg.phase_mod_bits
+    img = MemoryImage(EnvelopeMemory(bench.cfg.amp_bits, bench.cfg.phase_mod_bits))
     slots = [bench.plan.for_qubit(q)[0] for q in qubits]
     starts = {}
     for slot in slots:

@@ -20,10 +20,9 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from ..compiler.ir import GateOp
-from ..physics import shot_rng
+from ..physics import corrected_p_up, shot_rng
 from .base import Bench
 from .cliffords import AVG_PRIMITIVES, N_CLIFFORDS, recovery_index, sequence_primitives
-from .correction import corrected_p_up
 
 
 @dataclass
@@ -98,7 +97,6 @@ def run_rb(
     lengths = list(lengths)
     per_sequence = []
     split_lengths = []
-    fid = bench.model.readout_q1 if qubit == 1 else bench.model.readout_q2
     for li, m in enumerate(lengths):
         seq_surv = np.empty(n_sequences)
         for si in range(n_sequences):
@@ -118,9 +116,7 @@ def run_rb(
             (hits,) = bench.sample(prog, (qubit,), repetitions, rng, engine="trace")
             seq_surv[si] = (repetitions - hits) / repetitions  # shots reading 0
         per_sequence.append(seq_surv)
-    survival = [float(np.mean(s)) for s in per_sequence]
-    if fid.f0 + fid.f1 > 1.0 and (fid.f0 < 1.0 or fid.f1 < 1.0):
-        survival = [1.0 - corrected_p_up(1.0 - s, fid)[0] for s in survival]
+    survival = [1.0 - corrected_p_up(1.0 - np.mean(s), bench.model, qubit) for s in per_sequence]
     (a, b, p), (ea, eb, ep), p_at_bound = _fit_decay(lengths, survival)
     return RbResult(
         lengths=lengths,

@@ -18,7 +18,7 @@ from .evolve import (
     trace_propagators,
     two_level_evolve,
 )
-from .readout import born_probabilities, measure, readout_probabilities
+from .readout import born_probabilities, corrected_p_up, measure, readout_probabilities
 
 __all__ = [
     "DeviceModel",
@@ -40,6 +40,7 @@ __all__ = [
     "trace_propagators",
     "two_level_evolve",
     "born_probabilities",
+    "corrected_p_up",
     "measure",
     "readout_probabilities",
 ]

@@ -1,22 +1,26 @@
-"""Time evolution under synthesized drive waveforms.
+"""Time evolution under a played burst trace.
 
-Two engines share the same physics definitions, and both return one
-total unitary per quasi-static noise draw, shape (r, 4, 4):
+Both engines start from the transmitter's ``ExecutionTrace``, share the
+same physics definitions, and return one total unitary per quasi-static
+noise draw, shape (r, 4, 4).  The caller picks one; neither falls back to
+the other.
 
 ``dense_propagators``
-    Reference path.  Consumes the DAC output sample stream and applies the
-    exact matrix exponential of the piecewise-constant generator, sample by
-    sample (batched eigendecompositions plus a pairwise product, so the
-    result is the exact ordered product, not an integrator approximation).
+    Reference path.  Consumes the DAC samples synthesized from the trace
+    and applies the exact matrix exponential of the piecewise-constant
+    generator, sample by sample (batched eigendecompositions plus a pairwise
+    product, so the result is the exact ordered product, not an integrator
+    approximation).
 
 ``trace_propagators``
-    Structured path.  Consumes the executor's burst trace instead of dense
-    samples.  For constant-amplitude bursts the per-sample product telescopes
-    exactly: every sample's generator is the previous one conjugated by a
-    fixed phase rotation of the excitation number, so the whole burst reduces
-    to one matrix power.  This evaluates the idealized synthesis (no
-    phase-table or DAC requantization) and is vectorized over quasi-static
-    noise draws, which is what makes randomized benchmarking tractable.
+    Structured path.  Consumes the trace itself; no samples are synthesized.
+    For constant-amplitude bursts the per-sample product telescopes exactly:
+    every sample's generator is the previous one conjugated by a fixed phase
+    rotation of the excitation number, so the whole burst reduces to one
+    matrix power.  This evaluates the idealized synthesis (no phase-table or
+    DAC requantization) and is vectorized over quasi-static noise draws,
+    which is what makes randomized benchmarking tractable.  It plays one
+    tone at a time: overlapping bursts raise ``FastPathUnavailable``.
 
 ``evolve`` and ``evolve_trace`` apply either engine to one state.  Both
 share the norm policy of ``renormalized``.
@@ -27,7 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..controller.executor import BasebandWaveform, ExecutionTrace
-from ..controller.nco import PHASE_BITS, PHASE_WORDS
+from ..controller.nco import PHASE_WORDS
+from ..errors import SpinctlError
 from .device import DeviceModel, NoiseSample, ZERO_NOISE
 from .hamiltonian import (
     NUMBER_OP,
@@ -42,8 +47,8 @@ _CHUNK = 2048
 _KVEC = np.diag(NUMBER_OP).real  # (0, 1, 1, 2)
 
 
-class FastPathUnavailable(Exception):
-    """The structured engine cannot represent this trace; use ``evolve``."""
+class FastPathUnavailable(SpinctlError):
+    """The structured engine cannot represent this trace: bursts overlap."""
 
 
 def _expm_batch(h: np.ndarray, dt: float) -> np.ndarray:
@@ -147,13 +152,12 @@ def trace_propagators(
     """Total unitaries of a burst trace, one per noise draw, shape (r, 4, 4).
 
     Segments must not overlap in time (one tone at a time); overlapping
-    traces raise FastPathUnavailable and belong on the dense path.
+    traces raise FastPathUnavailable and belong on the dense engine.
     """
     energies = _energies(model, lo_freq, exchange_on, noise)  # (r, 4)
     r = len(energies)
     drive = drive_operator(model)
     dt = 1.0 / trace.sample_rate
-    mod_shift = PHASE_BITS - trace.phase_mod_bits
 
     total = np.broadcast_to(np.eye(4, dtype=complex), (r, 4, 4)).copy()
 
@@ -168,34 +172,28 @@ def trace_propagators(
     segments = sorted(
         (s for s in trace.segments if np.any(s.amp_values)), key=lambda s: s.t0
     )
-    t = 0
+    t = trace.start
     for seg in segments:
         if seg.t0 < t:
             raise FastPathUnavailable(
-                f"overlapping bursts at sample {seg.t0}; structured evolution "
-                "handles one tone at a time"
+                f"bursts overlap at sample {seg.t0}: the trace engine plays one "
+                'tone at a time; run this program with engine="dense"'
             )
         apply_gap(seg.t0 - t)
         t = seg.t_end
 
         amp = seg.amp_values
         codes = seg.phase_codes
+        words = seg.phase_words(trace.phase_mod_bits)
         if not (np.all(amp == amp[0]) and np.all(codes == codes[0])):
             # Shaped burst: rebuild its samples and take the per-sample product.
-            k = np.arange(1, seg.n + 1, dtype=np.int64)
-            words = (seg.ftw * (seg.t0 + k) + seg.ref_word + (codes << mod_shift)) % PHASE_WORDS
             z = amp * np.exp(2j * np.pi * words / PHASE_WORDS)
             total = _sampled_product(z, energies, drive, dt) @ total
             continue
-        a = float(amp[0])
-        if a == 0.0:
-            apply_gap(seg.n)
-            continue
-        word0 = (seg.ftw * (seg.t0 + 1) + seg.ref_word + (int(codes[0]) << mod_shift)) % PHASE_WORDS
-        theta0 = 2.0 * np.pi * word0 / PHASE_WORDS
+        theta0 = 2.0 * np.pi * words[0] / PHASE_WORDS
         dtheta = 2.0 * np.pi * seg.ftw / PHASE_WORDS
 
-        u_bar = _expm_batch(generator_batch(np.array([a]), energies, drive)[0], dt)
+        u_bar = _expm_batch(generator_batch(amp[:1], energies, drive)[0], dt)
 
         p_diag = np.exp(-1j * theta0 * _KVEC)
         vinv_diag = np.exp(1j * dtheta * _KVEC)
@@ -206,7 +204,7 @@ def trace_propagators(
         u_seg = p_diag[None, :, None] * u_seg * np.conj(p_diag)[None, None, :]
         total = u_seg @ total
 
-    apply_gap(trace.n_samples - t)
+    apply_gap(trace.end - t)
     return total
 
 

@@ -5,13 +5,14 @@ a Born-rule draw followed by the (F0, F1) confusion channel, after which
 qubit 2 is reinitialized to |0>.  Qubit 1 is read by mapping its state
 onto the freshly reset qubit 2 through a controlled rotation, modeled as a
 depolarizing channel of the configured fidelity, then reading qubit 2
-again.
+again.  ``corrected_p_up`` inverts that chain exactly for one qubit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
 from .device import DeviceModel
 from .state import QuantumState
 
@@ -44,6 +45,26 @@ def readout_probabilities(state, model: DeviceModel) -> tuple:
         _through_confusion(p1_mapped, model.readout_q1),
         _through_confusion(p2, model.readout_q2),
     )
+
+
+def corrected_p_up(p_read, model: DeviceModel, qubit: int) -> float:
+    """P(true 1) of ``qubit`` from its probability of reading 1, clipped to
+    [0, 1]: the exact inverse of ``readout_probabilities``.
+
+    Qubit 2 undoes its confusion matrix; qubit 1 undoes its confusion matrix
+    and then the mapping depolarization.  Perfect readout inverts to the
+    identity in floating point.
+    """
+    if qubit not in (1, 2):
+        raise ValueError("qubit must be 1 or 2")
+    fid = model.readout_q1 if qubit == 1 else model.readout_q2
+    d = model.crot_readout_fidelity if qubit == 1 else 1.0
+    if d == 0.0:
+        raise ConfigError(
+            "crot_readout_fidelity is 0: qubit 1 readout carries no information to correct"
+        )
+    mapped = (p_read - (1.0 - fid.f0)) / (fid.f0 + fid.f1 - 1.0)
+    return float(np.clip((mapped - (1.0 - d) / 2.0) / d, 0.0, 1.0))
 
 
 def measure(state: QuantumState, model: DeviceModel, shots: int,

@@ -68,12 +68,3 @@ class QuantumState:
         if qubit == 2:
             return float(p[1] + p[3])
         raise ValueError("qubit must be 1 or 2")
-
-    def reduced_density(self, qubit: int) -> np.ndarray:
-        """2x2 reduced density matrix of one qubit."""
-        psi = self.amplitudes.reshape(2, 2)  # [q1, q2]
-        if qubit == 1:
-            return psi @ psi.conj().T
-        if qubit == 2:
-            return psi.T @ psi.conj()
-        raise ValueError("qubit must be 1 or 2")

@@ -7,7 +7,7 @@ import pytest
 
 from spinctl.errors import CapacityError, ConfigError, ProgramError
 from spinctl.controller.image_io import dump_image
-from spinctl.controller.executor import ExecutionTrace, Transmitter, TxConfig, execute
+from spinctl.controller.executor import Transmitter, TxConfig, execute
 from spinctl.controller.nco import PHASE_WORDS, offset_to_ftw, quantize_unit
 from spinctl.compiler import (
     allocate_frequencies,
@@ -173,8 +173,7 @@ def test_dedup_does_not_change_waveform():
     text = "x q2\ny q2\nx q2 shape=gaussian\nx2 q2\nz q2 angle=pi/4\nx q2\ny q2 shape=gaussian\n"
     ops = parse_program(text)
     prog = compile_program(ops, plan, cal)
-    trace = ExecutionTrace()
-    execute(prog.images[0], TxConfig(lo_freq=LO), ftws=prog.ftws, trace=trace)
+    trace = Transmitter(TxConfig(lo_freq=LO), prog.ftws).play(prog.images[:1])
     entry = cal.gates[(2, "main")]
     gates = [op for op in ops if op.name != "z"]
     assert len(trace.segments) == len(gates)
@@ -212,6 +211,24 @@ def test_compiled_images_golden():
     for img in prog.images:
         digest.update(dump_image(img))
     assert digest.hexdigest() == MIXED_PROGRAM_SHA256
+
+
+# sha256 over the DAC output of _mixed_program_text() played back to back,
+# then its first image once more on the same transmitter: pins the samples,
+# bank summation, clipping and phase coherence across triggers.
+MIXED_WAVEFORM_SHA256 = "98ed8c285d8e6aed1d5438ff1fa5e56174fb6e1e659a33dd3109e3f000f8a35e"
+
+
+def test_executed_waveform_golden():
+    m, plan, cal = plan_and_cal()
+    prog = compile_program(parse_program(_mixed_program_text()), plan, cal)
+    tx = Transmitter(TxConfig(lo_freq=LO), prog.ftws)
+    digest = hashlib.sha256()
+    for wf in (tx.execute_sequence(prog.images), tx.execute(prog.images[0])):
+        digest.update(wf.i.tobytes())
+        digest.update(wf.q.tobytes())
+        digest.update(np.float64(wf.start_time).tobytes())
+    assert digest.hexdigest() == MIXED_WAVEFORM_SHA256
 
 
 def test_cross_bank_gates_are_padded_sequential():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinctl.controller.executor import ExecutionTrace, Transmitter, TxConfig, execute
+from spinctl.controller.executor import Transmitter, TxConfig, execute
 from spinctl.controller.memory import Instruction, MemoryImage
 from spinctl.controller.nco import PHASE_WORDS, freq_to_ftw, max_grid_value
 
@@ -176,8 +176,7 @@ def test_trace_records_bursts():
     img = make_image(cfg, n_env=50, amp=0.25)
     img.add_instruction(1, 7, Instruction(7, start_addr=10, stop_addr=29))
     img.schedule(1, 7, 0)
-    trace = ExecutionTrace()
-    execute(img, cfg, ftws={(1, 7): 4321}, trace=trace)
+    trace = Transmitter(cfg, ftws={(1, 7): 4321}).play([img])
     assert len(trace.segments) == 1
     seg = trace.segments[0]
     assert (seg.bank, seg.nco, seg.t0, seg.n, seg.ftw) == (1, 7, 0, 20, 4321)

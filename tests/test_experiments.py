@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from scipy.optimize import curve_fit
 
-from spinctl.compiler import default_calibration
+from spinctl.compiler import CompiledProgram, default_calibration
 from spinctl.compiler.ir import GateOp
 from spinctl.compiler.plan import hold_factor
-from spinctl.controller.executor import TxConfig
+from spinctl.controller import executor
+from spinctl.controller.executor import TxConfig, synthesize
+from spinctl.controller.memory import Instruction, MemoryImage
+from spinctl.errors import SpinctlError
 from spinctl.experiments import (
     IDEAL_SIGMA_Z,
     Bench,
@@ -25,6 +28,7 @@ from spinctl.experiments.allxy import allxy_oracle
 from spinctl.physics import (
     DeviceModel,
     QuantumState,
+    ReadoutFidelity,
     evolve,
     evolve_trace,
     rabi_probability,
@@ -53,6 +57,14 @@ def rabi_rate(bench, qubit):
 
 def test_allxy_reproduces_ideal_pattern():
     res = run_allxy(plain_bench(), shots=100_000, seed=1, engine="trace")
+    np.testing.assert_allclose(res.sigma_z, IDEAL_SIGMA_Z, atol=0.02)
+
+
+def test_allxy_on_qubit_1_undoes_mapping_and_confusion():
+    # Qubit 1 is read through the mapping depolarization and then its own
+    # confusion matrix; the correction must invert both.
+    bench = plain_bench(crot_readout_fidelity=0.9, readout_q1=ReadoutFidelity(0.95, 0.9))
+    res = run_allxy(bench, qubit=1, shots=200_000, seed=1, engine="trace")
     np.testing.assert_allclose(res.sigma_z, IDEAL_SIGMA_Z, atol=0.02)
 
 
@@ -156,7 +168,8 @@ def test_long_program_runs_on_both_engines_and_they_agree():
     # 80 quarter turns (20240 samples) drift the norm past a flat 1e-12.
     bench = plain_bench()
     prog = bench.compile([GateOp("x", 2)] * 80)
-    wf, trace = bench.run_program(prog)
+    trace = bench.run_program(prog)
+    wf = synthesize(trace, bench.cfg)
     args = (bench.model, bench.cfg.lo_freq)
     dense = evolve(QuantumState.ground(), wf, *args).amplitudes
     fast = evolve_trace(QuantumState.ground(), trace, *args).amplitudes
@@ -188,6 +201,31 @@ def test_noisy_sampling_agrees_across_engines():
     dense = bench.sample(prog, (1, 2), 100, shot_rng(3, 0), engine="dense")
     fast = bench.sample(prog, (1, 2), 100, shot_rng(3, 0), engine="trace")
     assert np.all(np.abs(dense - fast) <= 3)
+
+
+def test_trace_engine_never_synthesizes_samples(monkeypatch):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("DAC samples synthesized")
+
+    monkeypatch.setattr(executor, "pac_convert", no_synthesis)
+    bench = plain_bench(sigma_detune=300e3)
+    prog = bench.compile([GateOp("y2", 2), GateOp("x", 2, shape="gaussian")])
+    bench.sample(prog, (1, 2), 10, shot_rng(0, 0), engine="trace")
+    with pytest.raises(AssertionError, match="synthesized"):
+        bench.sample(prog, (1, 2), 10, shot_rng(0, 0), engine="dense")
+
+
+def test_trace_engine_rejects_overlapping_bursts_naming_dense():
+    bench = plain_bench()
+    img = MemoryImage()
+    img.envelope.write_values(np.full(100, 0.5))
+    for slot in bench.plan.slots:  # both qubits' NCOs, one per bank, at once
+        img.add_instruction(slot.bank, slot.nco, Instruction(slot.nco, start_addr=0, stop_addr=99))
+        img.schedule(slot.bank, slot.nco, 0)
+    prog = CompiledProgram(images=[img], ftws=bench.plan.ftws(), report={})
+    with pytest.raises(SpinctlError, match='engine="dense"'):
+        bench.sample(prog, (1, 2), 10, shot_rng(0, 0), engine="trace")
+    assert bench.sample(prog, (1, 2), 10, shot_rng(0, 0), engine="dense").shape == (2,)
 
 
 def test_sample_rejects_unknown_engine_and_empty_shot_count():
@@ -255,10 +293,8 @@ def test_qst_noiseless_golden():
 
 def test_rb_noisy_golden():
     # RB keeps one stream per (length, sequence): noise batch, then readout.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a 3-length fit has no covariance
-        res = run_rb(plain_bench(sigma_detune=300e3), (1, 8, 24), n_sequences=3,
-                     repetitions=20, seed=13)
+    res = run_rb(plain_bench(sigma_detune=300e3), (1, 8, 24), n_sequences=3,
+                 repetitions=20, seed=13)
     assert [s.tolist() for s in res.per_sequence] == [
         [0.65, 0.75, 0.9], [0.6, 0.55, 0.4], [0.55, 0.8, 0.9],
     ]

@@ -108,6 +108,21 @@ def test_listing_with_bad_code_raises_format_error():
         assemble(text)
 
 
+@pytest.mark.parametrize("offset, value, field", [(6, 0, "amp_bits"), (7, 40, "phase_mod_bits")])
+def test_bad_bit_width_byte_names_the_field(offset, value, field):
+    data = bytearray(dump_image(sample_image()))
+    data[offset] = value
+    with pytest.raises(ImageFormatError, match=f"{field}={value} outside") as err:
+        load_image(bytes(data))
+    assert err.value.offset == 6
+
+
+def test_listing_with_bad_bit_width_names_the_field():
+    text = disassemble(sample_image()).replace("bits amp=10", "bits amp=0")
+    with pytest.raises(ImageFormatError, match="line 2: amp_bits=0 outside"):
+        assemble(text)
+
+
 def test_truncated_file_reports_offset():
     data = dump_image(sample_image())
     with pytest.raises(ImageFormatError) as err:

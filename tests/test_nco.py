@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from spinctl.controller.executor import BurstSegment
 from spinctl.controller.nco import (
     PHASE_BITS,
     PHASE_WORDS,
@@ -116,36 +117,33 @@ def test_ref_phase_offsets_output_not_accumulator():
 
 def test_pac_zero_phase_full_amplitude():
     amp = max_grid_value(10)
-    i, q = pac_convert(
-        np.array([0]), amp, np.array([0]), pac_addr_bits=10, dac_bits=10, phase_mod_bits=10
-    )
+    i, q = pac_convert(np.array([0]), amp, pac_addr_bits=10, dac_bits=10)
     assert i[0] == 0.0
     assert q[0] == max_grid_value(10)
 
 
 def test_pac_quarter_turn():
     amp = max_grid_value(10)
-    i, q = pac_convert(
-        np.array([1 << 20]), amp, np.array([0]), pac_addr_bits=10, dac_bits=10, phase_mod_bits=10
-    )
+    i, q = pac_convert(np.array([1 << 20]), amp, pac_addr_bits=10, dac_bits=10)
     assert i[0] == max_grid_value(10)
     assert abs(q[0]) <= 2.0 / (1 << 10)
 
 
 def test_pac_zero_amplitude_anywhere():
     phases = np.arange(0, PHASE_WORDS, 99991)
-    i, q = pac_convert(
-        phases, 0.0, np.zeros(len(phases)), pac_addr_bits=10, dac_bits=10, phase_mod_bits=10
-    )
+    i, q = pac_convert(phases, 0.0, pac_addr_bits=10, dac_bits=10)
     assert not i.any() and not q.any()
 
 
 def test_pac_phase_mod_shifts_lookup():
     # A phase code of a quarter of the code range is a quarter turn.
-    bits = dict(pac_addr_bits=12, dac_bits=16, phase_mod_bits=10)
-    amp = 0.5
-    i0, q0 = pac_convert(np.array([0]), amp, np.array([256]), **bits)
-    i1, q1 = pac_convert(np.array([1 << 20]), amp, np.array([0]), **bits)
+    def burst(ref_word, code):
+        return BurstSegment(bank=0, nco=0, t0=0, n=1, ftw=0, ref_word=ref_word,
+                            amp_values=np.array([0.5]), phase_codes=np.array([code]))
+
+    bits = dict(pac_addr_bits=12, dac_bits=16)
+    i0, q0 = pac_convert(burst(0, 256).phase_words(10), 0.5, **bits)
+    i1, q1 = pac_convert(burst(1 << 20, 0).phase_words(10), 0.5, **bits)
     assert i0[0] == i1[0] and q0[0] == q1[0]
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from spinctl.controller.executor import (
     BasebandWaveform,
-    ExecutionTrace,
     Transmitter,
     TxConfig,
+    synthesize,
 )
 from spinctl.controller.memory import Instruction, MemoryImage
 from spinctl.controller.nco import offset_to_ftw
@@ -174,10 +174,8 @@ def test_quasistatic_detuning_changes_outcome():
 
 
 def executed(image, cfg, ftws):
-    trace = ExecutionTrace()
-    tx = Transmitter(cfg, ftws=ftws)
-    wf = tx.execute(image, trace)
-    return wf, trace
+    trace = Transmitter(cfg, ftws=ftws).play([image])
+    return synthesize(trace, cfg), trace
 
 
 def burst_image(cfg, amp, n, gap=0, phase_update=None):

@@ -7,11 +7,13 @@ from spinctl.physics import (
     DeviceModel,
     QuantumState,
     ReadoutFidelity,
+    corrected_p_up,
     measure,
     readout_probabilities,
     sample_noise_batch,
     shot_rng,
 )
+from spinctl.errors import ConfigError
 from spinctl.physics.readout import empirical_p_up
 
 
@@ -71,6 +73,21 @@ def test_analytic_probabilities_match_sampling():
     e1, e2 = empirical_p_up(records)
     assert abs(e1 - p1) < 5 * np.sqrt(0.25 / 200_000)
     assert abs(e2 - p2) < 5 * np.sqrt(0.25 / 200_000)
+
+
+def test_correction_inverts_readout_probabilities():
+    m = model(
+        readout_q1=ReadoutFidelity(0.9, 0.85),
+        readout_q2=ReadoutFidelity(0.95, 0.8),
+        crot_readout_fidelity=0.95,
+    )
+    state = QuantumState(np.array([0.6, 0.2, 0.3, 0.2j]) / np.linalg.norm([0.6, 0.2, 0.3, 0.2]))
+    for qubit, p_read in zip((1, 2), readout_probabilities(state, m)):
+        assert corrected_p_up(p_read, m, qubit) == pytest.approx(state.p_up(qubit), abs=1e-12)
+    for p in (0.0, 0.1, 0.37, 1.0):  # perfect readout: the identity, exactly
+        assert corrected_p_up(p, model(), 1) == p and corrected_p_up(p, model(), 2) == p
+    with pytest.raises(ConfigError, match="crot_readout_fidelity"):
+        corrected_p_up(0.5, model(crot_readout_fidelity=0.0), 1)
 
 
 def test_measure_requires_shots():
