@@ -29,7 +29,7 @@ from ..controller.memory import (
 )
 from ..controller.nco import PHASE_WORDS
 from ..errors import CapacityError
-from .envelopes import synthesize_envelope_samples
+from .envelopes import synthesize_envelope
 from .ir import AXIS_QUARTER_TURNS, GateOp, ROTATION_GATES
 from .plan import CalibrationSet, FrequencyPlan
 
@@ -212,7 +212,7 @@ class _Compiler:
                 desired = (self.frames[op.target] + axis_word) % PHASE_WORDS
                 self._align(slot, desired)
                 self._pad_to_timeline(slot.bank)
-                env = synthesize_envelope_samples(shape, n, cal_entry.amplitude)
+                env = synthesize_envelope(shape, n, cal_entry.amplitude)
                 self._burst(slot, env)
             return
 
@@ -223,7 +223,7 @@ class _Compiler:
             n = self._duration_samples(op, cal_entry, full_pi=True)
             self._align(slot, self.frames[op.target])
             self._pad_to_timeline(slot.bank)
-            env = synthesize_envelope_samples(op.shape or "rectangular", n, cal_entry.amplitude)
+            env = synthesize_envelope(op.shape or "rectangular", n, cal_entry.amplitude)
             self._burst(slot, env)
             control = 2 if op.target == 1 else 1
             word = angle_to_word(self.cal.crot_corrections[op.name])

@@ -1,8 +1,8 @@
 """Burst envelope synthesis.
 
-Gaussian bursts use sigma = T / truncation, truncated at the burst edges
-and rescaled so both endpoints hit exactly zero; the default truncation of
-6 puts the edges at +/- 3 sigma.
+Gaussian bursts use sigma = T / GAUSSIAN_TRUNCATION, truncated at the
+burst edges and rescaled so both endpoints hit exactly zero; a truncation
+of 6 puts the edges at +/- 3 sigma.
 """
 
 from __future__ import annotations
@@ -12,26 +12,9 @@ import numpy as np
 GAUSSIAN_TRUNCATION = 6.0  # burst length in units of sigma
 
 
-def synthesize_envelope(
-    shape: str,
-    duration: float,
-    amplitude: float,
-    f_clk: float = 1e9,
-    *,
-    truncation: float = GAUSSIAN_TRUNCATION,
-) -> np.ndarray:
-    """Amplitude samples for one burst, before grid quantization.
-
-    ``duration`` is in seconds (at least two clock samples); ``amplitude``
-    in DAC fraction [0, 1).
-    """
-    n = int(round(duration * f_clk))
-    return synthesize_envelope_samples(shape, n, amplitude, truncation=truncation)
-
-
-def synthesize_envelope_samples(
-    shape: str, n: int, amplitude: float, *, truncation: float = GAUSSIAN_TRUNCATION
-) -> np.ndarray:
+def synthesize_envelope(shape: str, n: int, amplitude: float) -> np.ndarray:
+    """Amplitude samples for one burst of ``n`` clock samples (at least
+    two), before grid quantization; ``amplitude`` in DAC fraction [0, 1)."""
     if n < 2:
         raise ValueError(f"envelope needs at least 2 samples, got {n}")
     if not 0.0 <= amplitude < 1.0:
@@ -40,8 +23,8 @@ def synthesize_envelope_samples(
         return np.full(n, amplitude)
     if shape == "gaussian":
         t = np.linspace(0.0, 1.0, n)  # normalized to the burst length
-        sigma = 1.0 / truncation
+        sigma = 1.0 / GAUSSIAN_TRUNCATION
         g = np.exp(-((t - 0.5) ** 2) / (2.0 * sigma**2))
-        edge = np.exp(-0.125 * truncation**2)
+        edge = np.exp(-0.125 * GAUSSIAN_TRUNCATION**2)
         return amplitude * (g - edge) / (1.0 - edge)
     raise ValueError(f"unknown envelope shape {shape!r}")

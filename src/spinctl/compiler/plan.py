@@ -122,6 +122,15 @@ class GateCal:
             raise ValueError("rotation durations must be at least 2 clock samples")
 
 
+# A resonant pi burst acts as -i * sigma_axis on the driven manifold.  To
+# reduce it to a plain controlled flip, the control's frame must absorb that
+# -i: a +pi/2 virtual z when the driven manifold is control=|1> (high
+# branch), -pi/2 when it is control=|0> (low branch, where the -i sits on
+# the |0> manifold and differs by a global phase from +i on |1>).
+CROT_HIGH_CORRECTION = 3.141592653589793 / 2
+CROT_LOW_CORRECTION = -3.141592653589793 / 2
+
+
 @dataclass
 class CalibrationSet:
     """Pulse calibrations per slot plus controlled-rotation phase fixups.
@@ -132,7 +141,9 @@ class CalibrationSet:
     """
 
     gates: dict = field(default_factory=dict)  # (qubit, branch) -> GateCal
-    crot_corrections: dict = field(default_factory=lambda: {"crot_high": 0.0, "crot_low": 0.0})
+    crot_corrections: dict = field(
+        default_factory=lambda: {"crot_high": CROT_HIGH_CORRECTION, "crot_low": CROT_LOW_CORRECTION}
+    )
 
     def for_slot(self, slot: Slot) -> GateCal:
         try:
@@ -141,15 +152,6 @@ class CalibrationSet:
             raise ValueError(
                 f"no calibration for qubit {slot.qubit} branch {slot.branch!r}"
             ) from None
-
-
-# A resonant pi burst acts as -i * sigma_axis on the driven manifold.  To
-# reduce it to a plain controlled flip, the control's frame must absorb that
-# -i: a +pi/2 virtual z when the driven manifold is control=|1> (high
-# branch), -pi/2 when it is control=|0> (low branch, where the -i sits on
-# the |0> manifold and differs by a global phase from +i on |1>).
-CROT_HIGH_CORRECTION = 3.141592653589793 / 2
-CROT_LOW_CORRECTION = -3.141592653589793 / 2
 
 
 def hold_factor(offset_hz: float, f_clk: float) -> float:
@@ -189,8 +191,4 @@ def default_calibration(
         pi_samples = int(round(plan.f_clk / (2.0 * f_r)))
         half = int(round(plan.f_clk / (4.0 * f_r)))
         cal.gates[slot.key] = GateCal(amp, pi_samples, half)
-    cal.crot_corrections = {
-        "crot_high": CROT_HIGH_CORRECTION,
-        "crot_low": CROT_LOW_CORRECTION,
-    }
     return cal

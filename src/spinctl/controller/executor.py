@@ -167,30 +167,19 @@ def synthesize(trace: ExecutionTrace, cfg: TxConfig) -> BasebandWaveform:
 class Transmitter:
     """Stateful sequencer: plays memory images, keeps phase across triggers."""
 
-    def __init__(self, cfg: TxConfig, ftws=None):
+    def __init__(self, cfg: TxConfig, ftws: dict | None = None):
         self.cfg = cfg
         self.ftws = np.zeros((N_BANKS, N_NCOS), dtype=np.int64)
-        if ftws is not None:
-            self.set_ftws(ftws)
+        self.set_ftws(ftws or {})
         self.ref_phase = np.zeros((N_BANKS, N_NCOS), dtype=np.int64)
         self.sample_count = 0  # global clock since construction
 
-    def set_ftws(self, ftws) -> None:
-        if isinstance(ftws, dict):
-            for (bank, nco), ftw in ftws.items():
-                self.set_ftw(bank, nco, ftw)
-            return
-        arr = np.asarray(ftws, dtype=np.int64)
-        if arr.shape != (N_BANKS, N_NCOS):
-            raise ValueError(f"ftw table must have shape ({N_BANKS}, {N_NCOS})")
-        if np.any((arr < 0) | (arr >= PHASE_WORDS)):
-            raise ValueError("ftw values must be unsigned phase words")
-        self.ftws = arr.copy()
-
-    def set_ftw(self, bank: int, nco: int, ftw: int) -> None:
-        if not 0 <= ftw < PHASE_WORDS:
-            raise ValueError(f"ftw {ftw} not an unsigned {PHASE_BITS}-bit word")
-        self.ftws[bank, nco] = ftw
+    def set_ftws(self, ftws: dict) -> None:
+        """Tuning words keyed by (bank, nco); NCOs not named keep theirs."""
+        for (bank, nco), ftw in ftws.items():
+            if not 0 <= ftw < PHASE_WORDS:
+                raise ValueError(f"ftw {ftw} not an unsigned {PHASE_BITS}-bit word")
+            self.ftws[bank, nco] = ftw
 
     def play(self, images) -> ExecutionTrace:
         """Run triggers back to back and record every burst they play.
@@ -241,6 +230,6 @@ class Transmitter:
         return synthesize(self.play(images), self.cfg)
 
 
-def execute(image: MemoryImage, cfg: TxConfig, ftws=None) -> BasebandWaveform:
+def execute(image: MemoryImage, cfg: TxConfig, ftws: dict | None = None) -> BasebandWaveform:
     """One-shot execution on a fresh transmitter."""
     return Transmitter(cfg, ftws).execute(image)

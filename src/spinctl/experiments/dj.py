@@ -17,6 +17,7 @@ import numpy as np
 
 from ..compiler.ir import GateOp
 from ..physics import corrected_p_up, shot_rng
+from ..physics.readout import correction_slope
 from .base import Bench, binomial_stderr
 
 ORACLES = ("cnot", "z_cnot", "identity", "x2")
@@ -54,13 +55,15 @@ class DjResult:
 
 def run_dj(bench: Bench, *, shots: int = 10_000, seed: int = 0,
            engine: str = "dense") -> DjResult:
-    """Run all four oracles; the query qubit's P(read 1) is readout-corrected."""
+    """Run all four oracles; the query qubit's P(read 1) is readout-corrected,
+    and so is its stderr."""
     if not bench.exchange_on:
         raise ValueError("the algorithm needs an exchange-on frequency plan")
     p_out, err = {}, {}
+    slope = correction_slope(bench.model, 2)
     for k, oracle in enumerate(ORACLES):
         prog = bench.compile(dj_program(oracle))
         (hits,) = bench.sample(prog, (2,), shots, shot_rng(seed, k), engine=engine)
         p_out[oracle] = corrected_p_up(hits / shots, bench.model, 2)
-        err[oracle] = binomial_stderr(hits / shots, shots)
+        err[oracle] = slope * binomial_stderr(hits / shots, shots)
     return DjResult(p_output_one=p_out, stderr=err, shots=shots, seed=seed)

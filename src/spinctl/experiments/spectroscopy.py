@@ -24,14 +24,12 @@ def run_spectroscopy(
     seed: int = 0,
     shape: str = "rectangular",
     prepare_other: bool = False,
-    burst_rabi: float | None = None,
     engine: str = "dense",
 ) -> SweepResult:
     """Sweep a probe tone across ``frequencies`` (absolute Hz).
 
     ``prepare_other`` flips the spectator qubit first, selecting the other
-    conditional branch when exchange is on.  ``burst_rabi`` overrides the
-    calibrated Rabi rate of the probe burst.
+    conditional branch when exchange is on.
     """
     frequencies = np.asarray(frequencies, dtype=float)
     nyq = bench.cfg.f_clk / 2
@@ -42,9 +40,8 @@ def run_spectroscopy(
     probe_slot = bench.plan.for_qubit(qubit)[0]
     # Exchange-off plans name their one slot per qubit "main"; "both" selects it.
     branch = "both" if probe_slot.branch == "main" else probe_slot.branch
-    duration = None if burst_rabi is None else 1.0 / (2.0 * burst_rabi)
     ops = [GateOp("x2", other)] if prepare_other else []
-    ops.append(GateOp("x2", qubit, shape=shape, duration=duration, branch=branch))
+    ops.append(GateOp("x2", qubit, shape=shape, branch=branch))
     prog = bench.compile(ops)
 
     result = SweepResult(x_name="frequency_hz", meta={"qubit": qubit, "shape": shape})

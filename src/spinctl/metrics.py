@@ -73,36 +73,33 @@ def _as_envelope(signal):
     return arr, 1.0, 0.0
 
 
-def compute_spectrum(signal, window: str = "rectangular", fft_len: int | None = None) -> Spectrum:
-    """Windowed FFT power spectrum, normalized to the main tone.
+def compute_spectrum(signal, window: str = "rectangular") -> Spectrum:
+    """Windowed FFT power spectrum over the whole signal, normalized to the
+    main tone.
 
     Parameters
     ----------
     signal : RfSignal | BasebandWaveform | ndarray
         Analytic signal to analyze; carrier metadata is used when present.
     window : one of "rectangular", "hann", "blackman-harris"
-    fft_len : analysis length; defaults to the full signal, must not exceed it.
     """
     z, fs, carrier = _as_envelope(signal)
     if len(z) == 0:
         raise ValueError("cannot compute a spectrum of an empty waveform")
     if window not in WINDOWS:
         raise ValueError(f"unknown window {window!r}; choose from {sorted(WINDOWS)}")
-    if fft_len is None:
-        fft_len = len(z)
-    if fft_len > len(z):
-        raise ValueError(f"fft_len {fft_len} exceeds waveform length {len(z)}")
+    n = len(z)
     name, halfwidth = WINDOWS[window]
-    w = get_window(name, fft_len, fftbins=True)
-    x = np.fft.fftshift(np.fft.fft(w * z[:fft_len]))
+    w = get_window(name, n, fftbins=True)
+    x = np.fft.fftshift(np.fft.fft(w * z))
     # Parseval normalization: lobe-summed tone power equals A^2 exactly.
-    power = np.abs(x) ** 2 / (fft_len * np.sum(w**2))
-    freqs = carrier + np.fft.fftshift(np.fft.fftfreq(fft_len, d=1.0 / fs))
+    power = np.abs(x) ** 2 / (n * np.sum(w**2))
+    freqs = carrier + np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / fs))
     rbw = fs * np.sum(w**2) / np.sum(w) ** 2
 
     peak = int(np.argmax(power))
     lo = max(peak - halfwidth, 0)
-    hi = min(peak + halfwidth, fft_len - 1)
+    hi = min(peak + halfwidth, n - 1)
     tone_power = float(power[lo : hi + 1].sum())
     if tone_power <= 0.0:
         raise ValueError("waveform contains no signal power")
@@ -194,15 +191,14 @@ def lo_rejection(spec: Spectrum) -> float:
     return 10.0 * np.log10(spec.tone_power / leak)
 
 
-def two_tone_report(signal, f_a: float, f_b: float, window: str = "rectangular",
-                    fft_len: int | None = None) -> dict:
+def two_tone_report(signal, f_a: float, f_b: float) -> dict:
     """Characterize a two-tone signal: tone powers plus intermodulation.
 
     ``f_a`` and ``f_b`` are absolute RF frequencies.  Intermodulation
     products m*f_a +/- n*f_b with m + n <= 3 inside the analysis span are
-    reported relative to the weaker tone.
+    reported relative to the weaker tone.  The spectrum is rectangular-windowed.
     """
-    spec = compute_spectrum(signal, window=window, fft_len=fft_len)
+    spec = compute_spectrum(signal)
     min_spacing = (2 * spec.lobe_halfwidth + 1) * spec.fs / len(spec)
     if abs(f_a - f_b) < min_spacing:
         raise ValueError(

@@ -6,13 +6,10 @@ from .device import (
     sample_noise_batch,
     shot_rng,
 )
-from .state import QuantumState
-from .hamiltonian import detunings, generator, transition_frequencies
+from .hamiltonian import detunings, transition_frequencies
 from .evolve import (
     FastPathUnavailable,
     dense_propagators,
-    evolve,
-    evolve_trace,
     rabi_probability,
     rotation_for_phase,
     trace_propagators,
@@ -27,14 +24,10 @@ __all__ = [
     "ZERO_NOISE",
     "sample_noise_batch",
     "shot_rng",
-    "QuantumState",
     "detunings",
-    "generator",
     "transition_frequencies",
     "FastPathUnavailable",
     "dense_propagators",
-    "evolve",
-    "evolve_trace",
     "rabi_probability",
     "rotation_for_phase",
     "trace_propagators",

@@ -7,6 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..errors import ConfigError
+
 
 @dataclass(frozen=True)
 class ReadoutFidelity:
@@ -41,7 +43,6 @@ class DeviceModel:
     readout_q1: ReadoutFidelity = field(default_factory=ReadoutFidelity)
     readout_q2: ReadoutFidelity = field(default_factory=ReadoutFidelity)
     crot_readout_fidelity: float = 1.0
-    init_excitation: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         problems = []
@@ -58,7 +59,7 @@ class DeviceModel:
         if self.sigma_detune < 0 or self.sigma_j < 0:
             problems.append("noise sigmas cannot be negative")
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ConfigError(problems)
 
     def exchange(self, exchange_on: bool) -> float:
         return self.j_on if exchange_on else self.j_off

@@ -22,8 +22,10 @@ the other.
     which is what makes randomized benchmarking tractable.  It plays one
     tone at a time: overlapping bursts raise ``FastPathUnavailable``.
 
-``evolve`` and ``evolve_trace`` apply either engine to one state.  Both
-share the norm policy of ``renormalized``.
+The result is the only representation of an evolved program: the final
+state from basis state k is column k of a unitary, checked and rescaled by
+the norm policy of ``state.renormalized``.  The closed-form two-level
+functions at the end are independent references for tests.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .hamiltonian import (
     drive_operator,
     generator_batch,
 )
-from .state import QuantumState, renormalized
 
 _CHUNK = 2048
 _KVEC = np.diag(NUMBER_OP).real  # (0, 1, 1, 2)
@@ -121,26 +122,6 @@ def dense_propagators(
     return _sampled_product(waveform.envelope, energies, drive_operator(model), dt)
 
 
-def evolve(
-    state: QuantumState,
-    waveform: BasebandWaveform,
-    model: DeviceModel,
-    lo_freq: float,
-    *,
-    exchange_on: bool = False,
-    noise: NoiseSample = ZERO_NOISE,
-    expected_sample_rate: float | None = None,
-) -> QuantumState:
-    """Propagate one state through every DAC sample of ``waveform``."""
-    if expected_sample_rate is not None and waveform.sample_rate != expected_sample_rate:
-        raise ValueError(
-            f"waveform sampled at {waveform.sample_rate} Hz, expected "
-            f"{expected_sample_rate} Hz"
-        )
-    u = dense_propagators(waveform, model, lo_freq, exchange_on=exchange_on, noise=noise)[0]
-    return QuantumState(renormalized(u @ state.amplitudes, len(waveform)))
-
-
 def trace_propagators(
     trace: ExecutionTrace,
     model: DeviceModel,
@@ -206,20 +187,6 @@ def trace_propagators(
 
     apply_gap(trace.end - t)
     return total
-
-
-def evolve_trace(
-    state: QuantumState,
-    trace: ExecutionTrace,
-    model: DeviceModel,
-    lo_freq: float,
-    *,
-    exchange_on: bool = False,
-    noise: NoiseSample = ZERO_NOISE,
-) -> QuantumState:
-    """Propagate one state through a burst trace on the structured engine."""
-    u = trace_propagators(trace, model, lo_freq, exchange_on=exchange_on, noise=noise)[0]
-    return QuantumState(renormalized(u @ state.amplitudes, trace.n_samples))
 
 
 # --- closed-form two-level references ---------------------------------------

@@ -56,16 +56,6 @@ def drive_operator(model: DeviceModel) -> np.ndarray:
     return w1 * S1 + w2 * S2
 
 
-def generator(model: DeviceModel, z: complex, lo_freq: float, *,
-              exchange_on: bool = False, noise: NoiseSample = ZERO_NOISE) -> np.ndarray:
-    """4x4 Hermitian generator (Hz) for one envelope sample ``z``."""
-    d1, d2, j = detunings(model, lo_freq, exchange_on, noise)
-    s = drive_operator(model)
-    h = np.diag(diagonal_energies(d1, d2, j)).astype(complex)
-    h += 0.5 * (np.conj(z) * s + z * s.conj().T)
-    return h
-
-
 def generator_batch(z: np.ndarray, energies: np.ndarray, drive: np.ndarray) -> np.ndarray:
     """Generators for a block of envelope samples under each row of
     ``energies`` (one row per noise draw), shape (n, r, 4, 4)."""

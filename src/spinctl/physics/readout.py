@@ -1,11 +1,15 @@
 """Two-step single-shot readout of the register.
 
-Qubit 2 is read directly (spin-selective tunneling in the modeled device):
-a Born-rule draw followed by the (F0, F1) confusion channel, after which
-qubit 2 is reinitialized to |0>.  Qubit 1 is read by mapping its state
-onto the freshly reset qubit 2 through a controlled rotation, modeled as a
+States come in as register amplitudes of shape (..., 4) (see ``state``),
+typically a column of a propagator stack.  Qubit 2 is read directly
+(spin-selective tunneling in the modeled device): a Born-rule draw
+followed by the (F0, F1) confusion channel, after which qubit 2 is
+reinitialized to |0>.  Qubit 1 is read by mapping its state onto the
+freshly reset qubit 2 through a controlled rotation, modeled as a
 depolarizing channel of the configured fidelity, then reading qubit 2
-again.  ``corrected_p_up`` inverts that chain exactly for one qubit.
+again.  ``readout_probabilities`` gives that chain in closed form,
+``measure`` samples it shot by shot, and ``corrected_p_up`` inverts it
+exactly for one qubit.
 """
 
 from __future__ import annotations
@@ -14,17 +18,12 @@ import numpy as np
 
 from ..errors import ConfigError
 from .device import DeviceModel
-from .state import QuantumState
 
 
-def born_probabilities(state) -> tuple:
-    """(P(q1 = 1), P(q2 = 1)) before any readout imperfection.
-
-    ``state`` is a QuantumState or an amplitude array of shape (..., 4);
-    arrays give arrays of shape (...).
-    """
-    amps = state.amplitudes if isinstance(state, QuantumState) else np.asarray(state)
-    probs = np.abs(amps) ** 2
+def born_probabilities(amplitudes) -> tuple:
+    """(P(q1 = 1), P(q2 = 1)) before any readout imperfection, each of
+    shape (...) for amplitudes of shape (..., 4)."""
+    probs = np.abs(np.asarray(amplitudes)) ** 2
     return probs[..., 2] + probs[..., 3], probs[..., 1] + probs[..., 3]
 
 
@@ -33,18 +32,29 @@ def _through_confusion(p_up, fid):
     return fid.f1 * p_up + (1.0 - fid.f0) * (1.0 - p_up)
 
 
-def readout_probabilities(state, model: DeviceModel) -> tuple:
-    """Analytic per-qubit probabilities of reading 1, with all errors applied.
-
-    Takes what ``born_probabilities`` takes and returns the same shapes.
-    """
-    p1, p2 = born_probabilities(state)
+def readout_probabilities(amplitudes, model: DeviceModel) -> tuple:
+    """Analytic per-qubit probabilities of reading 1, with all errors applied,
+    in the shapes ``born_probabilities`` returns."""
+    p1, p2 = born_probabilities(amplitudes)
     d = model.crot_readout_fidelity
     p1_mapped = d * p1 + (1.0 - d) / 2.0
     return (
         _through_confusion(p1_mapped, model.readout_q1),
         _through_confusion(p2, model.readout_q2),
     )
+
+
+def _readout_chain(model: DeviceModel, qubit: int):
+    """Confusion fidelities and mapping fidelity that ``qubit`` is read through."""
+    if qubit not in (1, 2):
+        raise ValueError("qubit must be 1 or 2")
+    if qubit == 2:
+        return model.readout_q2, 1.0
+    if model.crot_readout_fidelity == 0.0:
+        raise ConfigError(
+            "crot_readout_fidelity is 0: qubit 1 readout carries no information to correct"
+        )
+    return model.readout_q1, model.crot_readout_fidelity
 
 
 def corrected_p_up(p_read, model: DeviceModel, qubit: int) -> float:
@@ -55,28 +65,31 @@ def corrected_p_up(p_read, model: DeviceModel, qubit: int) -> float:
     and then the mapping depolarization.  Perfect readout inverts to the
     identity in floating point.
     """
-    if qubit not in (1, 2):
-        raise ValueError("qubit must be 1 or 2")
-    fid = model.readout_q1 if qubit == 1 else model.readout_q2
-    d = model.crot_readout_fidelity if qubit == 1 else 1.0
-    if d == 0.0:
-        raise ConfigError(
-            "crot_readout_fidelity is 0: qubit 1 readout carries no information to correct"
-        )
+    fid, d = _readout_chain(model, qubit)
     mapped = (p_read - (1.0 - fid.f0)) / (fid.f0 + fid.f1 - 1.0)
     return float(np.clip((mapped - (1.0 - d) / 2.0) / d, 0.0, 1.0))
 
 
-def measure(state: QuantumState, model: DeviceModel, shots: int,
+def correction_slope(model: DeviceModel, qubit: int) -> float:
+    """Slope of ``corrected_p_up`` in the read probability (inside the clip):
+    the factor that carries an error of P(read 1) over to P(true 1)."""
+    fid, d = _readout_chain(model, qubit)
+    return 1.0 / ((fid.f0 + fid.f1 - 1.0) * d)
+
+
+def measure(amplitudes, model: DeviceModel, shots: int,
             rng: np.random.Generator) -> np.ndarray:
-    """Sample shot records, shape (shots, 2) with columns (q1_bit, q2_bit).
+    """Sample shot records of one state (amplitudes of shape (4,)), shape
+    (shots, 2) with columns (q1_bit, q2_bit).
 
     Qubit 2 first; its outcome conditions the qubit-1 distribution through
     state collapse before the mapping rotation is applied.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    probs = state.probabilities()
+    probs = np.abs(np.asarray(amplitudes)) ** 2
+    if probs.shape != (4,):
+        raise ValueError(f"measure samples one state of 4 amplitudes, got shape {probs.shape}")
     p2 = probs[1] + probs[3]
     q2_true = rng.random(shots) < p2
 

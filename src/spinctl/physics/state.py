@@ -1,12 +1,13 @@
-"""Two-qubit register state over the basis {|00>, |01>, |10>, |11>}.
+"""Register amplitudes and the norm policy both engines share.
 
-The first label is qubit 1, so basis index = 2*q1 + q2.  Spin-down is
-|0> (the ground state); spin-up is |1>.
+A register state is a complex amplitude array of shape (..., 4) over the
+basis {|00>, |01>, |10>, |11>}.  The first label is qubit 1, so basis
+index = 2*q1 + q2.  Spin-down is |0> (the ground state); spin-up is |1>.
+Final states are columns of a propagator stack: ``u[..., :, k]`` is basis
+state k after the program.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,38 +34,3 @@ def renormalized(amplitudes: np.ndarray, n_factors: int) -> np.ndarray:
             f"state norm drifted by {drift:.3g} over {n_factors} factors, beyond {tol:.3g}"
         )
     return amplitudes / norms
-
-
-@dataclass
-class QuantumState:
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (4,):
-            raise ValueError("state needs exactly 4 amplitudes")
-
-    @classmethod
-    def ground(cls) -> "QuantumState":
-        return cls(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
-
-    @classmethod
-    def basis(cls, q1: int, q2: int) -> "QuantumState":
-        amps = np.zeros(4, dtype=complex)
-        amps[2 * q1 + q2] = 1.0
-        return cls(amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def p_up(self, qubit: int) -> float:
-        """Probability of reading |1> on the given qubit (1 or 2)."""
-        p = self.probabilities()
-        if qubit == 1:
-            return float(p[2] + p[3])
-        if qubit == 2:
-            return float(p[1] + p[3])
-        raise ValueError("qubit must be 1 or 2")

@@ -1,8 +1,15 @@
-"""Shared construction helpers for metric and acceptance tests."""
+"""Shared construction helpers for metric, physics and acceptance tests."""
 
 import numpy as np
 
 from spinctl.controller.nco import quantize_unit
+from spinctl.physics.state import renormalized
+
+
+def final_state(propagators, n_factors, k=0):
+    """Amplitudes that the first draw's unitary makes of basis state ``k``
+    (index 2*q1 + q2), norm-checked over ``n_factors`` samples."""
+    return renormalized(propagators[0][:, k], n_factors)
 
 
 def dithered_quantize(x, bits, rng):

@@ -10,14 +10,15 @@ from spinctl.controller.image_io import dump_image
 from spinctl.controller.executor import Transmitter, TxConfig, execute
 from spinctl.controller.nco import PHASE_WORDS, offset_to_ftw, quantize_unit
 from spinctl.compiler import (
+    CalibrationSet,
     allocate_frequencies,
     compile_program,
     default_calibration,
     parse_program,
     synthesize_envelope,
 )
-from spinctl.compiler.envelopes import synthesize_envelope_samples
 from spinctl.compiler.ir import GateOp, parse_angle
+from spinctl.experiments.dj import ORACLES, dj_program
 from spinctl.physics import DeviceModel
 
 LO = 13.54e9
@@ -72,18 +73,18 @@ def test_unallocatable_offset_names_qubit():
 
 
 def test_rectangular_5us_is_5000_identical_points():
-    env = synthesize_envelope("rectangular", 5e-6, 0.5, 1e9)
+    env = synthesize_envelope("rectangular", 5000, 0.5)
     assert len(env) == 5000
     assert np.all(env == 0.5)
 
 
 def test_gaussian_zero_amplitude_is_all_zero():
-    env = synthesize_envelope("gaussian", 1e-6, 0.0, 1e9)
+    env = synthesize_envelope("gaussian", 1000, 0.0)
     assert not env.any()
 
 
 def test_gaussian_peak_and_symmetry():
-    env = synthesize_envelope("gaussian", 1e-6, 0.9, 1e9)
+    env = synthesize_envelope("gaussian", 1000, 0.9)
     assert len(env) == 1000
     # Direct-evaluation oracle at the peak samples.
     t = np.linspace(0, 1, 1000)
@@ -97,7 +98,7 @@ def test_gaussian_peak_and_symmetry():
 
 def test_envelope_needs_two_samples():
     with pytest.raises(ValueError, match="2 samples"):
-        synthesize_envelope_samples("rectangular", 1, 0.5)
+        synthesize_envelope("rectangular", 1, 0.5)
 
 
 # -- program text ---------------------------------------------------------------
@@ -180,7 +181,7 @@ def test_dedup_does_not_change_waveform():
     assert len(prog.images[0].envelope) < sum(s.n for s in trace.segments)  # blocks shared
     for op, seg in zip(gates, trace.segments):
         n = entry.pi_samples if op.name == "x2" else entry.half_pi_samples
-        own = synthesize_envelope_samples(op.shape or "rectangular", n, entry.amplitude)
+        own = synthesize_envelope(op.shape or "rectangular", n, entry.amplitude)
         np.testing.assert_array_equal(seg.amp_values, quantize_unit(own, 10))
 
 
@@ -280,6 +281,16 @@ def test_crot_needs_exchange_plan():
     m, plan, cal = plan_and_cal(exchange_on=False)
     with pytest.raises(ValueError, match="branch"):
         compile_program([GateOp("crot_high", 1)], plan, cal)
+
+
+def test_hand_built_calibration_applies_crot_corrections():
+    # Gate calibrations alone give the same CROT frame fixes as the default.
+    m, plan, cal = plan_and_cal(exchange_on=True)
+    bare = CalibrationSet(gates=cal.gates)
+    for oracle in ORACLES:
+        ops = dj_program(oracle)
+        images = [compile_program(ops, plan, c).images for c in (bare, cal)]
+        assert [dump_image(i) for i in images[0]] == [dump_image(i) for i in images[1]]
 
 
 def test_long_program_splits_across_triggers():

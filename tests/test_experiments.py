@@ -25,15 +25,17 @@ from spinctl.experiments import (
     run_spectroscopy,
 )
 from spinctl.experiments.allxy import allxy_oracle
+from spinctl.experiments.base import binomial_stderr
 from spinctl.physics import (
     DeviceModel,
-    QuantumState,
     ReadoutFidelity,
-    evolve,
-    evolve_trace,
+    dense_propagators,
     rabi_probability,
     shot_rng,
+    trace_propagators,
 )
+
+from helpers import final_state
 
 
 def plain_bench(**model_kw):
@@ -94,11 +96,28 @@ def test_dj_separates_constant_from_balanced_oracles():
         assert res.p_output_one[oracle] == pytest.approx(0.0, abs=0.1)
 
 
+def test_dj_stderr_is_readout_corrected():
+    # The corrected P(1) is the read fraction through an affine map of slope
+    # 1 / (f0 + f1 - 1), so its stderr is the binomial one times that slope.
+    fid = ReadoutFidelity(0.9, 0.85)
+    bench = Bench(DeviceModel(readout_q2=fid), TxConfig(), exchange_on=True)
+    res = run_dj(bench, shots=2000, seed=3)
+    for oracle, p in res.p_output_one.items():
+        if 0.0 < p < 1.0:  # inside the correction's clip
+            p_read = (1.0 - fid.f0) + (fid.f0 + fid.f1 - 1.0) * p
+            expected = binomial_stderr(p_read, 2000) / 0.75
+            assert res.stderr[oracle] == pytest.approx(expected, rel=1e-9)
+    assert 0.0 < res.p_output_one["cnot"] < 1.0
+
+
 def test_rb_depolarizing_mode_recovers_eps():
     eps = 0.01
     res = run_rb(plain_bench(), (1, 10, 30, 60, 100), n_sequences=10,
                  repetitions=200, seed=2, depolarizing_eps=eps)
     assert abs((1.0 - res.p) - eps) < 2.0 * res.p_stderr
+    assert abs(res.fidelity_clifford - (1.0 - eps / 2.0)) < 2.0 * (res.p_stderr / 2.0)
+    gate_eps = eps / (2.0 * 45 / 24)  # 45 primitives over the 24 Cliffords
+    assert abs(res.fidelity_gate - (1.0 - gate_eps)) < 2.0 * res.fidelity_gate_stderr
 
 
 def test_noiseless_rb_decays_with_p_at_one():
@@ -161,6 +180,13 @@ def test_qst_trajectory_tracks_x_rotation_inside_bloch_ball():
         theta = 2.0 * np.pi * rate * point.time
         ideal = np.array([0.0, -np.sin(theta), -np.cos(theta)])
         assert np.linalg.norm(point.bloch_mle) <= 1.0 + 1e-12
+        rho = point.rho
+        assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+        paulis = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+        bloch = [np.trace(rho @ np.array(s)).real for s in paulis]
+        np.testing.assert_allclose(bloch, point.bloch_mle, atol=1e-12)
         np.testing.assert_allclose(point.bloch_raw, ideal, atol=0.05)
 
 
@@ -171,8 +197,8 @@ def test_long_program_runs_on_both_engines_and_they_agree():
     trace = bench.run_program(prog)
     wf = synthesize(trace, bench.cfg)
     args = (bench.model, bench.cfg.lo_freq)
-    dense = evolve(QuantumState.ground(), wf, *args).amplitudes
-    fast = evolve_trace(QuantumState.ground(), trace, *args).amplitudes
+    dense = final_state(dense_propagators(wf, *args), len(wf))
+    fast = final_state(trace_propagators(trace, *args), trace.n_samples)
     assert abs(np.vdot(dense, fast)) ** 2 > 0.999
     (hits,) = bench.sample(prog, (2,), 1000, shot_rng(0, 0))
     assert hits < 50  # twenty full turns end near |00>

@@ -186,7 +186,3 @@ def test_empty_waveform_rejected():
     with pytest.raises(ValueError, match="empty"):
         compute_spectrum(rf(np.zeros(0, dtype=complex)))
 
-
-def test_fft_len_must_fit():
-    with pytest.raises(ValueError, match="exceeds"):
-        compute_spectrum(rf(tone(1e6, 100)), fft_len=200)
