@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ConfigError
 from .memory import MemoryImage, N_BANKS, N_NCOS
 from .nco import PHASE_BITS, PHASE_WORDS, max_grid_value, pac_convert
 
@@ -175,10 +176,15 @@ class Transmitter:
         self.sample_count = 0  # global clock since construction
 
     def set_ftws(self, ftws: dict) -> None:
-        """Tuning words keyed by (bank, nco); NCOs not named keep theirs."""
+        """Tuning words keyed by (bank, nco); NCOs not named keep theirs.
+        Every entry is checked before any word is stored."""
+        problems = [f"no NCO at (bank, nco) = {key}" for key in ftws
+                    if not (0 <= key[0] < N_BANKS and 0 <= key[1] < N_NCOS)]
+        problems += [f"ftw {ftw} at (bank, nco) = {key} not an unsigned {PHASE_BITS}-bit word"
+                     for key, ftw in ftws.items() if not 0 <= ftw < PHASE_WORDS]
+        if problems:
+            raise ConfigError(problems)
         for (bank, nco), ftw in ftws.items():
-            if not 0 <= ftw < PHASE_WORDS:
-                raise ValueError(f"ftw {ftw} not an unsigned {PHASE_BITS}-bit word")
             self.ftws[bank, nco] = ftw
 
     def play(self, images) -> ExecutionTrace:

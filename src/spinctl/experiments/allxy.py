@@ -12,7 +12,9 @@ import numpy as np
 
 from ..compiler.ir import GateOp
 from ..physics import corrected_p_up, shot_rng
+from ..physics.evolve import rotation_for_phase, z_rotation
 from .base import Bench
+from .cliffords import PRIMITIVE_PARAMS
 
 # Standard ordering: 5 ground pairs, 12 equator pairs, 4 excited pairs.
 ALLXY_PAIRS = [
@@ -53,20 +55,13 @@ def allxy_oracle(amplitude_scale: float = 1.0, detuning_phase: float = 0.0) -> n
     adds a z-precession angle between the two gates (coarse single-step
     model of a frequency error).  Returns the 21 ideal <sigma_z> values.
     """
-    from ..physics.evolve import rotation_for_phase, z_rotation
 
-    params = {
-        "i": (0.0, 0.0),
-        "x": (0.0, np.pi / 2), "y": (np.pi / 2, np.pi / 2),
-        "x2": (0.0, np.pi), "y2": (np.pi / 2, np.pi),
-    }
+    def gate(name):
+        phase, angle = PRIMITIVE_PARAMS[name]
+        return rotation_for_phase(phase, angle * amplitude_scale)
+
     out = []
     for g1, g2 in ALLXY_PAIRS:
-        u1 = rotation_for_phase(*params[g1]) if params[g1][1] else np.eye(2)
-        u2 = rotation_for_phase(params[g2][0], params[g2][1]) if params[g2][1] else np.eye(2)
-        if amplitude_scale != 1.0:
-            u1 = rotation_for_phase(params[g1][0], params[g1][1] * amplitude_scale)
-            u2 = rotation_for_phase(params[g2][0], params[g2][1] * amplitude_scale)
-        psi = u2 @ z_rotation(detuning_phase) @ u1 @ np.array([1.0, 0.0], dtype=complex)
+        psi = gate(g2) @ z_rotation(detuning_phase) @ gate(g1) @ np.array([1.0, 0.0], dtype=complex)
         out.append(2.0 * abs(psi[1]) ** 2 - 1.0)
     return np.array(out)

@@ -35,8 +35,8 @@ from ..physics import (
 )
 from ..physics.state import renormalized
 
-# "dense" evolves the DAC samples synthesized from the trace; "trace" evolves
-# the bursts themselves and rejects programs whose bursts overlap.
+# Both engines play every trace: "dense" the DAC samples synthesized from it,
+# "trace" the bursts' idealized samples (overlapping banks summed).
 ENGINES = ("dense", "trace")
 
 
@@ -84,9 +84,10 @@ class Bench:
                *, engine: str = "dense") -> np.ndarray:
         """Counts of shots reading 1 per qubit in ``qubits``, starting from |00>.
 
-        A noisy model gets one quasi-static noise draw per shot and one
-        single-shot readout per draw; a noiseless one evolves once and
-        draws one binomial per qubit, in the order of ``qubits``.
+        Either engine plays any program, both banks at once included.  A
+        noisy model gets one quasi-static noise draw and one single-shot
+        readout per shot; a noiseless one evolves once and draws one
+        binomial per qubit, in the order of ``qubits``.
         """
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")

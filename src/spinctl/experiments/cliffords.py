@@ -16,7 +16,7 @@ import numpy as np
 from ..physics.evolve import rotation_for_phase
 
 # Drive-phase and rotation-angle parameterization of each primitive.
-_PRIMITIVE_PARAMS = {
+PRIMITIVE_PARAMS = {
     "i": (0.0, 0.0),
     "x": (0.0, np.pi / 2),
     "y": (np.pi / 2, np.pi / 2),
@@ -59,7 +59,7 @@ AVG_PRIMITIVES = sum(len(d) for d in DECOMPOSITIONS) / N_CLIFFORDS
 
 
 def primitive_unitary(name: str) -> np.ndarray:
-    phase, angle = _PRIMITIVE_PARAMS[name]
+    phase, angle = PRIMITIVE_PARAMS[name]
     return rotation_for_phase(phase, angle)
 
 

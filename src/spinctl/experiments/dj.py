@@ -56,7 +56,11 @@ class DjResult:
 def run_dj(bench: Bench, *, shots: int = 10_000, seed: int = 0,
            engine: str = "dense") -> DjResult:
     """Run all four oracles; the query qubit's P(read 1) is readout-corrected,
-    and so is its stderr."""
+    and so is its stderr.
+
+    Oracles whose corrected P(1) sits on the [0, 1] clip are listed in
+    ``meta["clipped"]``: there the linear stderr understates the spread.
+    """
     if not bench.exchange_on:
         raise ValueError("the algorithm needs an exchange-on frequency plan")
     p_out, err = {}, {}
@@ -66,4 +70,6 @@ def run_dj(bench: Bench, *, shots: int = 10_000, seed: int = 0,
         (hits,) = bench.sample(prog, (2,), shots, shot_rng(seed, k), engine=engine)
         p_out[oracle] = corrected_p_up(hits / shots, bench.model, 2)
         err[oracle] = slope * binomial_stderr(hits / shots, shots)
-    return DjResult(p_output_one=p_out, stderr=err, shots=shots, seed=seed)
+    clipped = [oracle for oracle in ORACLES if p_out[oracle] in (0.0, 1.0)]
+    return DjResult(p_output_one=p_out, stderr=err, shots=shots, seed=seed,
+                    meta={"clipped": clipped})

@@ -8,7 +8,6 @@ from .device import (
 )
 from .hamiltonian import detunings, transition_frequencies
 from .evolve import (
-    FastPathUnavailable,
     dense_propagators,
     rabi_probability,
     rotation_for_phase,
@@ -26,7 +25,6 @@ __all__ = [
     "shot_rng",
     "detunings",
     "transition_frequencies",
-    "FastPathUnavailable",
     "dense_propagators",
     "rabi_probability",
     "rotation_for_phase",

@@ -1,26 +1,24 @@
 """Time evolution under a played burst trace.
 
-Both engines start from the transmitter's ``ExecutionTrace``, share the
-same physics definitions, and return one total unitary per quasi-static
-noise draw, shape (r, 4, 4).  The caller picks one; neither falls back to
-the other.
+Both engines start from the transmitter's ``ExecutionTrace``, share one
+per-sample kernel, and return one total unitary per quasi-static noise
+draw, shape (r, 4, 4).  The caller picks one; neither falls back to the
+other.  The kernel factors the phase out: the drive changes the excitation
+number by exactly one, so with the diagonal P(phi) = exp(-i phi NUMBER_OP),
+H(a e^{i phi}) = P(phi) H(a) P(phi)^dagger, an identity, not an
+approximation.  Each distinct amplitude is exponentiated once per noise
+draw; each sample's factor is that exponential conjugated by its phase.
 
 ``dense_propagators``
-    Reference path.  Consumes the DAC samples synthesized from the trace
-    and applies the exact matrix exponential of the piecewise-constant
-    generator, sample by sample (batched eigendecompositions plus a pairwise
-    product, so the result is the exact ordered product, not an integrator
-    approximation).
+    Reference path: the exact ordered product over the DAC samples
+    synthesized from the trace.
 
 ``trace_propagators``
-    Structured path.  Consumes the trace itself; no samples are synthesized.
-    For constant-amplitude bursts the per-sample product telescopes exactly:
-    every sample's generator is the previous one conjugated by a fixed phase
-    rotation of the excitation number, so the whole burst reduces to one
-    matrix power.  This evaluates the idealized synthesis (no phase-table or
-    DAC requantization) and is vectorized over quasi-static noise draws,
-    which is what makes randomized benchmarking tractable.  It plays one
-    tone at a time: overlapping bursts raise ``FastPathUnavailable``.
+    Structured path: the idealized synthesis (no phase-table or DAC
+    requantization) of the trace itself; no samples are synthesized.  A lone
+    constant burst telescopes to one matrix power, which is what makes
+    randomized benchmarking tractable; a shaped burst, or bursts on both
+    banks at once, go through the kernel.
 
 The result is the only representation of an evolved program: the final
 state from basis state k is column k of a unitary, checked and rescaled by
@@ -34,7 +32,6 @@ import numpy as np
 
 from ..controller.executor import BasebandWaveform, ExecutionTrace
 from ..controller.nco import PHASE_WORDS
-from ..errors import SpinctlError
 from .device import DeviceModel, NoiseSample, ZERO_NOISE
 from .hamiltonian import (
     NUMBER_OP,
@@ -46,10 +43,6 @@ from .hamiltonian import (
 
 _CHUNK = 2048
 _KVEC = np.diag(NUMBER_OP).real  # (0, 1, 1, 2)
-
-
-class FastPathUnavailable(SpinctlError):
-    """The structured engine cannot represent this trace: bursts overlap."""
 
 
 def _expm_batch(h: np.ndarray, dt: float) -> np.ndarray:
@@ -68,35 +61,33 @@ def _ordered_product(us: np.ndarray) -> np.ndarray:
     return us[0]
 
 
-def _matrix_power_batch(m: np.ndarray, p: int) -> np.ndarray:
-    out = np.broadcast_to(np.eye(m.shape[-1], dtype=complex), m.shape).copy()
-    base = m
-    while p:
-        if p & 1:
-            out = base @ out
-        base = base @ base
-        p >>= 1
-    return out
-
-
 def _sampled_product(z: np.ndarray, energies: np.ndarray, drive: np.ndarray, dt: float) -> np.ndarray:
     """Ordered product of the per-sample propagators of envelope ``z``, one
     per row of ``energies``, shape (r, 4, 4).
 
-    Generators are built in blocks of at most _CHUNK sample-draw pairs, so
-    memory stays flat in both the program length and the number of draws.
+    Sample k contributes P(arg z_k) E(|z_k|) P(arg z_k)^dagger, with E
+    exponentiated once per distinct |z| and draw.  At most _CHUNK
+    exponentials and _CHUNK gathered sample-draw factors are held at once:
+    the draws are taken in groups that fit beside the distinct amplitudes,
+    and an envelope with more than _CHUNK of them is split in halves.
     """
-    r = len(energies)
-    if r > _CHUNK:
-        return np.concatenate(
-            [_sampled_product(z, energies[i : i + _CHUNK], drive, dt) for i in range(0, r, _CHUNK)]
-        )
-    total = np.broadcast_to(np.eye(4, dtype=complex), (r, 4, 4)).copy()
-    step = _CHUNK // r
-    for start in range(0, len(z), step):
-        h = generator_batch(z[start : start + step], energies, drive)
-        total = _ordered_product(_expm_batch(h, dt)) @ total
-    return total
+    levels, which = np.unique(np.abs(z), return_inverse=True)
+    if len(levels) > _CHUNK:
+        head, tail = np.array_split(z, 2)
+        return _sampled_product(tail, energies, drive, dt) @ _sampled_product(head, energies, drive, dt)
+    draws = _CHUNK // max(len(levels), 1)
+    out = []
+    for i in range(0, len(energies), draws):
+        group = energies[i : i + draws]
+        expm = _expm_batch(generator_batch(levels, group, drive), dt)  # (levels, draws, 4, 4)
+        step = _CHUNK // len(group)
+        total = np.broadcast_to(np.eye(4, dtype=complex), (len(group), 4, 4)).copy()
+        for start in range(0, len(z), step):
+            p = np.exp(-1j * np.angle(z[start : start + step])[:, None, None] * _KVEC)  # (n, 1, 4)
+            factors = p[..., :, None] * expm[which[start : start + step]] * np.conj(p)[..., None, :]
+            total = _ordered_product(factors) @ total
+        out.append(total)
+    return np.concatenate(out)
 
 
 def _energies(model: DeviceModel, lo_freq: float, exchange_on: bool, noise: NoiseSample) -> np.ndarray:
@@ -132,58 +123,51 @@ def trace_propagators(
 ) -> np.ndarray:
     """Total unitaries of a burst trace, one per noise draw, shape (r, 4, 4).
 
-    Segments must not overlap in time (one tone at a time); overlapping
-    traces raise FastPathUnavailable and belong on the dense engine.
+    Bursts that overlap in time form one cluster, whose idealized samples
+    are summed as the DAC sums the banks.
     """
     energies = _energies(model, lo_freq, exchange_on, noise)  # (r, 4)
-    r = len(energies)
     drive = drive_operator(model)
     dt = 1.0 / trace.sample_rate
+    bits = trace.phase_mod_bits
 
-    total = np.broadcast_to(np.eye(4, dtype=complex), (r, 4, 4)).copy()
+    # Zero-amplitude bursts (idle pads) are inert: treat them as gaps.
+    clusters = []  # [t0, t_end, segments]
+    for seg in sorted((s for s in trace.segments if np.any(s.amp_values)), key=lambda s: s.t0):
+        if clusters and seg.t0 < clusters[-1][1]:
+            clusters[-1][1] = max(clusters[-1][1], seg.t_end)
+            clusters[-1][2].append(seg)
+        else:
+            clusters.append([seg.t0, seg.t_end, [seg]])
+
+    total = np.broadcast_to(np.eye(4, dtype=complex), (len(energies), 4, 4)).copy()
 
     def apply_gap(n_samples: int):
         nonlocal total
-        if n_samples <= 0:
-            return
-        ph = np.exp(-2j * np.pi * dt * n_samples * energies)  # (r, 4)
-        total = ph[:, :, None] * total
+        if n_samples > 0:
+            total = np.exp(-2j * np.pi * dt * n_samples * energies)[:, :, None] * total
 
-    # Zero-amplitude bursts (idle pads) are inert: treat them as gaps.
-    segments = sorted(
-        (s for s in trace.segments if np.any(s.amp_values)), key=lambda s: s.t0
-    )
     t = trace.start
-    for seg in segments:
-        if seg.t0 < t:
-            raise FastPathUnavailable(
-                f"bursts overlap at sample {seg.t0}: the trace engine plays one "
-                'tone at a time; run this program with engine="dense"'
-            )
-        apply_gap(seg.t0 - t)
-        t = seg.t_end
-
-        amp = seg.amp_values
-        codes = seg.phase_codes
-        words = seg.phase_words(trace.phase_mod_bits)
-        if not (np.all(amp == amp[0]) and np.all(codes == codes[0])):
-            # Shaped burst: rebuild its samples and take the per-sample product.
-            z = amp * np.exp(2j * np.pi * words / PHASE_WORDS)
-            total = _sampled_product(z, energies, drive, dt) @ total
+    for t0, t_end, group in clusters:
+        apply_gap(t0 - t)
+        t = t_end
+        seg = group[0]
+        amp, codes = seg.amp_values, seg.phase_codes
+        if len(group) == 1 and np.all(amp == amp[0]) and np.all(codes == codes[0]):
+            # Sample k is sample 0 conjugated by k phase steps of the tuning
+            # word, so the burst telescopes to one matrix power.
+            ends = seg.phase_words(bits)[[0, -1], None]
+            p0, p_end = np.exp(-2j * np.pi * ends / PHASE_WORDS * _KVEC)
+            u_bar = _expm_batch(generator_batch(amp[:1], energies, drive)[0], dt)
+            undo_step = np.exp(2j * np.pi * seg.ftw / PHASE_WORDS * _KVEC)
+            u = np.linalg.matrix_power(u_bar * undo_step, seg.n - 1) @ u_bar
+            total = (p_end[:, None] * u * np.conj(p0)) @ total
             continue
-        theta0 = 2.0 * np.pi * words[0] / PHASE_WORDS
-        dtheta = 2.0 * np.pi * seg.ftw / PHASE_WORDS
-
-        u_bar = _expm_batch(generator_batch(amp[:1], energies, drive)[0], dt)
-
-        p_diag = np.exp(-1j * theta0 * _KVEC)
-        vinv_diag = np.exp(1j * dtheta * _KVEC)
-        vpow_diag = np.exp(-1j * dtheta * (seg.n - 1) * _KVEC)
-        m = u_bar * vinv_diag[None, None, :]
-        u_seg = _matrix_power_batch(m, seg.n - 1) @ u_bar
-        u_seg = vpow_diag[None, :, None] * u_seg
-        u_seg = p_diag[None, :, None] * u_seg * np.conj(p_diag)[None, None, :]
-        total = u_seg @ total
+        z = np.zeros(t_end - t0, dtype=complex)  # idealized samples, banks summed
+        for seg in group:
+            phase = 2j * np.pi * seg.phase_words(bits) / PHASE_WORDS
+            z[seg.t0 - t0 : seg.t_end - t0] += seg.amp_values * np.exp(phase)
+        total = _sampled_product(z, energies, drive, dt) @ total
 
     apply_gap(trace.end - t)
     return total

@@ -1,11 +1,14 @@
 """Instruction execution: timing, phase coherence, bank summation."""
 
+import re
+
 import numpy as np
 import pytest
 
 from spinctl.controller.executor import Transmitter, TxConfig, execute
 from spinctl.controller.memory import Instruction, MemoryImage
 from spinctl.controller.nco import PHASE_WORDS, freq_to_ftw, max_grid_value
+from spinctl.errors import ConfigError
 
 
 def make_image(cfg, n_env=100, amp=0.5):
@@ -181,3 +184,12 @@ def test_trace_records_bursts():
     seg = trace.segments[0]
     assert (seg.bank, seg.nco, seg.t0, seg.n, seg.ftw) == (1, 7, 0, 20, 4321)
     assert seg.amp_values.shape == (20,)
+
+
+@pytest.mark.parametrize("key, ftw", [((-1, 3), 1234), ((2, 0), 1234), ((0, 16), 1234),
+                                      ((1, 5), PHASE_WORDS)])
+def test_set_ftws_checks_every_entry_before_storing(key, ftw):
+    tx = Transmitter(TxConfig(), {(0, 1): 77})
+    with pytest.raises(ConfigError, match=re.escape(str(key))):
+        tx.set_ftws({(1, 3): 99, key: ftw})
+    assert np.count_nonzero(tx.ftws) == 1 and tx.ftws[0, 1] == 77

@@ -11,8 +11,6 @@ from spinctl.compiler.ir import GateOp
 from spinctl.compiler.plan import hold_factor
 from spinctl.controller import executor
 from spinctl.controller.executor import TxConfig, synthesize
-from spinctl.controller.memory import Instruction, MemoryImage
-from spinctl.errors import SpinctlError
 from spinctl.experiments import (
     IDEAL_SIGMA_Z,
     Bench,
@@ -26,6 +24,7 @@ from spinctl.experiments import (
 )
 from spinctl.experiments.allxy import allxy_oracle
 from spinctl.experiments.base import binomial_stderr
+from spinctl.experiments.rabi import _rabi_image
 from spinctl.physics import (
     DeviceModel,
     ReadoutFidelity,
@@ -83,6 +82,7 @@ def test_allxy_amplitude_miscalibration_follows_oracle():
     )
     res = run_allxy(bench, shots=100_000, seed=1, engine="trace")
     oracle = allxy_oracle(amplitude_scale=scale)
+    np.testing.assert_allclose(allxy_oracle(), IDEAL_SIGMA_Z, atol=1e-12)
     assert np.max(np.abs(oracle - IDEAL_SIGMA_Z)) > 0.4  # the shape is visible
     np.testing.assert_allclose(res.sigma_z, oracle, atol=0.02)
 
@@ -108,6 +108,16 @@ def test_dj_stderr_is_readout_corrected():
             expected = binomial_stderr(p_read, 2000) / 0.75
             assert res.stderr[oracle] == pytest.approx(expected, rel=1e-9)
     assert 0.0 < res.p_output_one["cnot"] < 1.0
+
+
+def test_dj_flags_estimates_on_the_clip():
+    # At 400 shots through confusion (0.9, 0.85), seed 2 corrects z_cnot
+    # above 1 and identity below 0; seed 3 stays inside.
+    bench = Bench(DeviceModel(readout_q2=ReadoutFidelity(0.9, 0.85)), TxConfig(), exchange_on=True)
+    res = run_dj(bench, shots=400, seed=2)
+    assert res.meta["clipped"] == ["z_cnot", "identity"]
+    assert res.p_output_one["z_cnot"] == 1.0 and res.p_output_one["identity"] == 0.0
+    assert run_dj(bench, shots=400, seed=3).meta["clipped"] == []
 
 
 def test_rb_depolarizing_mode_recovers_eps():
@@ -241,17 +251,21 @@ def test_trace_engine_never_synthesizes_samples(monkeypatch):
         bench.sample(prog, (1, 2), 10, shot_rng(0, 0), engine="dense")
 
 
-def test_trace_engine_rejects_overlapping_bursts_naming_dense():
-    bench = plain_bench()
-    img = MemoryImage()
-    img.envelope.write_values(np.full(100, 0.5))
-    for slot in bench.plan.slots:  # both qubits' NCOs, one per bank, at once
-        img.add_instruction(slot.bank, slot.nco, Instruction(slot.nco, start_addr=0, stop_addr=99))
-        img.schedule(slot.bank, slot.nco, 0)
-    prog = CompiledProgram(images=[img], ftws=bench.plan.ftws(), report={})
-    with pytest.raises(SpinctlError, match='engine="dense"'):
-        bench.sample(prog, (1, 2), 10, shot_rng(0, 0), engine="trace")
-    assert bench.sample(prog, (1, 2), 10, shot_rng(0, 0), engine="dense").shape == (2,)
+def test_simultaneous_rabi_agrees_across_engines():
+    # Both qubits' NCOs play at once, one per bank: the DAC sums the banks,
+    # the trace engine sums the two bursts' idealized samples.  With exchange
+    # on, the high-branch tones are dark from |00>, so every basis input counts.
+    for exchange_on in (False, True):
+        bench = Bench(DeviceModel(), TxConfig(), exchange_on=exchange_on)
+        img, _ = _rabi_image(bench, (1, 2), 300)
+        trace = bench.run_program(CompiledProgram(images=[img], ftws=bench.plan.ftws(), report={}))
+        assert len({seg.bank for seg in trace.segments}) == 2
+        physics = dict(model=bench.model, lo_freq=bench.cfg.lo_freq, exchange_on=exchange_on)
+        dense = dense_propagators(synthesize(trace, bench.cfg), **physics)
+        fast = trace_propagators(trace, **physics)
+        for k in range(4):
+            overlap = np.vdot(final_state(dense, 300, k), final_state(fast, 300, k))
+            assert abs(overlap) ** 2 > 0.999
 
 
 def test_sample_rejects_unknown_engine_and_empty_shot_count():

@@ -22,7 +22,7 @@ from spinctl.physics import (
     transition_frequencies,
     two_level_evolve,
 )
-from spinctl.physics.evolve import FastPathUnavailable
+from spinctl.physics.evolve import _expm_batch, _ordered_product
 from spinctl.physics.hamiltonian import diagonal_energies, drive_operator, generator_batch
 
 from helpers import final_state
@@ -259,15 +259,44 @@ def test_dense_engine_batches_noise_draws():
         assert np.max(np.abs(u - single)) < 1e-12
 
 
-def test_trace_engine_rejects_overlapping_banks():
-    cfg = TxConfig(lo_freq=LO)
-    img = MemoryImage()
-    img.envelope.write_values(np.full(100, 0.5))
-    img.add_instruction(0, 0, Instruction(0, start_addr=0, stop_addr=99))
-    img.add_instruction(1, 0, Instruction(0, start_addr=0, stop_addr=99))
+def test_dense_engine_matches_plain_per_sample_product():
+    # Reference formulation: one generator and one exponential per sample
+    # and draw, multiplied in order.  2500 distinct amplitudes exceed _CHUNK,
+    # so the kernel splits the envelope, and then takes one draw at a time.
+    m = model()
+    rng = np.random.default_rng(11)
+    z = 0.4 * (rng.random(2500) - 0.5) + 0.3j * (rng.random(2500) - 0.5)
+    wf = BasebandWaveform(sample_rate=FS, i=np.imag(z), q=np.real(z))
+    noise = NoiseSample(
+        delta_f1=np.array([0.0, 20e3, -40e3]),
+        delta_f2=np.array([5e3, 0.0, -5e3]),
+        delta_j=np.array([0.0, 1e3, 2e3]),
+    )
+    energies = diagonal_energies(*detunings(m, LO, True, noise))
+    plain = _ordered_product(_expm_batch(generator_batch(z, energies, drive_operator(m)), 1 / FS))
+    kernel = dense_propagators(wf, m, LO, exchange_on=True, noise=noise)
+    assert np.max(np.abs(kernel - plain)) < 1e-12
+
+
+def test_trace_engine_matches_dense_on_overlapping_banks():
+    # Bank 0 drives qubit 1 while bank 1, after a zero-amplitude pad, drives
+    # qubit 2, each at its lower conditional line: the bursts overlap in part
+    # and the trace engine sums them.
+    cfg = TxConfig(dac_bits=26, amp_bits=22, pac_addr_bits=22, lo_freq=LO)
+    m = model()
+    img = MemoryImage(EnvelopeMemory(cfg.amp_bits, cfg.phase_mod_bits))
+    img.envelope.write_values(np.full(600, 0.4))
+    img.envelope.write_values(np.zeros(200))
+    img.add_instruction(0, 0, Instruction(0, start_addr=0, stop_addr=499))
+    img.add_instruction(1, 0, Instruction(0, start_addr=600, stop_addr=799))
+    img.add_instruction(1, 0, Instruction(0, start_addr=0, stop_addr=599))
     img.schedule(0, 0, 0)
     img.schedule(1, 0, 0)
-    _, trace = executed(img, cfg, {(0, 0): 1000, (1, 0): 2000})
-    with pytest.raises(FastPathUnavailable):
-        trace_propagators(trace, model(), LO)
-
+    img.schedule(1, 0, 1)
+    ftws = {(0, 0): offset_to_ftw(24e6 - 5e6), (1, 0): offset_to_ftw(-90e6 - 5e6)}
+    wf, trace = executed(img, cfg, ftws)
+    assert trace.segments[0].t_end > trace.segments[2].t0  # the banks overlap
+    fast = trace_propagators(trace, m, LO, exchange_on=True)
+    for k in range(4):
+        dense = dense_final(wf, m, LO, k=k, exchange_on=True)
+        assert np.max(np.abs(dense - final_state(fast, trace.n_samples, k))) < 1e-6
