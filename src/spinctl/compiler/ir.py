@@ -10,6 +10,7 @@ single-qubit gate addresses when exchange is on.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -29,8 +30,6 @@ _NUMBER = re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 def parse_angle(text: str) -> float:
     """Radians from a decimal or a pi-expression like ``pi/2`` or ``-3pi/4``."""
-    import math
-
     s = text.strip().lower().replace(" ", "")
     if _NUMBER.match(s):
         return float(s)
@@ -59,6 +58,8 @@ class GateOp:
             raise ValueError(f"unknown gate {self.name!r}")
         if self.target not in (1, 2):
             raise ValueError(f"target qubit must be 1 or 2, got {self.target}")
+        if self.duration is not None and not 0.0 <= self.duration < math.inf:
+            raise ValueError(f"duration {self.duration} s is not a finite time >= 0")
         if self.name == "z" and self.angle is None:
             raise ValueError("z gate needs an angle")
         if self.shape is not None and self.shape not in SHAPES:

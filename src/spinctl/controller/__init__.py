@@ -1,7 +1,6 @@
 from .nco import (
     PHASE_BITS,
     PHASE_WORDS,
-    NcoState,
     freq_to_ftw,
     ftw_to_freq,
     offset_to_ftw,
@@ -24,7 +23,6 @@ from .rf import RfSignal, upconvert
 __all__ = [
     "PHASE_BITS",
     "PHASE_WORDS",
-    "NcoState",
     "freq_to_ftw",
     "ftw_to_freq",
     "offset_to_ftw",

@@ -2,19 +2,18 @@
 
 All phase arithmetic is integer, modulo 2**PHASE_BITS.  One phase LSB is
 2*pi / 2**PHASE_BITS radians; a tuning word of ``ftw`` synthesizes exactly
-``ftw * f_clk / 2**PHASE_BITS`` hertz.
+``ftw * f_clk / 2**PHASE_BITS`` hertz.  The per-sample output phase of a
+played burst is ``BurstSegment.phase_words`` in the executor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 PHASE_BITS = 22
 PHASE_WORDS = 1 << PHASE_BITS
-PHASE_MASK = PHASE_WORDS - 1
 
 
 def round_half_away(x):
@@ -56,37 +55,6 @@ def ftw_to_offset(ftw: int, f_clk: float = 1e9) -> float:
     return ftw * f_clk / PHASE_WORDS
 
 
-@dataclass
-class NcoState:
-    """One oscillator: tuning word, accumulator, and reference phase.
-
-    All three fields live strictly below 2**PHASE_BITS; arithmetic wraps.
-    """
-
-    ftw: int = 0
-    phase_acc: int = 0
-    ref_phase: int = 0
-    active: bool = False
-
-    def __post_init__(self):
-        for name in ("ftw", "phase_acc", "ref_phase"):
-            v = getattr(self, name)
-            if not 0 <= v < PHASE_WORDS:
-                raise ValueError(f"{name}={v} not an unsigned {PHASE_BITS}-bit word")
-
-    def step(self) -> int:
-        """Advance one clock; return the instantaneous output phase word."""
-        self.phase_acc = (self.phase_acc + self.ftw) & PHASE_MASK
-        return (self.phase_acc + self.ref_phase) & PHASE_MASK
-
-    def phase_words(self, n: int) -> np.ndarray:
-        """Output phases for the next ``n`` clocks (advances the state)."""
-        k = np.arange(1, n + 1, dtype=np.int64)
-        words = (self.phase_acc + k * self.ftw + self.ref_phase) % PHASE_WORDS
-        self.phase_acc = int((self.phase_acc + n * self.ftw) % PHASE_WORDS)
-        return words
-
-
 def quantize_unit(x, bits: int):
     """Quantize values in [-1, 1) to a 2**bits-level mid-tread grid."""
     scale = 1 << (bits - 1)
@@ -114,15 +82,3 @@ def pac_convert(phase, amplitude, *, pac_addr_bits: int, dac_bits: int):
     i = quantize_unit(amplitude * np.sin(theta), dac_bits)
     q = quantize_unit(amplitude * np.cos(theta), dac_bits)
     return i, q
-
-
-def synthesize_ideal(ftw: int, n: int, *, phase_acc: int = 0, ref_phase: int = 0) -> np.ndarray:
-    """Full-scale, unquantized complex synthesis of ``n`` samples.
-
-    Reference signal for spectral checks: exp(j * 2pi * word / 2**PHASE_BITS)
-    with the same increment-then-output phase sequence the hardware produces.
-    """
-    k = np.arange(1, n + 1, dtype=np.int64)
-    words = (phase_acc + k * ftw + ref_phase) % PHASE_WORDS
-    theta = words * (2.0 * np.pi / PHASE_WORDS)
-    return np.cos(theta) + 1j * np.sin(theta)

@@ -70,38 +70,28 @@ def _compose(names) -> np.ndarray:
 UNITARIES = np.stack([_compose(d) for d in DECOMPOSITIONS])
 
 
-def _same_up_to_phase(a: np.ndarray, b: np.ndarray) -> bool:
-    return abs(abs(np.trace(a.conj().T @ b)) - 2.0) < 1e-9
-
-
-def index_of(u: np.ndarray) -> int:
-    for k in range(N_CLIFFORDS):
-        if _same_up_to_phase(UNITARIES[k], u):
-            return k
-    raise ValueError("unitary is not a Clifford element of this table")
+def _matches(v: np.ndarray) -> np.ndarray:
+    """(..., 24) flags: which table rows equal each 2x2 unitary of ``v`` up
+    to a global phase, i.e. have |tr(U_k^dagger v)| = 2."""
+    overlap = np.abs(np.einsum("kji,...ji->...k", UNITARIES.conj(), v))
+    return np.abs(overlap - 2.0) < 1e-9
 
 
 def _build_tables():
-    mult = np.empty((N_CLIFFORDS, N_CLIFFORDS), dtype=np.int8)
-    for a in range(N_CLIFFORDS):
-        for b in range(N_CLIFFORDS):
-            # a acts first, then b.
-            mult[a, b] = index_of(UNITARIES[b] @ UNITARIES[a])
-    inverse = np.empty(N_CLIFFORDS, dtype=np.int8)
-    identity = index_of(np.eye(2, dtype=complex))
-    for a in range(N_CLIFFORDS):
-        inverse[a] = int(np.nonzero(mult[a] == identity)[0][0])
+    coincide = np.argwhere(np.triu(_matches(UNITARIES), 1))
+    if len(coincide):
+        a, b = coincide[0]
+        raise AssertionError(f"Clifford table rows {a} and {b} coincide")
+    # found[a, b] flags U_b U_a: a acts first, then b.
+    found = _matches(np.einsum("bij,ajk->abik", UNITARIES, UNITARIES))
+    if not np.all(found.sum(axis=-1) == 1):
+        raise AssertionError("Clifford table is not closed under multiplication")
+    mult = found.argmax(axis=-1).astype(np.int8)
+    identity = int(_matches(np.eye(2)).argmax())
+    inverse = (mult == identity).argmax(axis=1).astype(np.int8)
     return mult, inverse, identity
 
 
-def _verify_distinct():
-    for a in range(N_CLIFFORDS):
-        for b in range(a + 1, N_CLIFFORDS):
-            if _same_up_to_phase(UNITARIES[a], UNITARIES[b]):
-                raise AssertionError(f"Clifford table rows {a} and {b} coincide")
-
-
-_verify_distinct()
 MULT_TABLE, INVERSE_TABLE, IDENTITY_INDEX = _build_tables()
 
 

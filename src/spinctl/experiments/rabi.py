@@ -2,7 +2,9 @@
 
 A long rectangular envelope is stored once; the burst duration is swept
 by rewriting the stop address of the single saved instruction, so every
-sweep point reuses the same memories.
+sweep point reuses the same memories.  With exchange on, each qubit is
+driven on its low branch (f - J/2), which is resonant while the neighbour
+is in |0>, as it is at the start of every run.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ def _rabi_image(bench: Bench, qubits, max_samples: int) -> tuple[MemoryImage, di
     """One full-length burst per qubit; returns the image and each burst's
     (bank, nco) -> envelope start address."""
     img = MemoryImage(EnvelopeMemory(bench.cfg.amp_bits, bench.cfg.phase_mod_bits))
-    slots = [bench.plan.for_qubit(q)[0] for q in qubits]
+    branch = "low" if bench.plan.exchange_on else "main"
+    slots = [bench.plan.slot(q, branch) for q in qubits]
     starts = {}
     for slot in slots:
         amp = bench.cal.for_slot(slot).amplitude

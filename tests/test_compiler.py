@@ -124,7 +124,27 @@ def test_parse_errors_carry_line_numbers():
         parse_program("x q1\nbogus q1\n")
 
 
+def test_negative_duration_is_a_program_error():
+    with pytest.raises(ProgramError, match="line 1"):
+        parse_program("x q1 dur=-1e-6\n")
+    with pytest.raises(ValueError, match="duration"):
+        GateOp("i", 2, duration=-4e-9)
+
+
 # -- lowering -------------------------------------------------------------------
+
+
+def test_zero_sample_drive_gates_emit_nothing():
+    # 0.4 ns rounds to no clock samples: no burst, and a CROT then leaves the
+    # control's frame alone too, so the gate that follows is unchanged.
+    m, plan, cal = plan_and_cal(exchange_on=True)
+    alone = compile_program([GateOp("y", 2)], plan, cal)
+    for name in ("x", "x2", "i", "crot_high", "crot_low"):
+        for target in (1, 2):
+            prog = compile_program([GateOp(name, target, duration=0.4e-9), GateOp("y", 2)],
+                                   plan, cal)
+            assert prog.report["n_instructions"] == alone.report["n_instructions"]
+            assert dump_image(prog.images[0]) == dump_image(alone.images[0])
 
 
 def test_single_pi_gate_is_one_instruction():
@@ -232,6 +252,46 @@ def test_executed_waveform_golden():
     assert digest.hexdigest() == MIXED_WAVEFORM_SHA256
 
 
+def _exchange_program_text(n_gates=600):
+    """Exchange-on mix on both qubits: CROTs of either branch, virtual Z,
+    idles of 0-16 ns and rotations on both|high|low; every fourth gaussian."""
+    gates = ("x", "y", "x2", "y2", "mx", "my")
+    lines = []
+    for k in range(n_gates):
+        q = 1 + k % 2
+        shape = " shape=gaussian" if k % 4 == 3 else ""
+        kind = k % 5
+        if kind == 0:
+            lines.append(f"crot_{('high', 'low')[k // 10 % 2]} q{q}{shape}")
+        elif kind == 1:
+            lines.append(f"z q{q} angle=pi/{1 + k % 7}")
+        elif kind == 2:
+            lines.append(f"i q{q} dur={k // 5 % 5 * 4}e-9")
+        else:
+            branch = ("both", "high", "low")[k // 5 % 3]
+            lines.append(f"{gates[k // 5 % 6]} q{q} branch={branch}{shape}")
+    return "\n".join(lines) + "\n"
+
+
+# sha256 over the dumped images of _exchange_program_text(), then over its
+# DAC output played back to back: pins CROT lowering (burst, frame fix on
+# the control), idles, branch-restricted rotations and their trigger splits.
+EXCHANGE_IMAGES_SHA256 = "a4b82c48d7c4f010e6abf9094877163243b7fc583e243bf6a499eed5faf891bb"
+EXCHANGE_WAVEFORM_SHA256 = "5831e0f2366cec5819f871928aea5b0bfa2771c80eac782650dfcc580cf532bb"
+
+
+def test_exchange_on_program_golden():
+    m, plan, cal = plan_and_cal(exchange_on=True)
+    prog = compile_program(parse_program(_exchange_program_text()), plan, cal)
+    images = hashlib.sha256(b"".join(dump_image(img) for img in prog.images))
+    wf = Transmitter(TxConfig(lo_freq=LO), prog.ftws).execute_sequence(prog.images)
+    waveform = hashlib.sha256(wf.i.tobytes() + wf.q.tobytes())
+    assert prog.n_triggers == 63
+    assert len(wf) == prog.report["duration_samples"] == 172210
+    assert images.hexdigest() == EXCHANGE_IMAGES_SHA256
+    assert waveform.hexdigest() == EXCHANGE_WAVEFORM_SHA256
+
+
 def test_cross_bank_gates_are_padded_sequential():
     m, plan, cal = plan_and_cal()
     ops = [GateOp("x2", 2), GateOp("x2", 1)]
@@ -301,6 +361,16 @@ def test_long_program_splits_across_triggers():
     assert prog.n_triggers >= 2
     assert all(len(i.instruction_list) <= 2048 for i in prog.images)
     assert prog.report["n_instructions"] >= 2400
+
+
+def test_gate_too_long_for_a_fresh_image_raises():
+    # 50 us of envelope exceeds the 40960-entry store in an empty image, and
+    # again in the fresh image that a program with earlier gates retries in.
+    m, plan, cal = plan_and_cal()
+    long_x = GateOp("x", 2, duration=50e-6)
+    for ops in ([long_x], [GateOp("x", 2), long_x]):
+        with pytest.raises(CapacityError, match="envelope memory"):
+            compile_program(ops, plan, cal)
 
 
 def test_report_occupancy():

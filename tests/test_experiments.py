@@ -45,9 +45,9 @@ def exchange_bench():
     return Bench(DeviceModel(), TxConfig(), exchange_on=True)
 
 
-def rabi_rate(bench, qubit):
-    """Calibrated Rabi rate of a qubit's first slot, with the hold factor."""
-    slot = bench.plan.for_qubit(qubit)[0]
+def rabi_rate(bench, qubit, branch="main"):
+    """Calibrated Rabi rate of one of a qubit's slots, with the hold factor."""
+    slot = bench.plan.slot(qubit, branch)
     amp = bench.cal.for_slot(slot).amplitude
     coupling = bench.model.drive_coupling[qubit - 1]
     return coupling * amp * hold_factor(slot.offset_hz, bench.cfg.f_clk)
@@ -162,6 +162,19 @@ def test_rabi_frequency_matches_calibrated_rate():
     np.testing.assert_allclose(res.p1_q2, rabi_probability(durations, expected), atol=0.03)
 
 
+def test_rabi_on_exchange_on_bench_follows_low_branch_rate():
+    # Runs start in |00>, so each qubit's f - J/2 tone is the resonant one;
+    # the neighbour stays in |0>.
+    bench = exchange_bench()
+    durations = np.array([0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.8, 1.0]) * 1e-6
+    for qubit in (1, 2):
+        res = run_rabi(bench, durations, qubit=qubit, shots=4000, seed=qubit)
+        driven, other = (res.p1_q1, res.p1_q2) if qubit == 1 else (res.p1_q2, res.p1_q1)
+        oracle = rabi_probability(durations, rabi_rate(bench, qubit, "low"))
+        np.testing.assert_allclose(driven, oracle, atol=0.04)
+        assert max(other) <= 0.005
+
+
 def test_spectroscopy_exchange_on_finds_both_conditional_lines():
     model = DeviceModel()
     bench = exchange_bench()
@@ -254,7 +267,8 @@ def test_trace_engine_never_synthesizes_samples(monkeypatch):
 def test_simultaneous_rabi_agrees_across_engines():
     # Both qubits' NCOs play at once, one per bank: the DAC sums the banks,
     # the trace engine sums the two bursts' idealized samples.  With exchange
-    # on, the high-branch tones are dark from |00>, so every basis input counts.
+    # on, each low-branch tone is resonant only while the other qubit is in
+    # |0>, so every basis input counts.
     for exchange_on in (False, True):
         bench = Bench(DeviceModel(), TxConfig(), exchange_on=exchange_on)
         img, _ = _rabi_image(bench, (1, 2), 300)

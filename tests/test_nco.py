@@ -11,14 +11,12 @@ from spinctl.controller.executor import BurstSegment
 from spinctl.controller.nco import (
     PHASE_BITS,
     PHASE_WORDS,
-    NcoState,
     freq_to_ftw,
     ftw_to_freq,
     ftw_to_offset,
     max_grid_value,
     offset_to_ftw,
     pac_convert,
-    synthesize_ideal,
 )
 
 
@@ -71,48 +69,64 @@ def test_negative_offset_wraps():
     assert ftw_to_offset(ftw, 1e9) == pytest.approx(-90e6, abs=120)
 
 
+def stepped_words(ftw, n, *, acc=0, ref=0):
+    """Scalar oracle of the accumulator: each clock adds ftw, then the output
+    reads accumulator + reference phase, all modulo 2^22.  Returns the
+    outputs and the final accumulator."""
+    out = []
+    for _ in range(n):
+        acc = (acc + ftw) % PHASE_WORDS
+        out.append((acc + ref) % PHASE_WORDS)
+    return out, acc
+
+
+def played_words(ftw, n, *, t0=0, ref=0):
+    """Output phase words of an n-sample burst that starts t0 clocks after
+    the accumulator was zero, without envelope phase codes."""
+    seg = BurstSegment(bank=0, nco=0, t0=t0, n=n, ftw=ftw, ref_word=ref,
+                       amp_values=np.zeros(n), phase_codes=np.zeros(n, dtype=np.int64))
+    return seg.phase_words(10)
+
+
 def test_half_turn_step_alternates():
-    s = NcoState(ftw=1 << (PHASE_BITS - 1))
-    out = [s.step() for _ in range(4)]
-    assert out == [1 << (PHASE_BITS - 1), 0, 1 << (PHASE_BITS - 1), 0]
+    half = 1 << (PHASE_BITS - 1)
+    assert stepped_words(half, 4)[0] == [half, 0, half, 0]
+    assert played_words(half, 4).tolist() == [half, 0, half, 0]
 
 
 def test_unit_ftw_wraps_after_full_cycle():
-    s = NcoState(ftw=1, phase_acc=12345)
-    for _ in range(PHASE_WORDS):
-        s.step()
-    assert s.phase_acc == 12345
+    # Started 12345 clocks in, a unit tuning word is back on 12345 after
+    # one full cycle of 2^22 clocks, and stepped by one everywhere between.
+    words = played_words(1, PHASE_WORDS, t0=12345)
+    assert words[-1] == 12345
+    assert np.all(np.diff(words) % PHASE_WORDS == 1)
 
 
 def test_accumulator_after_1000_steps():
-    s = NcoState(ftw=100663)
-    for _ in range(1000):
-        s.step()
-    assert s.phase_acc == (100663 * 1000) % PHASE_WORDS
+    out, acc = stepped_words(100663, 1000)
+    assert acc == (100663 * 1000) % PHASE_WORDS
+    assert played_words(100663, 1000)[-1] == acc == out[-1]
 
 
 @given(
     st.integers(min_value=0, max_value=PHASE_WORDS - 1),
-    st.integers(min_value=0, max_value=PHASE_WORDS - 1),
+    st.integers(min_value=0, max_value=1 << 40),
     st.integers(min_value=0, max_value=PHASE_WORDS - 1),
     st.integers(min_value=1, max_value=300),
 )
-def test_vectorized_phase_matches_stepping(ftw, acc, ref, n):
-    stepped = NcoState(ftw=ftw, phase_acc=acc, ref_phase=ref)
-    vector = NcoState(ftw=ftw, phase_acc=acc, ref_phase=ref)
-    expected = [stepped.step() for _ in range(n)]
-    got = vector.phase_words(n)
+def test_vectorized_phase_matches_stepping(ftw, t0, ref, n):
+    expected, acc = stepped_words(ftw, n, acc=ftw * t0 % PHASE_WORDS, ref=ref)
+    got = played_words(ftw, n, t0=t0, ref=ref)
     assert got.tolist() == expected
-    assert vector.phase_acc == stepped.phase_acc
+    assert (int(got[-1]) - ref) % PHASE_WORDS == acc
 
 
 def test_ref_phase_offsets_output_not_accumulator():
-    plain = NcoState(ftw=777)
-    offset = NcoState(ftw=777, ref_phase=1000)
-    for _ in range(10):
-        a, b = plain.step(), offset.step()
-        assert b == (a + 1000) % PHASE_WORDS
-    assert plain.phase_acc == offset.phase_acc
+    plain, acc = stepped_words(777, 10)
+    offset, offset_acc = stepped_words(777, 10, ref=1000)
+    assert offset == [(a + 1000) % PHASE_WORDS for a in plain]
+    assert offset_acc == acc
+    np.testing.assert_array_equal(played_words(777, 10, ref=1000), offset)
 
 
 def test_pac_zero_phase_full_amplitude():
@@ -145,13 +159,3 @@ def test_pac_phase_mod_shifts_lookup():
     i0, q0 = pac_convert(burst(0, 256).phase_words(10), 0.5, **bits)
     i1, q1 = pac_convert(burst(1 << 20, 0).phase_words(10), 0.5, **bits)
     assert i0[0] == i1[0] and q0[0] == q1[0]
-
-
-def test_ideal_synthesis_peaks_at_ftw_bin():
-    n = 1 << 14
-    ftw = 100663
-    z = synthesize_ideal(ftw, n)
-    spec = np.abs(np.fft.fft(z))
-    peak = int(np.argmax(spec))
-    expected = ftw * n / PHASE_WORDS
-    assert abs(peak - expected) <= 1.0
