@@ -5,8 +5,11 @@ timeline.  Each bank plays its instructions back to back, so when a gate
 targets a bank that is behind the timeline the compiler first pads that
 bank with a zero-amplitude burst.  Every burst takes one drive path: it
 aligns the slot's NCO reference phase to (virtual-Z frame + axis offset)
-with a zero-duration phase update, pads the bank, and plays the envelope,
-which is stored once per image.  Virtual Z is pure frame bookkeeping
+with a zero-duration phase update, pads the bank, and plays the envelope.
+Envelope codes depend only on (shape, samples, amplitude), so each distinct
+envelope is synthesized and quantized once per compile and stored once per
+image that plays it.  A drive burst needs at least two samples; a gate one
+sample long is a ProgramError.  Virtual Z is pure frame bookkeeping
 emitted as phase updates on every slot of the target.  A controlled
 rotation is a pi burst along x on its branch slot followed by a virtual Z
 on the control qubit that absorbs the burst's phase; when its duration
@@ -28,7 +31,7 @@ import numpy as np
 
 from ..controller.memory import EnvelopeMemory, Instruction, MemoryImage, quantize_codes
 from ..controller.nco import PHASE_WORDS
-from ..errors import CapacityError
+from ..errors import CapacityError, ProgramError
 from .envelopes import synthesize_envelope
 from .ir import AXIS_QUARTER_TURNS, GateOp, ROTATION_GATES
 from .plan import CalibrationSet, FrequencyPlan
@@ -64,6 +67,7 @@ class _Compiler:
         self.frames = {1: 0, 2: 0}
         self.applied_ref = {(s.bank, s.nco): 0 for s in plan.slots}
         self.cursors = [0, 0]
+        self.codes = {}  # (shape, n, amplitude) -> quantized envelope codes
         self.images: list[MemoryImage] = []
         self._open_image()
 
@@ -146,11 +150,19 @@ class _Compiler:
         n = self._samples(op, cal_entry, full_pi=full_pi)
         if n <= 0:
             return False
+        if n < 2:
+            raise ProgramError(
+                f"{op.name} q{op.target} lasts {n} sample; a drive burst needs at least "
+                f"2 samples ({2e9 / self.plan.f_clk:g} ns at the "
+                f"{self.plan.f_clk / 1e9:g} GHz clock)"
+            )
         key = (slot.bank, slot.nco)
         self._phase(slot, self.frames[slot.qubit] + axis_word - self.applied_ref[key])
         self._pad_to_timeline(slot.bank)
-        env = synthesize_envelope(op.shape or "rectangular", n, cal_entry.amplitude)
-        codes = quantize_codes(env, self.amp_bits)
+        spec = (op.shape or "rectangular", n, cal_entry.amplitude)
+        if spec not in self.codes:
+            self.codes[spec] = quantize_codes(synthesize_envelope(*spec), self.amp_bits)
+        codes = self.codes[spec]
         block = codes.tobytes()
         if block not in self.env_blocks:
             self.env_blocks[block] = self.image.envelope.write_codes(codes)

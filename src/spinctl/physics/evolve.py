@@ -17,8 +17,11 @@ draw; each sample's factor is that exponential conjugated by its phase.
     Structured path: the idealized synthesis (no phase-table or DAC
     requantization) of the trace itself; no samples are synthesized.  A lone
     constant burst telescopes to one matrix power, which is what makes
-    randomized benchmarking tractable; a shaped burst, or bursts on both
-    banks at once, go through the kernel.
+    randomized benchmarking tractable.  That power is computed once per
+    distinct (amplitude, n, ftw) per call and conjugated into each burst's
+    own phase frame, so a sequence that replays a few calibrated bursts
+    exponentiates only those few.  A shaped burst, or bursts on both banks
+    at once, go through the kernel.
 
 The result is the only representation of an evolved program: the final
 state from basis state k is column k of a unitary, checked and rescaled by
@@ -124,7 +127,11 @@ def trace_propagators(
     """Total unitaries of a burst trace, one per noise draw, shape (r, 4, 4).
 
     Bursts that overlap in time form one cluster, whose idealized samples
-    are summed as the DAC sums the banks.
+    are summed as the DAC sums the banks.  A lone constant burst's matrix
+    power depends on the draws only through ``energies`` and on the burst
+    only through (amplitude, n, ftw): it is computed once per distinct
+    triple in this call and conjugated by each burst's start and end phase
+    (reference phase, start time and phase code).
     """
     energies = _energies(model, lo_freq, exchange_on, noise)  # (r, 4)
     drive = drive_operator(model)
@@ -147,6 +154,7 @@ def trace_propagators(
         if n_samples > 0:
             total = np.exp(-2j * np.pi * dt * n_samples * energies)[:, :, None] * total
 
+    powers = {}  # (amplitude, n, ftw) -> constant-burst unitary at zero phase
     t = trace.start
     for t0, t_end, group in clusters:
         apply_gap(t0 - t)
@@ -156,12 +164,14 @@ def trace_propagators(
         if len(group) == 1 and np.all(amp == amp[0]) and np.all(codes == codes[0]):
             # Sample k is sample 0 conjugated by k phase steps of the tuning
             # word, so the burst telescopes to one matrix power.
+            key = (float(amp[0]), seg.n, seg.ftw)
+            if key not in powers:
+                u_bar = _expm_batch(generator_batch(amp[:1], energies, drive)[0], dt)
+                undo_step = np.exp(2j * np.pi * seg.ftw / PHASE_WORDS * _KVEC)
+                powers[key] = np.linalg.matrix_power(u_bar * undo_step, seg.n - 1) @ u_bar
             ends = seg.phase_words(bits)[[0, -1], None]
             p0, p_end = np.exp(-2j * np.pi * ends / PHASE_WORDS * _KVEC)
-            u_bar = _expm_batch(generator_batch(amp[:1], energies, drive)[0], dt)
-            undo_step = np.exp(2j * np.pi * seg.ftw / PHASE_WORDS * _KVEC)
-            u = np.linalg.matrix_power(u_bar * undo_step, seg.n - 1) @ u_bar
-            total = (p_end[:, None] * u * np.conj(p0)) @ total
+            total = (p_end[:, None] * powers[key] * np.conj(p0)) @ total
             continue
         z = np.zeros(t_end - t0, dtype=complex)  # idealized samples, banks summed
         for seg in group:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from spinctl.controller.nco import quantize_unit
+from spinctl.experiments.cliffords import N_CLIFFORDS, recovery_index, sequence_primitives
 from spinctl.physics.state import renormalized
 
 
@@ -10,6 +11,12 @@ def final_state(propagators, n_factors, k=0):
     """Amplitudes that the first draw's unitary makes of basis state ``k``
     (index 2*q1 + q2), norm-checked over ``n_factors`` samples."""
     return renormalized(propagators[0][:, k], n_factors)
+
+
+def rb_primitives(n_cliffords, seed):
+    """Primitive gate names of a random RB sequence plus its recovery Clifford."""
+    indices = np.random.default_rng(seed).integers(0, N_CLIFFORDS, size=n_cliffords).tolist()
+    return sequence_primitives(indices + [recovery_index(indices)])
 
 
 def dithered_quantize(x, bits, rng):

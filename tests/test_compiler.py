@@ -17,9 +17,12 @@ from spinctl.compiler import (
     parse_program,
     synthesize_envelope,
 )
+import spinctl.compiler.emit as emit
 from spinctl.compiler.ir import GateOp, parse_angle
 from spinctl.experiments.dj import ORACLES, dj_program
 from spinctl.physics import DeviceModel
+
+from helpers import rb_primitives
 
 LO = 13.54e9
 
@@ -145,6 +148,46 @@ def test_zero_sample_drive_gates_emit_nothing():
                                    plan, cal)
             assert prog.report["n_instructions"] == alone.report["n_instructions"]
             assert dump_image(prog.images[0]) == dump_image(alone.images[0])
+
+
+def test_one_sample_drive_gate_is_a_program_error():
+    # A drive burst needs two samples; a 1 ns gate at the 1 GHz clock has one.
+    m, plan, cal = plan_and_cal(exchange_on=True)
+    for text in ("x q1 dur=1e-9", "x q1 shape=gaussian dur=1e-9", "crot_high q1 dur=1e-9"):
+        with pytest.raises(ProgramError, match=r"q1 lasts 1 sample.*at least 2 samples \(2 ns"):
+            compile_program(parse_program(text), plan, cal)
+    # An idle gate is no drive burst: one sample compiles to one zero burst.
+    prog = compile_program(parse_program("i q1 dur=1e-9"), plan, cal)
+    (ref,) = prog.images[0].instruction_list
+    burst = prog.images[0].tables[ref.bank][ref.nco][ref.slot]
+    assert burst.n_samples == 1
+    assert not np.any(prog.images[0].envelope.amp_values(burst.start_addr, burst.stop_addr))
+
+
+def test_each_envelope_is_quantized_once_per_compile(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return synthesize_envelope(*args)
+
+    monkeypatch.setattr(emit, "synthesize_envelope", counting)
+    m, plan, cal = plan_and_cal()
+    entry = cal.gates[(2, "main")]
+    ops = [GateOp(g, 2) for g in rb_primitives(20, seed=5)]
+    compile_program(ops, plan, cal)
+    # x2/y2 are the pi rotations, the rest pi/2; all rectangular at one amplitude.
+    specs = {("rectangular", entry.pi_samples if op.name in ("x2", "y2")
+              else entry.half_pi_samples, entry.amplitude) for op in ops}
+    assert 1 < len(specs) < len(ops)
+    assert sorted(calls) == sorted(specs)
+
+    # The memo outlives a trigger split; every image still stores its block.
+    calls.clear()
+    prog = compile_program([GateOp("x", 2), GateOp("y", 2)] * 1200, plan, cal)
+    assert prog.n_triggers >= 2
+    assert calls == [("rectangular", entry.half_pi_samples, entry.amplitude)]
+    assert all(len(img.envelope) == entry.half_pi_samples for img in prog.images)
 
 
 def test_single_pi_gate_is_one_instruction():

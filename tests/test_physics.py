@@ -22,10 +22,13 @@ from spinctl.physics import (
     transition_frequencies,
     two_level_evolve,
 )
+import spinctl.physics.evolve as evolve
+from spinctl.compiler import GateOp, parse_program
+from spinctl.experiments import Bench
 from spinctl.physics.evolve import _expm_batch, _ordered_product
 from spinctl.physics.hamiltonian import diagonal_energies, drive_operator, generator_batch
 
-from helpers import final_state
+from helpers import final_state, rb_primitives
 
 LO = 13.54e9
 FS = 1e9
@@ -300,3 +303,50 @@ def test_trace_engine_matches_dense_on_overlapping_banks():
     for k in range(4):
         dense = dense_final(wf, m, LO, k=k, exchange_on=True)
         assert np.max(np.abs(dense - final_state(fast, trace.n_samples, k))) < 1e-6
+
+
+THREE_DRAWS = NoiseSample(
+    delta_f1=np.array([0.0, 30e3, -20e3]),
+    delta_f2=np.array([-12e3, 0.0, 40e3]),
+    delta_j=np.array([0.0, 5e3, -3e3]),
+)
+
+
+@pytest.mark.parametrize("exchange_on", [False, True])
+def test_trace_engine_matches_dense_on_a_recurring_burst(exchange_on):
+    # One (amplitude, n, ftw) burst recurs under other reference phases
+    # (axis and virtual-z frame) and start times: its shared matrix power
+    # must still be conjugated into each burst's own phase frame.
+    cfg = TxConfig(dac_bits=26, amp_bits=22, pac_addr_bits=22, lo_freq=LO)
+    m = model()
+    bench = Bench(m, cfg, exchange_on=exchange_on)
+    prog = bench.compile(parse_program(
+        "x q2\ny q2\nz q2 angle=pi/3\nx q2\nmx q2\nx2 q2\nx q2\n"))
+    trace = bench.run_program(prog)
+    x_bursts = [s for s in trace.segments if s.n == trace.segments[0].n
+                and s.ftw == trace.segments[0].ftw]
+    assert len(x_bursts) == 5  # x, y, x, mx, x: four frames, the last x shares one
+    assert len({s.ref_word for s in x_bursts}) == 4
+    physics = dict(exchange_on=exchange_on, noise=THREE_DRAWS)
+    fast = trace_propagators(trace, m, LO, **physics)
+    dense = dense_propagators(synthesize(trace, cfg), m, LO, **physics)
+    assert fast.shape == dense.shape == (3, 4, 4)
+    assert np.max(np.abs(dense - fast)) < 1e-6
+
+
+def test_trace_engine_powers_each_distinct_constant_burst_once(monkeypatch):
+    calls = []
+
+    def counting(h, dt):
+        calls.append(h.shape)
+        return _expm_batch(h, dt)
+
+    monkeypatch.setattr(evolve, "_expm_batch", counting)
+    bench = Bench(model(), TxConfig(lo_freq=LO))
+    trace = bench.run_program(bench.compile([GateOp(g, 2) for g in rb_primitives(20, seed=5)]))
+    bursts = [s for s in trace.segments if np.any(s.amp_values)]
+    assert all(np.all(s.amp_values == s.amp_values[0]) for s in bursts)  # all constant
+    distinct = {(float(s.amp_values[0]), s.n, s.ftw) for s in bursts}
+    trace_propagators(trace, bench.model, LO, noise=THREE_DRAWS)
+    assert 1 < len(distinct) < len(bursts)
+    assert len(calls) == len(distinct)
