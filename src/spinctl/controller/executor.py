@@ -117,6 +117,10 @@ class BurstSegment:
     ref_word: int  # reference phase in effect during the burst
     amp_values: np.ndarray  # amplitude-grid values, length n
     phase_codes: np.ndarray  # envelope phase codes, length n
+    # Every sample has the same amplitude and phase code.  ``Transmitter.play``
+    # sets it; False is always safe and only sends the burst through the
+    # general per-sample path of the physics engine.
+    constant: bool = False
 
     @property
     def t_end(self) -> int:
@@ -132,6 +136,14 @@ class BurstSegment:
         k = np.arange(self.t0 + 1, self.t_end + 1, dtype=np.int64)
         mod = self.phase_codes << (PHASE_BITS - phase_mod_bits)
         return (self.ftw * k + self.ref_word + mod) % PHASE_WORDS
+
+    def end_words(self, phase_mod_bits: int) -> tuple[int, int]:
+        """Output phase words of the first and the last sample, the ends of
+        ``phase_words`` without building it."""
+        shift = PHASE_BITS - phase_mod_bits
+        first = self.ftw * (self.t0 + 1) + (int(self.phase_codes[0]) << shift)
+        last = self.ftw * self.t_end + (int(self.phase_codes[-1]) << shift)
+        return (first + self.ref_word) % PHASE_WORDS, (last + self.ref_word) % PHASE_WORDS
 
 
 @dataclass
@@ -192,6 +204,8 @@ class Transmitter:
 
         Each image is validated before it changes any state; playing it
         applies its phase updates and advances the clock by its longest bank.
+        Bursts of one envelope block share its read-only sample arrays, which
+        are read and tested for constancy once per image.
         """
         cfg = self.cfg
         start = self.sample_count
@@ -204,6 +218,7 @@ class Transmitter:
                     "image envelope bit widths do not match the transmitter configuration"
                 )
             cursors = [0] * N_BANKS  # each bank plays its bursts back to back
+            blocks = {}  # (start, stop) -> (amp_values, phase_codes, constant)
             for ref in image.instruction_list:
                 instr = image.tables[ref.bank][ref.nco][ref.slot]
                 if instr.is_phase_update:
@@ -211,6 +226,13 @@ class Transmitter:
                         self.ref_phase[ref.bank, ref.nco] + instr.phase_update
                     ) % PHASE_WORDS
                     continue
+                block = (instr.start_addr, instr.stop_addr)
+                if block not in blocks:
+                    amp, codes = env.amp_values(*block), env.phase_codes(*block)
+                    amp.flags.writeable = codes.flags.writeable = False
+                    constant = bool(np.all(amp == amp[0]) and np.all(codes == codes[0]))
+                    blocks[block] = amp, codes, constant
+                amp, codes, constant = blocks[block]
                 segments.append(
                     BurstSegment(
                         bank=ref.bank,
@@ -219,8 +241,9 @@ class Transmitter:
                         n=instr.n_samples,
                         ftw=int(self.ftws[ref.bank, ref.nco]),
                         ref_word=int(self.ref_phase[ref.bank, ref.nco]),
-                        amp_values=env.amp_values(instr.start_addr, instr.stop_addr),
-                        phase_codes=env.phase_codes(instr.start_addr, instr.stop_addr),
+                        amp_values=amp,
+                        phase_codes=codes,
+                        constant=constant,
                     )
                 )
                 cursors[ref.bank] += instr.n_samples

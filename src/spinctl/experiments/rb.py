@@ -13,11 +13,9 @@ and fitting chain against a known answer.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from ..compiler.ir import GateOp
 from ..physics import corrected_p_up, shot_rng
@@ -33,7 +31,10 @@ class RbResult:
     amplitude: float
     offset: float
     p: float
-    p_stderr: float  # inf when p_at_bound: no covariance on the bound
+    # Pseudo-inverse stderr (see _fit_decay): inf with 3 or fewer lengths.
+    # With more, a fit pinned at p = 1 still gets a finite value; there only
+    # a + b is determined, the split is a = b, and p_stderr scales as 1 / a.
+    p_stderr: float
     p_at_bound: bool = False  # the fit pinned p at 0 or 1 (e.g. noiseless physics)
     avg_primitives: float = AVG_PRIMITIVES
     n_sequences: int = 32
@@ -54,31 +55,109 @@ class RbResult:
         return self.p_stderr / 2.0 / self.avg_primitives
 
 
-# The bounded fit stops this close to a bound of p in [0, 1] it pins on.
+# p closer than this to 0 or 1 counts as pinned on that bound.
 P_BOUND_ATOL = 1e-9
+# Where the descent in p starts.  The fit returns the local solution that a
+# joint bounded least-squares fit from (a, b, p) = (0.5, 0.5, 0.995) reaches,
+# not the global one, which can be a decay that is over by the second length.
+P_START = 0.995
+# Points per walk or refinement step of the descent in p.
+_WALK_POINTS = 257
+_EPS = np.finfo(float).eps
+
+
+def _amplitudes(m, y, p):
+    """Best (a, b) in [0, 1]^2 of a p^m + b for each p in ``p``, with the
+    residuals: (k,), (k,), (k, n).
+
+    The box-bounded linear fit is solved exactly: its minimum is the free
+    minimum when that lies in the box, else the best 1-D minimum along an
+    edge.  Where a and b are not separable (p = 1, so p^m is constant) the
+    free fit takes the minimum-norm split, a = b at p = 1.
+    """
+    e = p[:, None] ** m
+    e_mean, y_mean = e.mean(axis=1), y.mean()
+    ec, yc = e - e_mean[:, None], y - y_mean
+    sxx = (ec * ec).sum(axis=1)
+    see = (e * e).sum(axis=1)
+    split = sxx == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_free = np.where(split, y_mean * e_mean / (e_mean**2 + 1.0), (ec @ yc) / sxx)
+        a_b0 = np.where(see > 0.0, (e @ y) / see, 0.0)
+        a_b1 = np.where(see > 0.0, (e @ (y - 1.0)) / see, 0.0)
+    b_free = np.where(split, y_mean / (e_mean**2 + 1.0), y_mean - a_free * e_mean)
+    zero, one = np.zeros_like(p), np.ones_like(p)
+    # Candidates: free minimum, then the edges a = 0, a = 1, b = 0, b = 1.
+    a = np.stack([a_free, zero, one, np.clip(a_b0, 0.0, 1.0), np.clip(a_b1, 0.0, 1.0)])
+    b = np.stack([b_free, np.clip(y_mean + zero, 0.0, 1.0), np.clip(y_mean - e_mean, 0.0, 1.0),
+                  zero, one])
+    r = a[..., None] * e + b[..., None] - y
+    ssr = (r * r).sum(axis=-1)
+    inside = (a_free >= 0.0) & (a_free <= 1.0) & (b_free >= 0.0) & (b_free <= 1.0)
+    ssr[0] = np.where(inside, ssr[0], np.inf)
+    best, k = np.argmin(ssr, axis=0), np.arange(len(p))
+    return a[best, k], b[best, k], r[best, k]
+
+
+def _d_dp(m, p):
+    """d(p^m)/dp, exact at m = 0."""
+    return m * p ** np.maximum(m - 1.0, 0.0)
+
+
+def _slope(m, y, p):
+    """dg/dp of g(p) = min over (a, b) of the squared residual, for each p.
+
+    The (a, b) bounds do not depend on p, so the derivative is that of the
+    squared residual at the best (a, b) (Danskin's theorem)."""
+    a, _, r = _amplitudes(m, y, p)
+    return 2.0 * a * (r * _d_dp(m, p[:, None])).sum(axis=1)
+
+
+def _descend(m, y):
+    """The local minimum of g(p) reached by walking downhill from P_START.
+
+    The walk goes toward p = 1 unless g rises that way; it also goes there
+    when g is flat at the start (a = 0: no decay to fit), which is where the
+    joint fit from a = b = 0.5 ends too.  Each step scans _WALK_POINTS
+    points up to the first one where g rises again, then rescans the last
+    interval, until it is a few ulp wide.  No global search: g often has a
+    lower minimum at small p that fits only the first length.
+    """
+    end = 1.0 if _slope(m, y, np.array([P_START]))[0] <= 0.0 else 0.0
+    lo, hi = P_START, end
+    while abs(hi - lo) > 4.0 * _EPS:
+        grid = np.linspace(lo, hi, _WALK_POINTS)
+        rising = np.flatnonzero(_slope(m, y, grid) * np.sign(hi - lo) > 0.0)
+        if len(rising) == 0:
+            return hi
+        lo, hi = grid[max(rising[0] - 1, 0)], grid[rising[0]]
+    return lo
 
 
 def _fit_decay(lengths, survivals):
-    """Fit A p^m + B; returns (a, b, p), their stderrs, and whether p is
-    pinned at a bound of [0, 1]."""
-    def decay(m, a, b, p):
-        return a * p**m + b
+    """Fit A p^m + B with A, B, p in [0, 1]; returns (a, b, p), their
+    stderrs, and whether p is pinned at a bound of [0, 1].
 
-    with warnings.catch_warnings():
-        # scipy warns that the covariance is undefined when p sits on a
-        # bound; that case is reported as p_at_bound instead.
-        warnings.simplefilter("ignore", OptimizeWarning)
-        popt, pcov = curve_fit(
-            decay,
-            np.asarray(lengths, dtype=float),
-            np.asarray(survivals, dtype=float),
-            p0=(0.5, 0.5, 0.995),
-            bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
-            maxfev=20_000,
-        )
-    perr = np.sqrt(np.diag(pcov))
-    p = popt[2]
-    return popt, perr, bool(min(p, 1.0 - p) < P_BOUND_ATOL)
+    Variable projection: for fixed p the best (a, b) is an exact bounded
+    linear fit, so only p is searched (``_descend``).  The covariance is the
+    usual least-squares one: the Moore-Penrose pseudo-inverse of the
+    Jacobian at the solution, dropping singular values at or below
+    eps * max(shape) * s_0, scaled by SSR / (n - 3); all inf with 3 or fewer
+    lengths or when it holds a NaN.
+    """
+    m = np.asarray(lengths, dtype=float)
+    y = np.asarray(survivals, dtype=float)
+    p = _descend(m, y)
+    (a,), (b,), (r,) = _amplitudes(m, y, np.array([p]))
+    jac = np.stack([p**m, np.ones_like(m), a * _d_dp(m, p)], axis=1)
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    keep = s > _EPS * max(jac.shape) * s[0]
+    cov = (vt[keep].T / s[keep] ** 2) @ vt[keep]
+    if len(m) > 3 and not np.isnan(cov).any():
+        cov = cov * (r @ r / (len(m) - 3))
+    else:
+        cov = np.full((3, 3), np.inf)
+    return np.array([a, b, p]), np.sqrt(np.diag(cov)), bool(min(p, 1.0 - p) < P_BOUND_ATOL)
 
 
 def run_rb(

@@ -11,15 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .controller.executor import BasebandWaveform
 from .controller.rf import RfSignal
 
+# Cosine-sum coefficients and main-lobe half-width in bins of each window.
 WINDOWS = {
-    "rectangular": ("boxcar", 1),
-    "hann": ("hann", 3),
-    "blackman-harris": ("blackmanharris", 5),
+    "rectangular": ((1.0,), 1),
+    "hann": ((0.5, 0.5), 3),
+    "blackman-harris": ((0.35875, 0.48829, 0.14128, 0.01168), 5),
 }
 
 SPUR_ABOVE_MEDIAN_DB = 20.0  # a bin this far above local median noise is a spur
@@ -73,6 +73,19 @@ def _as_envelope(signal):
     return arr, 1.0, 0.0
 
 
+def periodic_window(name: str, n: int) -> np.ndarray:
+    """Periodic (DFT-even) window of length ``n``: sum_k a_k cos(k x) over
+    x = -pi .. pi with the endpoint dropped; ones when n <= 1."""
+    coefficients, _ = WINDOWS[name]
+    if n <= 1:
+        return np.ones(n)
+    x = np.linspace(-np.pi, np.pi, n + 1)[:-1]
+    w = np.zeros(n)
+    for k, a in enumerate(coefficients):
+        w += a * np.cos(k * x)
+    return w
+
+
 def compute_spectrum(signal, window: str = "rectangular") -> Spectrum:
     """Windowed FFT power spectrum over the whole signal, normalized to the
     main tone.
@@ -89,8 +102,8 @@ def compute_spectrum(signal, window: str = "rectangular") -> Spectrum:
     if window not in WINDOWS:
         raise ValueError(f"unknown window {window!r}; choose from {sorted(WINDOWS)}")
     n = len(z)
-    name, halfwidth = WINDOWS[window]
-    w = get_window(name, n, fftbins=True)
+    w = periodic_window(window, n)
+    halfwidth = WINDOWS[window][1]
     x = np.fft.fftshift(np.fft.fft(w * z))
     # Parseval normalization: lobe-summed tone power equals A^2 exactly.
     power = np.abs(x) ** 2 / (n * np.sum(w**2))

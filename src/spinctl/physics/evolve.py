@@ -87,7 +87,11 @@ def _sampled_product(z: np.ndarray, energies: np.ndarray, drive: np.ndarray, dt:
         total = np.broadcast_to(np.eye(4, dtype=complex), (len(group), 4, 4)).copy()
         for start in range(0, len(z), step):
             p = np.exp(-1j * np.angle(z[start : start + step])[:, None, None] * _KVEC)  # (n, 1, 4)
-            factors = p[..., :, None] * expm[which[start : start + step]] * np.conj(p)[..., None, :]
+            # The gathered copy is scaled in place, in the operand order of
+            # P E P^dagger, so no (n, draws, 4, 4) temporaries are made.
+            factors = expm[which[start : start + step]]
+            np.multiply(p[..., :, None], factors, out=factors)
+            factors *= np.conj(p)[..., None, :]
             total = _ordered_product(factors) @ total
         out.append(total)
     return np.concatenate(out)
@@ -131,7 +135,8 @@ def trace_propagators(
     power depends on the draws only through ``energies`` and on the burst
     only through (amplitude, n, ftw): it is computed once per distinct
     triple in this call and conjugated by each burst's start and end phase
-    (reference phase, start time and phase code).
+    (reference phase, start time and phase code).  Whether a burst is
+    constant is read from ``BurstSegment.constant``, recorded at play time.
     """
     energies = _energies(model, lo_freq, exchange_on, noise)  # (r, 4)
     drive = drive_operator(model)
@@ -140,7 +145,9 @@ def trace_propagators(
 
     # Zero-amplitude bursts (idle pads) are inert: treat them as gaps.
     clusters = []  # [t0, t_end, segments]
-    for seg in sorted((s for s in trace.segments if np.any(s.amp_values)), key=lambda s: s.t0):
+    active = (s for s in trace.segments
+              if (s.amp_values[0] if s.constant else np.any(s.amp_values)))
+    for seg in sorted(active, key=lambda s: s.t0):
         if clusters and seg.t0 < clusters[-1][1]:
             clusters[-1][1] = max(clusters[-1][1], seg.t_end)
             clusters[-1][2].append(seg)
@@ -160,8 +167,8 @@ def trace_propagators(
         apply_gap(t0 - t)
         t = t_end
         seg = group[0]
-        amp, codes = seg.amp_values, seg.phase_codes
-        if len(group) == 1 and np.all(amp == amp[0]) and np.all(codes == codes[0]):
+        amp = seg.amp_values
+        if len(group) == 1 and seg.constant:
             # Sample k is sample 0 conjugated by k phase steps of the tuning
             # word, so the burst telescopes to one matrix power.
             key = (float(amp[0]), seg.n, seg.ftw)
@@ -169,7 +176,7 @@ def trace_propagators(
                 u_bar = _expm_batch(generator_batch(amp[:1], energies, drive)[0], dt)
                 undo_step = np.exp(2j * np.pi * seg.ftw / PHASE_WORDS * _KVEC)
                 powers[key] = np.linalg.matrix_power(u_bar * undo_step, seg.n - 1) @ u_bar
-            ends = seg.phase_words(bits)[[0, -1], None]
+            ends = np.array(seg.end_words(bits))[:, None]
             p0, p_end = np.exp(-2j * np.pi * ends / PHASE_WORDS * _KVEC)
             total = (p_end[:, None] * powers[key] * np.conj(p0)) @ total
             continue

@@ -1,0 +1,55 @@
+"""Import every spinctl module and run a small RB, the spectra and the
+two-tone report with scipy made unimportable; exits non-zero on failure.
+
+    python tests/no_scipy_smoke.py
+
+spinctl's runtime is numpy alone: scipy is a test-only dependency.  A
+deferred ``import scipy`` inside a function fails here too.
+"""
+
+import importlib
+import importlib.abc
+import pkgutil
+import sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, fullname, path=None, target=None):
+        if fullname.partition(".")[0] == "scipy":
+            raise ImportError(f"{fullname} is blocked: spinctl must run on numpy alone")
+        return None
+
+
+def main():
+    sys.meta_path.insert(0, NoScipy())
+    import numpy as np
+
+    import spinctl
+
+    for module in pkgutil.walk_packages(spinctl.__path__, "spinctl."):
+        importlib.import_module(module.name)
+
+    from spinctl.controller.executor import TxConfig
+    from spinctl.experiments import Bench, run_rb
+    from spinctl.metrics import WINDOWS, compute_spectrum, two_tone_report
+    from spinctl.physics import DeviceModel
+
+    res = run_rb(Bench(DeviceModel(), TxConfig()), (1, 10, 30, 60), n_sequences=3,
+                 repetitions=50, seed=1, depolarizing_eps=0.02)
+    assert 0.9 < res.p <= 1.0 and np.isfinite(res.p_stderr), res
+
+    n = 1024
+    t = np.arange(n)
+    z = 0.4 * np.exp(2j * np.pi * 100 / n * t) + 0.4 * np.exp(2j * np.pi * 180 / n * t)
+    for window in WINDOWS:
+        compute_spectrum(z, window=window)
+    report = two_tone_report(z, 100 / n, 180 / n)
+    assert report["imd_worst_dbc"] < -200.0, report
+
+    loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+    assert not loaded, loaded
+    print("spinctl ran on numpy alone")
+
+
+if __name__ == "__main__":
+    main()

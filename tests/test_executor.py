@@ -193,3 +193,26 @@ def test_set_ftws_checks_every_entry_before_storing(key, ftw):
     with pytest.raises(ConfigError, match=re.escape(str(key))):
         tx.set_ftws({(1, 3): 99, key: ftw})
     assert np.count_nonzero(tx.ftws) == 1 and tx.ftws[0, 1] == 77
+
+
+def test_play_records_constancy_once_per_envelope_block():
+    cfg = TxConfig()
+    img = make_image(cfg, n_env=40, amp=0.25)  # block 0..39: constant
+    img.envelope.write_codes(np.arange(1, 31), np.full(30, 5))  # 40..69: ramp
+    img.envelope.write_codes(np.full(20, 9), np.arange(20) % 4)  # 70..89: phase varies
+    blocks = [(0, 39), (40, 69), (70, 89), (0, 39)]
+    for slot, (start, stop) in enumerate(blocks):
+        img.add_instruction(0, 2, Instruction(2, start_addr=start, stop_addr=stop))
+        img.schedule(0, 2, slot)
+    tx = Transmitter(cfg, ftws={(0, 2): 987_654})
+    tx.sample_count = 123_456_789  # a late start: large phase accumulators
+    trace = tx.play([img])
+    bits = trace.phase_mod_bits
+    assert [s.constant for s in trace.segments] == [True, False, False, True]
+    for seg in trace.segments:
+        amp, codes = seg.amp_values, seg.phase_codes
+        assert seg.constant == bool(np.all(amp == amp[0]) and np.all(codes == codes[0]))
+        assert seg.end_words(bits) == tuple(seg.phase_words(bits)[[0, -1]].tolist())
+    first, last = trace.segments[0], trace.segments[-1]
+    assert first.amp_values is last.amp_values  # one block, read once
+    assert not first.amp_values.flags.writeable and not first.phase_codes.flags.writeable

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import get_window
 
 from helpers import dithered_quantize_complex
 from spinctl.controller.rf import RfSignal
 from spinctl.metrics import (
+    WINDOWS,
     compute_spectrum,
+    periodic_window,
     lo_rejection,
     sfdr,
     snr,
@@ -186,3 +189,15 @@ def test_empty_waveform_rejected():
     with pytest.raises(ValueError, match="empty"):
         compute_spectrum(rf(np.zeros(0, dtype=complex)))
 
+
+
+# scipy (a test-only dependency) names of the windows, as the reference.
+SCIPY_WINDOWS = {"rectangular": "boxcar", "hann": "hann", "blackman-harris": "blackmanharris"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1024, 1 << 17])
+def test_windows_match_scipy_periodic_windows(n):
+    assert set(SCIPY_WINDOWS) == set(WINDOWS)
+    for name, reference in SCIPY_WINDOWS.items():
+        w = periodic_window(name, n)
+        assert np.max(np.abs(w - get_window(reference, n, fftbins=True))) <= 1e-15

@@ -1,5 +1,7 @@
 """Hamiltonian structure, unitary evolution, and engine cross-checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -350,3 +352,18 @@ def test_trace_engine_powers_each_distinct_constant_burst_once(monkeypatch):
     trace_propagators(trace, bench.model, LO, noise=THREE_DRAWS)
     assert 1 < len(distinct) < len(bursts)
     assert len(calls) == len(distinct)
+
+
+def test_trace_engine_result_does_not_depend_on_the_constant_flag():
+    # A burst not flagged constant goes through the per-sample kernel
+    # instead of the matrix power; the physics is the same.
+    m = model()
+    bench = Bench(m, TxConfig(lo_freq=LO), exchange_on=True)
+    trace = bench.run_program(bench.compile(parse_program(
+        "x q2\ny q1 shape=gaussian\nz q2 angle=pi/3\nx2 q2\ncrot_high q1\n")))
+    assert {s.constant for s in trace.segments} == {True, False}
+    unflagged = dataclasses.replace(
+        trace, segments=[dataclasses.replace(s, constant=False) for s in trace.segments])
+    physics = dict(exchange_on=True, noise=THREE_DRAWS)
+    fast = trace_propagators(trace, m, LO, **physics)
+    assert np.max(np.abs(trace_propagators(unflagged, m, LO, **physics) - fast)) < 1e-9
