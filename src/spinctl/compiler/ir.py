@@ -1,8 +1,10 @@
 """Gate-level program representation and the text program format.
 
-One gate per line: ``<gate> q<n> [key=value ...]``.  Gates: i, x, y, x2,
-y2, mx, my (negative pi/2 rotations are mx/my), z (needs ``angle=``),
-crot_high, crot_low.  Optional keys: ``dur`` (seconds), ``shape``
+One gate per line: ``<gate> q<n> [key=value ...]``.  Gates: i (idle for a
+pi rotation's duration); x and y, pi/2 rotations about +x and +y; x2 and
+y2, pi rotations about the same axes (x2 is "x twice", not "x/2"); mx and
+my, -pi/2 rotations; z (virtual, needs ``angle=``); crot_high, crot_low
+(conditional pi rotations).  Optional keys: ``dur`` (seconds), ``shape``
 (rectangular | gaussian), ``angle`` (radians, pi-expressions allowed),
 ``branch`` (both | high | low) to restrict which conditional frequency a
 single-qubit gate addresses when exchange is on.

@@ -5,7 +5,9 @@ differs only in the programs it builds and the statistics it extracts.
 ``Bench.sample`` is that path: one play of a compiled program into a burst
 trace, one batched propagator stack over the point's noise draws on the
 chosen engine, vectorized readout.  DAC samples are synthesized only for
-the dense engine.
+the dense engine.  The trace engine shares one ``PropagatorMemo`` per
+bench across calls, so a noiseless sweep that only retunes an NCO reuses
+every exponential; ``Bench.memo.counts`` tallies its hits and misses.
 Randomness follows the substream contract in ``spinctl.physics.device``:
 point p of an experiment seeded with ``seed`` draws all of its shots from
 ``shot_rng(seed, p)``, noise batch first, then readout.
@@ -29,6 +31,7 @@ from ..controller.executor import ExecutionTrace, Transmitter, TxConfig, synthes
 from ..physics import (
     DeviceModel,
     ZERO_NOISE,
+    PropagatorMemo,
     dense_propagators,
     readout_probabilities,
     sample_noise_batch,
@@ -51,6 +54,10 @@ class Bench:
     target_rabi: float = 1e6
     plan: FrequencyPlan = None
     cal: CalibrationSet = None
+    # Trace-engine products reused across ``sample`` calls; emptied whenever
+    # a call's energies, drive operator or sample period differ.
+    memo: PropagatorMemo = field(default_factory=PropagatorMemo, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         if self.plan is None:
@@ -102,7 +109,7 @@ class Bench:
         physics = dict(model=model, lo_freq=self.cfg.lo_freq, exchange_on=self.exchange_on,
                        noise=noise)
         if engine == "trace":
-            props = trace_propagators(trace, **physics)
+            props = trace_propagators(trace, **physics, memo=self.memo)
         else:
             props = dense_propagators(synthesize(trace, self.cfg), **physics)
         amps = renormalized(props[:, :, 0], trace.n_samples)  # each unitary applied to |00>

@@ -45,12 +45,15 @@ def run_spectroscopy(
     prog = bench.compile(ops)
 
     result = SweepResult(x_name="frequency_hz", meta={"qubit": qubit, "shape": shape})
+    before = dict(bench.memo.counts)
     for k, f in enumerate(frequencies):
         prog.ftws[(probe_slot.bank, probe_slot.nco)] = offset_to_ftw(
             f - bench.cfg.lo_freq, bench.cfg.f_clk
         )
         p1, p2 = bench.sample(prog, (1, 2), shots, shot_rng(seed, k), engine=engine) / shots
         result.add(f, p1, p2, binomial_stderr(p1 if qubit == 1 else p2, shots))
+    # Memo use by this sweep (the trace engine's; the dense engine has none).
+    result.meta["propagator_memo"] = {k: v - before[k] for k, v in bench.memo.counts.items()}
     return result
 
 

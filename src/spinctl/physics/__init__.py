@@ -8,6 +8,7 @@ from .device import (
 )
 from .hamiltonian import detunings, transition_frequencies
 from .evolve import (
+    PropagatorMemo,
     dense_propagators,
     rabi_probability,
     rotation_for_phase,
@@ -25,6 +26,7 @@ __all__ = [
     "shot_rng",
     "detunings",
     "transition_frequencies",
+    "PropagatorMemo",
     "dense_propagators",
     "rabi_probability",
     "rotation_for_phase",

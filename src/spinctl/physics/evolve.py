@@ -18,10 +18,29 @@ draw; each sample's factor is that exponential conjugated by its phase.
     requantization) of the trace itself; no samples are synthesized.  A lone
     constant burst telescopes to one matrix power, which is what makes
     randomized benchmarking tractable.  That power is computed once per
-    distinct (amplitude, n, ftw) per call and conjugated into each burst's
+    distinct (amplitude, n, ftw) per memo and conjugated into each burst's
     own phase frame, so a sequence that replays a few calibrated bursts
     exponentiates only those few.  A shaped burst, or bursts on both banks
-    at once, go through the kernel.
+    at once, go through the kernel.  A lone burst hands the kernel its
+    amplitude-grid values and phase-word angles as they are, so its levels
+    are exactly the envelope's distinct amplitude codes at any tuning word;
+    a cluster of overlapping bursts takes |z| and arg z of its summed
+    samples, as the dense engine does.
+
+``PropagatorMemo``
+    The trace engine's store of reusable products: the kernel's exponentials
+    per level set, keyed on the level bytes, and the constant-burst matrix
+    powers, keyed on (amplitude, n, ftw).  Both depend on the physics only
+    through the energies (one row per noise draw), the drive operator and
+    the sample period, so the memo is bound to those: a call that brings
+    different ones empties it first.  A noiseless sweep that rewrites only
+    tuning words (spectroscopy) therefore exponentiates its envelope once;
+    a noisy point's fresh draws drop the previous point's entries.  A level
+    set is kept only when all of its draws fit one kernel chunk, and the
+    memo never holds more than ``PropagatorMemo.bound`` (8 _CHUNK) matrices;
+    past that, products are computed and used without being kept.  Without
+    a memo argument a call gets a fresh one, so repeats within the call are
+    still shared.  ``Bench`` owns one; the dense engine uses none.
 
 The result is the only representation of an evolved program: the final
 state from basis state k is column k of a unitary, checked and rescaled by
@@ -64,29 +83,83 @@ def _ordered_product(us: np.ndarray) -> np.ndarray:
     return us[0]
 
 
-def _sampled_product(z: np.ndarray, energies: np.ndarray, drive: np.ndarray, dt: float) -> np.ndarray:
-    """Ordered product of the per-sample propagators of envelope ``z``, one
-    per row of ``energies``, shape (r, 4, 4).
+class PropagatorMemo:
+    """Exponentials and constant-burst powers shared by the trace-engine
+    calls made with the same energies, drive operator and sample period.
 
-    Sample k contributes P(arg z_k) E(|z_k|) P(arg z_k)^dagger, with E
-    exponentiated once per distinct |z| and draw.  At most _CHUNK
+    ``counts`` tallies hits and misses, separately for level sets and for
+    powers, over the memo's life; ``held`` is the number of 4x4 matrices
+    kept now.
+    """
+
+    bound = 8 * _CHUNK  # matrices held at most
+
+    def __init__(self):
+        self.counts = dict.fromkeys(("level_hits", "level_misses", "power_hits", "power_misses"), 0)
+        self.held = 0
+        self._physics = None
+        self._tables = {"level": {}, "power": {}}
+
+    def bind(self, energies: np.ndarray, drive: np.ndarray, dt: float) -> None:
+        """Empty the memo unless it was filled under exactly this physics."""
+        physics = (energies.shape, energies.tobytes(), drive.tobytes(), dt)
+        if physics != self._physics:
+            self._physics = physics
+            for table in self._tables.values():
+                table.clear()
+            self.held = 0
+
+    def get(self, kind: str, key, compute) -> np.ndarray:
+        """The ``kind`` ("level" or "power") product stored under ``key``,
+        made by ``compute()`` on a miss and kept if it fits the bound."""
+        table = self._tables[kind]
+        value = table.get(key)
+        if value is not None:
+            self.counts[kind + "_hits"] += 1
+            return value
+        self.counts[kind + "_misses"] += 1
+        value = compute()
+        size = value.size // 16
+        if self.held + size <= self.bound:
+            value.flags.writeable = False  # shared by every later hit
+            table[key] = value
+            self.held += size
+        return value
+
+
+def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, drive: np.ndarray,
+                     dt: float, memo: PropagatorMemo | None = None) -> np.ndarray:
+    """Ordered product of the per-sample propagators of the envelope
+    ``amp * exp(1j * phi)``, one per row of ``energies``, shape (r, 4, 4).
+
+    Sample k contributes P(phi_k) E(amp_k) P(phi_k)^dagger, with E
+    exponentiated once per distinct amplitude and draw.  At most _CHUNK
     exponentials and _CHUNK gathered sample-draw factors are held at once:
     the draws are taken in groups that fit beside the distinct amplitudes,
-    and an envelope with more than _CHUNK of them is split in halves.
+    and an envelope with more than _CHUNK of them is split in halves.  When
+    all draws fit one group, the exponentials come from ``memo``.
     """
-    levels, which = np.unique(np.abs(z), return_inverse=True)
+    levels, which = np.unique(amp, return_inverse=True)
     if len(levels) > _CHUNK:
-        head, tail = np.array_split(z, 2)
-        return _sampled_product(tail, energies, drive, dt) @ _sampled_product(head, energies, drive, dt)
+        (amp0, amp1), (phi0, phi1) = np.array_split(amp, 2), np.array_split(phi, 2)
+        return (_sampled_product(amp1, phi1, energies, drive, dt, memo)
+                @ _sampled_product(amp0, phi0, energies, drive, dt, memo))
     draws = _CHUNK // max(len(levels), 1)
     out = []
     for i in range(0, len(energies), draws):
         group = energies[i : i + draws]
-        expm = _expm_batch(generator_batch(levels, group, drive), dt)  # (levels, draws, 4, 4)
+
+        def exponentials():  # (levels, draws, 4, 4)
+            return _expm_batch(generator_batch(levels, group, drive), dt)
+
+        if memo is not None and len(group) == len(energies):
+            expm = memo.get("level", levels.tobytes(), exponentials)
+        else:
+            expm = exponentials()
         step = _CHUNK // len(group)
         total = np.broadcast_to(np.eye(4, dtype=complex), (len(group), 4, 4)).copy()
-        for start in range(0, len(z), step):
-            p = np.exp(-1j * np.angle(z[start : start + step])[:, None, None] * _KVEC)  # (n, 1, 4)
+        for start in range(0, len(amp), step):
+            p = np.exp(-1j * phi[start : start + step, None, None] * _KVEC)  # (n, 1, 4)
             # The gathered copy is scaled in place, in the operand order of
             # P E P^dagger, so no (n, draws, 4, 4) temporaries are made.
             factors = expm[which[start : start + step]]
@@ -117,7 +190,8 @@ def dense_propagators(
     """
     energies = _energies(model, lo_freq, exchange_on, noise)
     dt = 1.0 / waveform.sample_rate
-    return _sampled_product(waveform.envelope, energies, drive_operator(model), dt)
+    z = waveform.envelope
+    return _sampled_product(np.abs(z), np.angle(z), energies, drive_operator(model), dt)
 
 
 def trace_propagators(
@@ -127,6 +201,7 @@ def trace_propagators(
     *,
     exchange_on: bool = False,
     noise: NoiseSample = ZERO_NOISE,
+    memo: PropagatorMemo | None = None,
 ) -> np.ndarray:
     """Total unitaries of a burst trace, one per noise draw, shape (r, 4, 4).
 
@@ -134,13 +209,18 @@ def trace_propagators(
     are summed as the DAC sums the banks.  A lone constant burst's matrix
     power depends on the draws only through ``energies`` and on the burst
     only through (amplitude, n, ftw): it is computed once per distinct
-    triple in this call and conjugated by each burst's start and end phase
-    (reference phase, start time and phase code).  Whether a burst is
-    constant is read from ``BurstSegment.constant``, recorded at play time.
+    triple and conjugated by each burst's start and end phase (reference
+    phase, start time and phase code).  Whether a burst is constant is read
+    from ``BurstSegment.constant``, recorded at play time.  Powers and
+    level-set exponentials are kept in ``memo`` (a fresh one if None) and
+    reused by later calls with the same physics.
     """
     energies = _energies(model, lo_freq, exchange_on, noise)  # (r, 4)
     drive = drive_operator(model)
     dt = 1.0 / trace.sample_rate
+    if memo is None:
+        memo = PropagatorMemo()
+    memo.bind(energies, drive, dt)
     bits = trace.phase_mod_bits
 
     # Zero-amplitude bursts (idle pads) are inert: treat them as gaps.
@@ -161,7 +241,6 @@ def trace_propagators(
         if n_samples > 0:
             total = np.exp(-2j * np.pi * dt * n_samples * energies)[:, :, None] * total
 
-    powers = {}  # (amplitude, n, ftw) -> constant-burst unitary at zero phase
     t = trace.start
     for t0, t_end, group in clusters:
         apply_gap(t0 - t)
@@ -171,20 +250,26 @@ def trace_propagators(
         if len(group) == 1 and seg.constant:
             # Sample k is sample 0 conjugated by k phase steps of the tuning
             # word, so the burst telescopes to one matrix power.
-            key = (float(amp[0]), seg.n, seg.ftw)
-            if key not in powers:
+            def power():  # the burst's unitary at zero phase
                 u_bar = _expm_batch(generator_batch(amp[:1], energies, drive)[0], dt)
                 undo_step = np.exp(2j * np.pi * seg.ftw / PHASE_WORDS * _KVEC)
-                powers[key] = np.linalg.matrix_power(u_bar * undo_step, seg.n - 1) @ u_bar
+                return np.linalg.matrix_power(u_bar * undo_step, seg.n - 1) @ u_bar
+
             ends = np.array(seg.end_words(bits))[:, None]
             p0, p_end = np.exp(-2j * np.pi * ends / PHASE_WORDS * _KVEC)
-            total = (p_end[:, None] * powers[key] * np.conj(p0)) @ total
+            u = memo.get("power", (float(amp[0]), seg.n, seg.ftw), power)
+            total = (p_end[:, None] * u * np.conj(p0)) @ total
             continue
-        z = np.zeros(t_end - t0, dtype=complex)  # idealized samples, banks summed
-        for seg in group:
-            phase = 2j * np.pi * seg.phase_words(bits) / PHASE_WORDS
-            z[seg.t0 - t0 : seg.t_end - t0] += seg.amp_values * np.exp(phase)
-        total = _sampled_product(z, energies, drive, dt) @ total
+        if len(group) == 1:
+            # Exact levels: the amplitude codes and phase words as played.
+            phi = 2 * np.pi * seg.phase_words(bits) / PHASE_WORDS
+        else:
+            z = np.zeros(t_end - t0, dtype=complex)  # idealized samples, banks summed
+            for seg in group:
+                phase = 2j * np.pi * seg.phase_words(bits) / PHASE_WORDS
+                z[seg.t0 - t0 : seg.t_end - t0] += seg.amp_values * np.exp(phase)
+            amp, phi = np.abs(z), np.angle(z)
+        total = _sampled_product(amp, phi, energies, drive, dt, memo) @ total
 
     apply_gap(trace.end - t)
     return total

@@ -1,0 +1,213 @@
+"""The trace engine's propagator memo: exact amplitude levels, reuse across
+the points of a noiseless sweep, clearing on new physics, and its bound."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import spinctl.experiments.base as base
+import spinctl.physics.evolve as evolve
+from spinctl.compiler.ir import GateOp
+from spinctl.controller.executor import TxConfig
+from spinctl.controller.nco import PHASE_WORDS, offset_to_ftw
+from spinctl.experiments import Bench, run_spectroscopy
+from spinctl.physics import DeviceModel, PropagatorMemo, trace_propagators
+from spinctl.physics.evolve import _sampled_product
+
+SPEC_STEP = 0.25e6
+
+
+def exchange_bench(**model_kw):
+    return Bench(DeviceModel(**model_kw), TxConfig(), exchange_on=True)
+
+
+def probe(bench, prepare_other=False):
+    """The spectroscopy image of qubit 2 (gaussian x2), and its probe slot."""
+    slot = bench.plan.for_qubit(2)[0]
+    branch = "both" if slot.branch == "main" else slot.branch
+    ops = [GateOp("x2", 1)] if prepare_other else []
+    ops.append(GateOp("x2", 2, shape="gaussian", branch=branch))
+    return bench.compile(ops), slot
+
+
+def retune(bench, prog, slot, freq):
+    prog.ftws[(slot.bank, slot.nco)] = offset_to_ftw(freq - bench.cfg.lo_freq, bench.cfg.f_clk)
+
+
+def sweep_freqs(n, seed=3):
+    model = DeviceModel()
+    start = model.f2 - 1.3 * model.j_on + np.random.default_rng(seed).uniform(0.0, SPEC_STEP)
+    return start + SPEC_STEP * np.arange(n)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every trace_propagators call Bench.sample makes: (args, kwargs, result)."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        props = trace_propagators(*args, **kwargs)
+        calls.append((args, kwargs, props))
+        return props
+
+    monkeypatch.setattr(base, "trace_propagators", recording)
+    return calls
+
+
+def test_lone_shaped_burst_hands_the_kernel_its_exact_amplitude_levels(monkeypatch):
+    bench = exchange_bench()
+    prog, slot = probe(bench)
+    seen = []
+    generator_batch = evolve.generator_batch
+
+    def spying(z, energies, drive):
+        seen.append(np.array(z))
+        return generator_batch(z, energies, drive)
+
+    monkeypatch.setattr(evolve, "generator_batch", spying)
+    level_bytes = []
+    for freq in (bench.model.f2 - 2e6, bench.model.f2 + 3e6):
+        retune(bench, prog, slot, freq)
+        trace = bench.run_program(prog)
+        (seg,) = [s for s in trace.segments if np.any(s.amp_values)]
+        seen.clear()
+        trace_propagators(trace, bench.model, bench.cfg.lo_freq, exchange_on=True)
+        (levels,) = seen
+        assert np.array_equal(levels, np.unique(seg.amp_values))
+        level_bytes.append(levels.tobytes())
+    assert len(np.unique(seg.amp_values)) == 186
+    assert level_bytes[0] == level_bytes[1]
+
+    # The exact levels and the complex |z|, arg z of the same samples give
+    # the same burst propagator.
+    monkeypatch.undo()
+    energies = evolve._energies(bench.model, bench.cfg.lo_freq, True, evolve.ZERO_NOISE)
+    drive, dt = evolve.drive_operator(bench.model), 1.0 / bench.cfg.f_clk
+    phi = 2 * np.pi * seg.phase_words(bench.cfg.phase_mod_bits) / PHASE_WORDS
+    z = seg.amp_values * np.exp(1j * phi)
+    exact = _sampled_product(seg.amp_values, phi, energies, drive, dt)
+    complex_abs = _sampled_product(np.abs(z), np.angle(z), energies, drive, dt)
+    assert np.max(np.abs(exact - complex_abs)) < 1e-12
+
+
+# Noisy at 12 shots, the probe's 186 levels times 12 draws exceed one
+# kernel chunk, so its exponentials are made in two draw groups.
+@pytest.mark.parametrize("sigma_detune, shots", [(0.0, 100), (50e3, 12)])
+def test_sweep_through_one_bench_matches_memo_free_calls_bit_for_bit(recorded, sigma_detune,
+                                                                     shots):
+    bench = exchange_bench(sigma_detune=sigma_detune)
+    for prepare in (False, True):
+        run_spectroscopy(bench, 2, sweep_freqs(6), shots=shots, seed=3, shape="gaussian",
+                         prepare_other=prepare, engine="trace")
+    assert len(recorded) == 12
+    for args, kwargs, props in recorded:
+        assert kwargs["memo"] is bench.memo
+        fresh = trace_propagators(*args, **{k: v for k, v in kwargs.items() if k != "memo"})
+        assert np.array_equal(props, fresh)
+
+
+def test_spectroscopy_sweep_exponentiates_each_level_once(monkeypatch):
+    # The benchmark's spectroscopy run at seed 3: two 104-point gaussian
+    # sweeps of qubit 2 on one exchange-on bench, without and with the
+    # spectator flipped.  Without the memo it took 416 _expm_batch calls
+    # over 64,680 matrices.
+    shapes = []
+    expm_batch = evolve._expm_batch
+
+    def counting(h, dt):
+        shapes.append(h.shape[:-2])
+        return expm_batch(h, dt)
+
+    monkeypatch.setattr(evolve, "_expm_batch", counting)
+    bench = exchange_bench()
+    results = [
+        run_spectroscopy(bench, 2, sweep_freqs(104), shots=100_000, seed=3, shape="gaussian",
+                         prepare_other=prepare, engine="trace")
+        for prepare in (False, True)
+    ]
+    assert len(shapes) == 3
+    assert sum(int(np.prod(s)) for s in shapes) == 188
+    # 186 probe levels once; the spectator's two constant bursts once each.
+    assert results[0].meta["propagator_memo"] == dict(
+        level_hits=103, level_misses=1, power_hits=0, power_misses=0)
+    assert results[1].meta["propagator_memo"] == dict(
+        level_hits=104, level_misses=0, power_hits=206, power_misses=2)
+
+
+@pytest.mark.parametrize("engine", ["trace", "dense"])
+def test_noiseless_sweep_reports_one_level_miss_then_hits(engine):
+    n = 5
+    res = run_spectroscopy(exchange_bench(), 2, sweep_freqs(n), shots=100, seed=1,
+                           shape="gaussian", engine=engine)
+    hits = n - 1 if engine == "trace" else 0
+    misses = 1 if engine == "trace" else 0
+    assert res.meta["propagator_memo"] == dict(
+        level_hits=hits, level_misses=misses, power_hits=0, power_misses=0)
+
+
+def test_noisy_sweep_shares_nothing_across_points_and_stays_within_the_bound(monkeypatch):
+    held = []
+    get = PropagatorMemo.get
+
+    def tracking(self, kind, key, compute):
+        value = get(self, kind, key, compute)
+        held.append(self.held)
+        return value
+
+    monkeypatch.setattr(PropagatorMemo, "get", tracking)
+    n, shots = 6, 5
+    bench = exchange_bench(sigma_detune=50e3)
+    res = run_spectroscopy(bench, 2, sweep_freqs(n), shots=shots, seed=2, shape="gaussian",
+                           prepare_other=True, engine="trace")
+    # Per point: one probe level set, two spectator powers, all new draws.
+    assert res.meta["propagator_memo"] == dict(
+        level_hits=0, level_misses=n, power_hits=0, power_misses=2 * n)
+    # Each point holds only its own entries: 186 levels and 2 powers per draw.
+    assert max(held) == (186 + 2) * shots <= PropagatorMemo.bound
+
+
+def test_a_full_memo_keeps_nothing_more_and_changes_no_result(monkeypatch, recorded):
+    bench = exchange_bench()
+    run_spectroscopy(bench, 2, sweep_freqs(3), shots=100, seed=1, shape="gaussian",
+                     prepare_other=True, engine="trace")
+    roomy = [props for _, _, props in recorded]
+    recorded.clear()
+    monkeypatch.setattr(PropagatorMemo, "bound", 2)
+    small = exchange_bench()
+    res = run_spectroscopy(small, 2, sweep_freqs(3), shots=100, seed=1, shape="gaussian",
+                           prepare_other=True, engine="trace")
+    assert small.memo.held == 2  # both powers fit; the 186 levels do not
+    assert res.meta["propagator_memo"]["level_misses"] == 3
+    assert len(recorded) == len(roomy) == 3
+    assert all(np.array_equal(a, b) for a, (_, _, b) in zip(roomy, recorded))
+
+
+@pytest.mark.parametrize("change", ["model", "drive", "lo_freq"])
+def test_memo_serves_no_entry_made_under_other_physics(change, recorded):
+    bench = exchange_bench()
+    prog, _ = probe(bench, prepare_other=True)
+    bench.sample(prog, (1, 2), 100, np.random.default_rng(0), engine="trace")
+    if change == "model":
+        bench.model = dataclasses.replace(bench.model, f2=bench.model.f2 + 0.3e6)
+    elif change == "drive":
+        bench.model.drive_coupling = (2.2e6, 1.9e6)
+    else:
+        bench.cfg.lo_freq += 0.4e6
+    fresh = Bench(bench.model, bench.cfg, exchange_on=True, plan=bench.plan, cal=bench.cal)
+    for b in (bench, fresh):
+        b.sample(prog, (1, 2), 100, np.random.default_rng(0), engine="trace")
+    first, changed, reference = (props for _, _, props in recorded)
+    assert np.array_equal(changed, reference)
+    assert not np.allclose(changed, first)
+
+
+def test_memo_is_not_part_of_bench_construction_equality_or_repr():
+    a, b = exchange_bench(), exchange_bench()
+    prog, _ = probe(a)
+    a.sample(prog, (2,), 10, np.random.default_rng(0), engine="trace")
+    assert a.memo.held > 0 and b.memo.held == 0
+    assert a == b
+    assert "memo" not in repr(a)
+    with pytest.raises(TypeError):
+        Bench(DeviceModel(), TxConfig(), memo=PropagatorMemo())
