@@ -71,6 +71,12 @@ class TxConfig:
                 raise ValueError(f"{name}={v} outside 1..{PHASE_BITS}")
 
     @property
+    def carrier(self) -> float:
+        """RF carrier the baseband is mixed onto: the LO, or its third
+        harmonic with ``rf_high``.  Qubit offsets are taken from it."""
+        return 3.0 * self.lo_freq if self.rf_high else self.lo_freq
+
+    @property
     def sample_period(self) -> float:
         return 1.0 / self.f_clk
 

@@ -47,11 +47,10 @@ def upconvert(bb: BasebandWaveform, cfg: TxConfig) -> RfSignal:
     out = direct * z + image * np.conj(z)
     if imp.lo_leakage_dbc is not None:
         out = out + 10.0 ** (imp.lo_leakage_dbc / 20.0)
-    carrier = cfg.lo_freq * (3.0 if cfg.rf_high else 1.0)
     return RfSignal(
         envelope=out,
         sample_rate=bb.sample_rate,
-        carrier_freq=carrier,
+        carrier_freq=cfg.carrier,
         gain_linear=10.0 ** (cfg.gain_db / 20.0),
         start_time=bb.start_time,
     )

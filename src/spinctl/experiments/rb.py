@@ -41,6 +41,7 @@ class RbResult:
     repetitions: int = 200
     seed: int = 0
     split_lengths: list = field(default_factory=list)
+    meta: dict = field(default_factory=dict)
 
     @property
     def fidelity_clifford(self) -> float:
@@ -171,8 +172,10 @@ def run_rb(
     depolarizing_eps: float | None = None,
 ) -> RbResult:
     """Benchmark one qubit.  Physics mode samples each sequence on the
-    structured engine (one quasi-static noise draw per repetition when the
-    model is noisy); depolarizing mode applies the analytic channel instead."""
+    structured engine (averaged over quasi-static noise when the model is
+    noisy, see ``Bench.sample``); depolarizing mode applies the analytic
+    channel instead."""
+    tally = bench.new_tally()
     lengths = list(lengths)
     per_sequence = []
     split_lengths = []
@@ -210,4 +213,5 @@ def run_rb(
         repetitions=repetitions,
         seed=seed,
         split_lengths=split_lengths,
+        meta={"quadrature": dict(tally)},
     )

@@ -33,8 +33,8 @@ def run_spectroscopy(
     """
     frequencies = np.asarray(frequencies, dtype=float)
     nyq = bench.cfg.f_clk / 2
-    if np.any(np.abs(frequencies - bench.cfg.lo_freq) >= nyq):
-        raise ValueError("sweep extends beyond the Nyquist range around the LO")
+    if np.any(np.abs(frequencies - bench.cfg.carrier) >= nyq):
+        raise ValueError("sweep extends beyond the Nyquist range around the carrier")
 
     other = 2 if qubit == 1 else 1
     probe_slot = bench.plan.for_qubit(qubit)[0]
@@ -45,15 +45,17 @@ def run_spectroscopy(
     prog = bench.compile(ops)
 
     result = SweepResult(x_name="frequency_hz", meta={"qubit": qubit, "shape": shape})
+    tally = bench.new_tally()
     before = dict(bench.memo.counts)
     for k, f in enumerate(frequencies):
         prog.ftws[(probe_slot.bank, probe_slot.nco)] = offset_to_ftw(
-            f - bench.cfg.lo_freq, bench.cfg.f_clk
+            f - bench.cfg.carrier, bench.cfg.f_clk
         )
         p1, p2 = bench.sample(prog, (1, 2), shots, shot_rng(seed, k), engine=engine) / shots
         result.add(f, p1, p2, binomial_stderr(p1 if qubit == 1 else p2, shots))
     # Memo use by this sweep (the trace engine's; the dense engine has none).
     result.meta["propagator_memo"] = {k: v - before[k] for k, v in bench.memo.counts.items()}
+    result.meta["quadrature"] = dict(tally)
     return result
 
 

@@ -3,7 +3,6 @@ from .device import (
     NoiseSample,
     ReadoutFidelity,
     ZERO_NOISE,
-    sample_noise_batch,
     shot_rng,
 )
 from .hamiltonian import detunings, transition_frequencies
@@ -22,7 +21,6 @@ __all__ = [
     "NoiseSample",
     "ReadoutFidelity",
     "ZERO_NOISE",
-    "sample_noise_batch",
     "shot_rng",
     "detunings",
     "transition_frequencies",

@@ -1,4 +1,4 @@
-"""Device parameters of the two-spin processor and quasi-static noise draws."""
+"""Device parameters of the two-spin processor and its quasi-static noise offsets."""
 
 from __future__ import annotations
 
@@ -28,9 +28,11 @@ class DeviceModel:
     """Frequencies, couplings, noise spreads, and readout of the two qubits.
 
     ``drive_coupling`` is the Rabi rate in Hz at full DAC scale, per qubit.
-    Noise sigmas parameterize quasi-static Gaussian draws, constant within
-    one shot.  Exchange is ``j_on`` or ``j_off`` depending on the barrier
-    setting chosen by the experiment.
+    Noise sigmas are the spreads of quasi-static Gaussian offsets of each
+    qubit frequency and of the exchange, constant over one run of a program
+    and independent between runs; ``Bench.sample`` averages the readout over
+    them.  Exchange is ``j_on`` or ``j_off`` depending on the barrier setting
+    chosen by the experiment.
     """
 
     f1: float = 13.564e9
@@ -68,7 +70,8 @@ class DeviceModel:
 class NoiseSample(NamedTuple):
     """Quasi-static noise: detuning offsets per qubit and exchange offset, Hz.
 
-    Fields are floats for one draw or equal-length arrays for a batch.
+    Fields are floats for one set of offsets or equal-length arrays for a
+    batch (the rows of a quadrature rule, say).
     """
 
     delta_f1: float | np.ndarray = 0.0
@@ -79,23 +82,16 @@ class NoiseSample(NamedTuple):
 ZERO_NOISE = NoiseSample()
 
 
-def sample_noise_batch(model: DeviceModel, rng: np.random.Generator, n: int) -> NoiseSample:
-    """``n`` independent Gaussian draws with the configured spreads."""
-    d1 = model.sigma_detune * rng.standard_normal(n) if model.sigma_detune else np.zeros(n)
-    d2 = model.sigma_detune * rng.standard_normal(n) if model.sigma_detune else np.zeros(n)
-    dj = model.sigma_j * rng.standard_normal(n) if model.sigma_j else np.zeros(n)
-    return NoiseSample(d1, d2, dj)
-
-
 def shot_rng(seed: int, *path: int) -> np.random.Generator:
     """Counter-based substream contract.
 
-    Point p of a sweep uses ``shot_rng(seed, p)`` for all of its shots: it
-    first draws the point's noise batch (one draw per shot, when the model
-    is noisy), then the readout.  Runners with more structure add indices
-    to the path (RB: ``(length, sequence)``; tomography: ``(point,
-    basis)``).  Every consumer of randomness derives its generator this
-    way, so results are reproducible and points parallelize without shared
-    state.
+    Point p of a sweep uses ``shot_rng(seed, p)`` for all of its shots.
+    ``Bench.sample`` takes only the readout from it, one binomial per qubit
+    read: quasi-static noise is averaged by quadrature, not drawn.  Runners
+    with more structure add indices to the path (RB: ``(length, sequence)``,
+    which draws the sequence's Cliffords before the readout; tomography:
+    ``(point, basis)``).  Every consumer of randomness derives its generator
+    this way, so results are reproducible and points parallelize without
+    shared state.
     """
     return np.random.default_rng(np.random.SeedSequence((seed, *path)))

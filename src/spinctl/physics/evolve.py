@@ -31,11 +31,13 @@ draw; each sample's factor is that exponential conjugated by its phase.
     The trace engine's store of reusable products: the kernel's exponentials
     per level set, keyed on the level bytes, and the constant-burst matrix
     powers, keyed on (amplitude, n, ftw).  Both depend on the physics only
-    through the energies (one row per noise draw), the drive operator and
-    the sample period, so the memo is bound to those: a call that brings
-    different ones empties it first.  A noiseless sweep that rewrites only
-    tuning words (spectroscopy) therefore exponentiates its envelope once;
-    a noisy point's fresh draws drop the previous point's entries.  A level
+    through the energies (one row per set of noise offsets), the drive
+    operator and the sample period, so the memo is bound to those: a call
+    that brings different ones empties it first.  A noiseless sweep that
+    rewrites only tuning words (spectroscopy) therefore exponentiates its
+    envelope once.  A noisy point brings the same rows as the one before
+    (the nodes of ``Bench.sample``'s first quadrature batch), so its
+    entries carry over too.  A level
     set is kept only when all of its draws fit one kernel chunk, and the
     memo never holds more than ``PropagatorMemo.bound`` (8 _CHUNK) matrices;
     past that, products are computed and used without being kept.  Without

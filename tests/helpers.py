@@ -4,6 +4,7 @@ import numpy as np
 
 from spinctl.controller.nco import quantize_unit
 from spinctl.experiments.cliffords import N_CLIFFORDS, recovery_index, sequence_primitives
+from spinctl.physics import DeviceModel, NoiseSample
 from spinctl.physics.state import renormalized
 
 
@@ -11,6 +12,15 @@ def final_state(propagators, n_factors, k=0):
     """Amplitudes that the first draw's unitary makes of basis state ``k``
     (index 2*q1 + q2), norm-checked over ``n_factors`` samples."""
     return renormalized(propagators[0][:, k], n_factors)
+
+
+def sample_noise_batch(model: DeviceModel, rng, n):
+    """``n`` independent Gaussian draws of the quasi-static offsets with the
+    model's spreads: the Monte Carlo reference for the quadrature average."""
+    d1 = model.sigma_detune * rng.standard_normal(n) if model.sigma_detune else np.zeros(n)
+    d2 = model.sigma_detune * rng.standard_normal(n) if model.sigma_detune else np.zeros(n)
+    dj = model.sigma_j * rng.standard_normal(n) if model.sigma_j else np.zeros(n)
+    return NoiseSample(d1, d2, dj)
 
 
 def rb_primitives(n_cliffords, seed):

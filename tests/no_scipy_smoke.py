@@ -1,10 +1,13 @@
-"""Import every spinctl module and run a small RB, the spectra and the
-two-tone report with scipy made unimportable; exits non-zero on failure.
+"""Import every spinctl module and run a small RB, one noisy dense AllXY
+pair, the spectra and the two-tone report with scipy made unimportable;
+exits non-zero on failure.
 
     python tests/no_scipy_smoke.py
 
 spinctl's runtime is numpy alone: scipy is a test-only dependency.  A
-deferred ``import scipy`` inside a function fails here too.
+deferred ``import scipy`` inside a function fails here too.  The noise
+quadrature builds its rules itself, so ``numpy.polynomial`` (about 1.7 MB
+of resident memory) must stay unloaded as well.
 """
 
 import importlib
@@ -29,14 +32,22 @@ def main():
     for module in pkgutil.walk_packages(spinctl.__path__, "spinctl."):
         importlib.import_module(module.name)
 
+    from spinctl.compiler.ir import GateOp
     from spinctl.controller.executor import TxConfig
     from spinctl.experiments import Bench, run_rb
+    from spinctl.experiments.base import gauss_hermite
     from spinctl.metrics import WINDOWS, compute_spectrum, two_tone_report
-    from spinctl.physics import DeviceModel
+    from spinctl.physics import DeviceModel, shot_rng
 
     res = run_rb(Bench(DeviceModel(), TxConfig()), (1, 10, 30, 60), n_sequences=3,
                  repetitions=50, seed=1, depolarizing_eps=0.02)
     assert 0.9 < res.p <= 1.0 and np.isfinite(res.p_stderr), res
+
+    assert gauss_hermite.cache_info().currsize == 0  # rules are made on first use
+    noisy = Bench(DeviceModel(sigma_detune=50e3), TxConfig())
+    prog = noisy.compile([GateOp("x", 2), GateOp("x", 2)])
+    (hits,) = noisy.sample(prog, (2,), 10_000, shot_rng(0, 5), engine="dense")
+    assert hits > 9_900 and noisy.quadrature["calls"] == 1, (hits, noisy.quadrature)
 
     n = 1024
     t = np.arange(n)
@@ -46,7 +57,8 @@ def main():
     report = two_tone_report(z, 100 / n, 180 / n)
     assert report["imd_worst_dbc"] < -200.0, report
 
-    loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+    loaded = sorted(name for name in sys.modules
+                    if name.partition(".")[0] == "scipy" or name.startswith("numpy.polynomial"))
     assert not loaded, loaded
     print("spinctl ran on numpy alone")
 

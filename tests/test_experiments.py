@@ -1,5 +1,6 @@
 """Experiment runners against analytic oracles, plus fixed-seed golden outputs."""
 
+import json
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from spinctl.compiler.ir import GateOp
 from spinctl.compiler.plan import hold_factor
 from spinctl.controller import executor
 from spinctl.controller.executor import TxConfig, synthesize
+from spinctl.errors import ConfigError
 from spinctl.experiments import (
     IDEAL_SIGMA_Z,
     Bench,
@@ -332,6 +334,48 @@ def test_allxy_noiseless_golden(engine, golden):
     assert run_allxy(plain_bench(), shots=1000, seed=3, engine=engine).sigma_z == golden
 
 
+def test_every_runner_reports_the_quadrature_of_its_own_calls():
+    noisy = plain_bench(sigma_detune=50e3)
+    coupled = Bench(DeviceModel(sigma_detune=50e3), TxConfig(), exchange_on=True)
+    f2 = noisy.model.f2
+    runs = [  # (calls to Bench.sample, dimensions, result)
+        (21, 1, run_allxy(noisy, shots=100, engine="trace")),
+        (2 * 3, 1, run_rb(noisy, (1, 4), n_sequences=3, repetitions=10)),
+        (2 * 4, 1, run_qst_trajectory(noisy, [0.0, 0.1e-6], shots=100)),
+        (3, 1, run_rabi(noisy, [0.1e-6, 0.2e-6, 0.3e-6], shots=100)),
+        (5, 1, run_spectroscopy(noisy, 2, f2 + 0.2e6 * np.arange(5), shots=100,
+                                engine="trace")),
+        (4, 2, run_dj(coupled, shots=100, engine="trace")),
+    ]
+    for calls, dims, res in runs:
+        q = res.meta["quadrature"]
+        assert (q["calls"], q["dims"]) == (calls, dims), res
+        assert q["rows"] >= calls * (3**dims + 5**dims)
+        assert json.loads(json.dumps(res.meta)) == res.meta
+    assert run_allxy(plain_bench(), shots=100).meta["quadrature"]["calls"] == 0
+
+
+def test_rf_high_bench_plans_and_evolves_against_the_tripled_carrier():
+    # An LO at a third of 13.54 GHz puts the rf_high carrier exactly on the
+    # default one, so the plan, the physics and the goldens are the same.
+    cfg = TxConfig(lo_freq=13.54e9 / 3, rf_high=True)
+    assert cfg.carrier == TxConfig().carrier == 13.54e9
+    bench = Bench(DeviceModel(), cfg)
+    assert bench.plan.slots == plain_bench().plan.slots
+    assert run_allxy(bench, shots=1000, seed=3, engine="trace").sigma_z == ALLXY_TRACE
+    model = DeviceModel()
+    freqs = model.f2 - model.j_on / 2 + 0.5e6 * np.arange(-3, 4)
+    res = run_spectroscopy(Bench(model, cfg, exchange_on=True), 2, freqs, shots=500, seed=7,
+                           shape="gaussian", engine="trace")
+    assert res.p1_q2 == [0.162, 0.274, 0.326, 0.39, 0.334, 0.288, 0.198]
+
+
+def test_rf_high_bench_rejects_qubits_near_the_lo_instead_of_the_carrier():
+    # The carrier sits at 13.56 GHz, 9 GHz above both qubits.
+    with pytest.raises(ConfigError, match=r"qubit 1 \(main\) offset -9030\.000 MHz"):
+        Bench(DeviceModel(f1=4.53e9, f2=4.50e9), TxConfig(lo_freq=4.52e9, rf_high=True))
+
+
 def test_dj_noiseless_golden():
     res = run_dj(exchange_bench(), shots=1000, seed=5)
     assert res.p_output_one == {"cnot": 0.96, "z_cnot": 0.968, "identity": 0.033, "x2": 0.043}
@@ -362,9 +406,10 @@ def test_qst_noiseless_golden():
 
 
 def test_rb_noisy_golden():
-    # RB keeps one stream per (length, sequence): noise batch, then readout.
+    # RB keeps one stream per (length, sequence): the sequence's Cliffords,
+    # then one binomial readout over the quadrature-averaged noise.
     res = run_rb(plain_bench(sigma_detune=300e3), (1, 8, 24), n_sequences=3,
                  repetitions=20, seed=13)
     assert [s.tolist() for s in res.per_sequence] == [
-        [0.65, 0.75, 0.9], [0.6, 0.55, 0.4], [0.55, 0.8, 0.9],
+        [0.6, 0.75, 0.9], [0.5, 0.85, 0.45], [0.65, 0.85, 0.7],
     ]

@@ -1,5 +1,5 @@
 """The trace engine's propagator memo: exact amplitude levels, reuse across
-the points of a noiseless sweep, clearing on new physics, and its bound."""
+the points of a sweep, clearing on new physics, and its bound."""
 
 import dataclasses
 
@@ -91,8 +91,9 @@ def test_lone_shaped_burst_hands_the_kernel_its_exact_amplitude_levels(monkeypat
     assert np.max(np.abs(exact - complex_abs)) < 1e-12
 
 
-# Noisy at 12 shots, the probe's 186 levels times 12 draws exceed one
-# kernel chunk, so its exponentials are made in two draw groups.
+# Noisy, the probe's 186 levels times the 9 + 25 rows of the first
+# quadrature batch (3 and 5 nodes over both detuning offsets) exceed one
+# kernel chunk, so its exponentials are made in four draw groups.
 @pytest.mark.parametrize("sigma_detune, shots", [(0.0, 100), (50e3, 12)])
 def test_sweep_through_one_bench_matches_memo_free_calls_bit_for_bit(recorded, sigma_detune,
                                                                      shots):
@@ -100,6 +101,8 @@ def test_sweep_through_one_bench_matches_memo_free_calls_bit_for_bit(recorded, s
     for prepare in (False, True):
         run_spectroscopy(bench, 2, sweep_freqs(6), shots=shots, seed=3, shape="gaussian",
                          prepare_other=prepare, engine="trace")
+    # One call per point, noisy too: the first batch's finer rule has 25
+    # rows, which reach the 12 shots, so no point refines its rule further.
     assert len(recorded) == 12
     for args, kwargs, props in recorded:
         assert kwargs["memo"] is bench.memo
@@ -146,7 +149,7 @@ def test_noiseless_sweep_reports_one_level_miss_then_hits(engine):
         level_hits=hits, level_misses=misses, power_hits=0, power_misses=0)
 
 
-def test_noisy_sweep_shares_nothing_across_points_and_stays_within_the_bound(monkeypatch):
+def test_noisy_sweep_hits_the_memo_across_points_and_stays_within_the_bound(monkeypatch):
     held = []
     get = PropagatorMemo.get
 
@@ -156,15 +159,18 @@ def test_noisy_sweep_shares_nothing_across_points_and_stays_within_the_bound(mon
         return value
 
     monkeypatch.setattr(PropagatorMemo, "get", tracking)
-    n, shots = 6, 5
-    bench = exchange_bench(sigma_detune=50e3)
-    res = run_spectroscopy(bench, 2, sweep_freqs(n), shots=shots, seed=2, shape="gaussian",
+    n = 6
+    # Exchange off, the quadrature has one dimension; every point brings the
+    # same 3 + 5 rows, so the probe's 187 levels at this calibration (8 rows
+    # each, one kernel chunk) and the spectator's power are made once for
+    # the whole sweep.
+    bench = Bench(DeviceModel(sigma_detune=50e3), TxConfig())
+    res = run_spectroscopy(bench, 2, sweep_freqs(n), shots=10_000, seed=2, shape="gaussian",
                            prepare_other=True, engine="trace")
-    # Per point: one probe level set, two spectator powers, all new draws.
+    assert res.meta["quadrature"]["rows"] == 8 * n
     assert res.meta["propagator_memo"] == dict(
-        level_hits=0, level_misses=n, power_hits=0, power_misses=2 * n)
-    # Each point holds only its own entries: 186 levels and 2 powers per draw.
-    assert max(held) == (186 + 2) * shots <= PropagatorMemo.bound
+        level_hits=n - 1, level_misses=1, power_hits=n - 1, power_misses=1)
+    assert max(held) == (187 + 1) * 8 <= PropagatorMemo.bound
 
 
 def test_a_full_memo_keeps_nothing_more_and_changes_no_result(monkeypatch, recorded):

@@ -10,7 +10,6 @@ from spinctl.physics import (
     corrected_p_up,
     measure,
     readout_probabilities,
-    sample_noise_batch,
     shot_rng,
 )
 from spinctl.errors import ConfigError
@@ -102,20 +101,6 @@ def test_correction_inverts_readout_probabilities():
 def test_measure_requires_shots():
     with pytest.raises(ValueError):
         measure(basis(0, 0), model(), 0, shot_rng(0))
-
-
-def test_noise_zero_sigmas_give_zero_offsets():
-    s = sample_noise_batch(model(), shot_rng(0, 0), 1)
-    assert (s.delta_f1[0], s.delta_f2[0], s.delta_j[0]) == (0.0, 0.0, 0.0)
-
-
-def test_noise_stddev_matches_sigma():
-    m = model(sigma_detune=10e3, sigma_j=2e3)
-    draws = sample_noise_batch(m, shot_rng(123, 0), 10_000)
-    d1, dj = draws.delta_f1, draws.delta_j
-    assert abs(d1.std() / 10e3 - 1) < 0.03
-    assert abs(dj.std() / 2e3 - 1) < 0.05
-    assert abs(d1.mean()) < 3 * 10e3 / np.sqrt(10_000)
 
 
 def test_ramsey_decay_matches_gaussian_average():
