@@ -41,14 +41,14 @@ class AllxyResult:
 def run_allxy(bench: Bench, *, qubit: int = 2, shots: int = 10_000, seed: int = 0,
               engine: str = "dense") -> AllxyResult:
     """Run the 21 pairs; readout error is removed via the confusion inverse."""
-    tally = bench.new_tally()
+    bench.new_tally()
     values = []
     for k, pair in enumerate(ALLXY_PAIRS):
         prog = bench.compile([GateOp(g, qubit) for g in pair])
         (hits,) = bench.sample(prog, (qubit,), shots, shot_rng(seed, k), engine=engine)
         values.append(2.0 * corrected_p_up(hits / shots, bench.model, qubit) - 1.0)
     return AllxyResult(pairs=list(ALLXY_PAIRS), sigma_z=values, shots=shots, seed=seed,
-                       meta={"quadrature": dict(tally)})
+                       meta=bench.tallies())
 
 
 def allxy_oracle(amplitude_scale: float = 1.0, detuning_phase: float = 0.0) -> np.ndarray:

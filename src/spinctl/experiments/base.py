@@ -4,10 +4,10 @@ Every experiment goes compiler -> transmitter -> physics -> readout and
 differs only in the programs it builds and the statistics it extracts.
 ``Bench.sample`` is that path: one play of a compiled program into a burst
 trace, one batched propagator stack on the chosen engine, vectorized
-readout.  DAC samples are synthesized only for the dense engine.  The trace
-engine shares one ``PropagatorMemo`` per bench across calls, so a sweep
-that only retunes an NCO reuses every exponential; ``Bench.memo.counts``
-tallies its hits and misses.
+readout.  DAC samples are synthesized only for the dense engine.  Every
+trace-engine call goes through the bench's one ``PropagatorMemo``, keyed
+on the physics, so a sweep that only retunes an NCO reuses every
+exponential and each quadrature rule reuses those of earlier points.
 
 Quasi-static noise is averaged, not sampled.  Readout is affine in the
 populations and ``sample`` returns per-qubit counts only, so each count is
@@ -15,8 +15,9 @@ Binomial(shots, E_noise[P(read 1)]).  That expectation is a Gaussian
 integral over the noise offsets with spread, which a Gauss-Hermite rule
 evaluates: one propagator row per node, whatever the shot count.  The rule
 is refined along ``NODE_LADDER`` until two successive rules agree well
-inside the binomial standard error of the shots; ``Bench.quadrature``
-tallies what that took.
+inside the binomial standard error of the shots.  Each runner zeroes
+``Bench.quadrature`` and the memo's counts (``Bench.new_tally``) and copies
+both into its result's meta, so they describe that run alone.
 
 Randomness follows the substream contract in ``spinctl.physics.device``:
 point p of an experiment seeded with ``seed`` draws its readout from
@@ -127,12 +128,12 @@ class Bench:
     target_rabi: float = 1e6
     plan: FrequencyPlan = None
     cal: CalibrationSet = None
-    # Trace-engine products reused across ``sample`` calls; emptied whenever
-    # a call's energies, drive operator or sample period differ.
+    # Trace-engine products reused across ``sample`` calls, each keyed on the
+    # energies, drive operator and sample period it was made under.
     memo: PropagatorMemo = field(default_factory=PropagatorMemo, init=False, repr=False,
                                  compare=False)
-    # Noisy ``sample`` calls add to this; each runner starts a fresh one and
-    # copies it into its result's meta["quadrature"].
+    # Noisy ``sample`` calls add to this; each runner starts a fresh one with
+    # ``new_tally`` and copies it into its result's meta["quadrature"].
     quadrature: dict = field(default_factory=quadrature_tally, init=False, repr=False,
                              compare=False)
 
@@ -166,10 +167,14 @@ class Bench:
         """Play all triggers on a fresh transmitter; returns the burst trace."""
         return Transmitter(self.cfg, prog.ftws).play(prog.images)
 
-    def new_tally(self) -> dict:
-        """Start a fresh ``quadrature`` tally and return it."""
+    def new_tally(self) -> None:
+        """Start a fresh ``quadrature`` tally and zero the memo's counts."""
         self.quadrature = quadrature_tally()
-        return self.quadrature
+        self.memo.counts = dict.fromkeys(self.memo.counts, 0)
+
+    def tallies(self) -> dict:
+        """Copies of both tallies since ``new_tally``, for a result's meta."""
+        return {"quadrature": dict(self.quadrature), "propagator_memo": dict(self.memo.counts)}
 
     def sample(self, prog: CompiledProgram, qubits, shots: int, rng: np.random.Generator,
                *, engine: str = "dense") -> np.ndarray:
@@ -180,25 +185,28 @@ class Bench:
         noiseless model evolves once.  A noisy one averages P(read 1) over
         the quasi-static offsets with a Gauss-Hermite rule over
         ``noise_axes``: rules of 3 and 5 nodes per axis in one propagator
-        batch (so the bench's memo stays bound to one set of energies), then
-        each next rule of ``NODE_LADDER`` on its own, until the last two
-        agree within AGREEMENT * 0.5 / sqrt(shots) on every qubit read, a
-        rule's rows reach ``shots``, or the ladder ends.  The finer rule is
-        kept and the call is added to ``quadrature``.
+        batch (one pass over the trace), then each next rule of
+        ``NODE_LADDER`` on its own, until the last two agree within
+        AGREEMENT * 0.5 / sqrt(shots) on every qubit read, a rule's rows
+        reach ``shots``, or the ladder ends.  The finer rule is kept and the
+        call is added to ``quadrature``.
         """
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
         if shots < 1:
             raise ValueError("shots must be at least 1")
+        bad = [q for q in qubits if q not in (1, 2)]
+        if bad or len(qubits) == 0:
+            raise ValueError(f"read qubit 1, 2 or both, not {repr(bad[0]) if bad else 'none'}")
         trace = self.run_program(prog)
         waveform = synthesize(trace, self.cfg) if engine == "dense" else None
         read = np.subtract(qubits, 1)
 
-        def p_read1(noise, memo):  # (len(qubits), rows)
+        def p_read1(noise):  # (len(qubits), rows)
             physics = dict(model=self.model, lo_freq=self.cfg.carrier,
                            exchange_on=self.exchange_on, noise=noise)
             if engine == "trace":
-                props = trace_propagators(trace, **physics, memo=memo)
+                props = trace_propagators(trace, **physics, memo=self.memo)
             else:
                 props = dense_propagators(waveform, **physics)
             amps = renormalized(props[:, :, 0], trace.n_samples)  # each unitary applied to |00>
@@ -206,10 +214,10 @@ class Bench:
 
         axes = noise_axes(self.model, self.exchange_on)
         if not axes:
-            return rng.binomial(shots, p_read1(ZERO_NOISE, self.memo)[:, 0])
+            return rng.binomial(shots, p_read1(ZERO_NOISE)[:, 0])
         (coarse, w_coarse), (fine, w_fine) = (noise_rule(axes, n) for n in NODE_LADDER[:2])
         both = NoiseSample(*(np.concatenate(pair) for pair in zip(coarse, fine)))
-        p = p_read1(both, self.memo)
+        p = p_read1(both)
         previous, current = p[:, : len(w_coarse)] @ w_coarse, p[:, len(w_coarse) :] @ w_fine
         rows, level = len(p[0]), 1
         tol = AGREEMENT * 0.5 / shots**0.5
@@ -219,8 +227,7 @@ class Bench:
                 break
             level += 1
             fine, w_fine = noise_rule(axes, NODE_LADDER[level])
-            # A fresh memo: the bench's stays bound to the first batch's energies.
-            previous, current = current, p_read1(fine, None) @ w_fine
+            previous, current = current, p_read1(fine) @ w_fine
             rows += len(w_fine)
         tally = self.quadrature
         tally["calls"] += 1

@@ -63,7 +63,7 @@ def run_dj(bench: Bench, *, shots: int = 10_000, seed: int = 0,
     """
     if not bench.exchange_on:
         raise ValueError("the algorithm needs an exchange-on frequency plan")
-    tally = bench.new_tally()
+    bench.new_tally()
     p_out, err = {}, {}
     slope = correction_slope(bench.model, 2)
     for k, oracle in enumerate(ORACLES):
@@ -73,4 +73,4 @@ def run_dj(bench: Bench, *, shots: int = 10_000, seed: int = 0,
         err[oracle] = slope * binomial_stderr(hits / shots, shots)
     clipped = [oracle for oracle in ORACLES if p_out[oracle] in (0.0, 1.0)]
     return DjResult(p_output_one=p_out, stderr=err, shots=shots, seed=seed,
-                    meta={"clipped": clipped, "quadrature": dict(tally)})
+                    meta={"clipped": clipped, **bench.tallies()})

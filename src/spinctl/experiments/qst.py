@@ -69,7 +69,7 @@ def measured_projection(bench: Bench, prefix_ops, basis_gate, qubit, shots, rng)
 def run_qst_trajectory(bench: Bench, times, *, qubit: int = 2, shots: int = 1000,
                        seed: int = 0) -> TomoResult:
     """Tomography of the state after an x burst of each duration in ``times``."""
-    tally = bench.new_tally()
+    bench.new_tally()
     result = TomoResult(shots_per_basis=shots, seed=seed)
     for idx, t in enumerate(times):
         prefix = [] if t <= 0 else [GateOp("x2", qubit, duration=float(t))]
@@ -92,5 +92,5 @@ def run_qst_trajectory(bench: Bench, times, *, qubit: int = 2, shots: int = 1000
                 physical_before_mle=physical,
             )
         )
-    result.meta["quadrature"] = dict(tally)
+    result.meta.update(bench.tallies())
     return result

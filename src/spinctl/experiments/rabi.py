@@ -57,7 +57,7 @@ def run_rabi(
     prog = CompiledProgram(images=[img], ftws=bench.plan.ftws(), report={})
     idle = CompiledProgram(images=[], ftws=prog.ftws, report={})
 
-    tally = bench.new_tally()
+    bench.new_tally()
     result = SweepResult(
         x_name="duration_s", meta={"qubit": qubit, "simultaneous": simultaneous}
     )
@@ -69,5 +69,5 @@ def run_rabi(
         counts = bench.sample(prog if n > 0 else idle, (1, 2), shots, shot_rng(seed, k))
         p1, p2 = counts / shots
         result.add(t, p1, p2, binomial_stderr(p1 if qubit == 1 else p2, shots))
-    result.meta["quadrature"] = dict(tally)
+    result.meta.update(bench.tallies())
     return result

@@ -175,7 +175,7 @@ def run_rb(
     structured engine (averaged over quasi-static noise when the model is
     noisy, see ``Bench.sample``); depolarizing mode applies the analytic
     channel instead."""
-    tally = bench.new_tally()
+    bench.new_tally()
     lengths = list(lengths)
     per_sequence = []
     split_lengths = []
@@ -213,5 +213,5 @@ def run_rb(
         repetitions=repetitions,
         seed=seed,
         split_lengths=split_lengths,
-        meta={"quadrature": dict(tally)},
+        meta=bench.tallies(),
     )

@@ -45,17 +45,14 @@ def run_spectroscopy(
     prog = bench.compile(ops)
 
     result = SweepResult(x_name="frequency_hz", meta={"qubit": qubit, "shape": shape})
-    tally = bench.new_tally()
-    before = dict(bench.memo.counts)
+    bench.new_tally()
     for k, f in enumerate(frequencies):
         prog.ftws[(probe_slot.bank, probe_slot.nco)] = offset_to_ftw(
             f - bench.cfg.carrier, bench.cfg.f_clk
         )
         p1, p2 = bench.sample(prog, (1, 2), shots, shot_rng(seed, k), engine=engine) / shots
         result.add(f, p1, p2, binomial_stderr(p1 if qubit == 1 else p2, shots))
-    # Memo use by this sweep (the trace engine's; the dense engine has none).
-    result.meta["propagator_memo"] = {k: v - before[k] for k, v in bench.memo.counts.items()}
-    result.meta["quadrature"] = dict(tally)
+    result.meta.update(bench.tallies())
     return result
 
 

@@ -18,31 +18,30 @@ draw; each sample's factor is that exponential conjugated by its phase.
     requantization) of the trace itself; no samples are synthesized.  A lone
     constant burst telescopes to one matrix power, which is what makes
     randomized benchmarking tractable.  That power is computed once per
-    distinct (amplitude, n, ftw) per memo and conjugated into each burst's
-    own phase frame, so a sequence that replays a few calibrated bursts
-    exponentiates only those few.  A shaped burst, or bursts on both banks
-    at once, go through the kernel.  A lone burst hands the kernel its
-    amplitude-grid values and phase-word angles as they are, so its levels
-    are exactly the envelope's distinct amplitude codes at any tuning word;
-    a cluster of overlapping bursts takes |z| and arg z of its summed
-    samples, as the dense engine does.
+    distinct (amplitude, n, ftw) under each physics per memo and conjugated
+    into each burst's own phase frame, so a sequence that replays a few
+    calibrated bursts exponentiates only those few.  A shaped burst, or
+    bursts on both banks at once, go through the kernel.  A lone burst hands
+    the kernel its amplitude-grid values and phase-word angles as they are,
+    so its levels are exactly the envelope's distinct amplitude codes at any
+    tuning word; a cluster of overlapping bursts takes |z| and arg z of its
+    summed samples, as the dense engine does.
 
 ``PropagatorMemo``
-    The trace engine's store of reusable products: the kernel's exponentials
-    per level set, keyed on the level bytes, and the constant-burst matrix
-    powers, keyed on (amplitude, n, ftw).  Both depend on the physics only
-    through the energies (one row per set of noise offsets), the drive
-    operator and the sample period, so the memo is bound to those: a call
-    that brings different ones empties it first.  A noiseless sweep that
-    rewrites only tuning words (spectroscopy) therefore exponentiates its
-    envelope once.  A noisy point brings the same rows as the one before
-    (the nodes of ``Bench.sample``'s first quadrature batch), so its
-    entries carry over too.  A level
-    set is kept only when all of its draws fit one kernel chunk, and the
-    memo never holds more than ``PropagatorMemo.bound`` (8 _CHUNK) matrices;
-    past that, products are computed and used without being kept.  Without
-    a memo argument a call gets a fresh one, so repeats within the call are
-    still shared.  ``Bench`` owns one; the dense engine uses none.
+    The trace engine's store of reusable products, each keyed on the
+    physics it was made under: a kernel exponential set on (its draw
+    group's energy rows, drive operator, sample period, level bytes), a
+    constant-burst matrix power on (energies, drive operator, sample period,
+    amplitude, n, ftw).  A product made under other physics is never served,
+    because its key differs, so nothing is ever emptied.  A noiseless sweep
+    that rewrites only tuning words (spectroscopy) therefore exponentiates
+    its envelope once.  A noisy point brings the same rows as the one before
+    (the nodes of each rule of ``Bench.sample``'s quadrature), so its entries
+    carry over too, draw group by draw group.  The memo never holds more
+    than ``PropagatorMemo.bound`` (8 _CHUNK) matrices; past that, products
+    are computed and used without being kept.  Without a memo argument a
+    call gets a fresh one, so repeats within the call are still shared.
+    ``Bench`` owns one; the dense engine uses none.
 
 The result is the only representation of an evolved program: the final
 state from basis state k is column k of a unitary, checked and rescaled by
@@ -86,12 +85,12 @@ def _ordered_product(us: np.ndarray) -> np.ndarray:
 
 
 class PropagatorMemo:
-    """Exponentials and constant-burst powers shared by the trace-engine
-    calls made with the same energies, drive operator and sample period.
+    """Exponentials and constant-burst powers shared by trace-engine calls,
+    each keyed on the physics it was made under.
 
     ``counts`` tallies hits and misses, separately for level sets and for
-    powers, over the memo's life; ``held`` is the number of 4x4 matrices
-    kept now.
+    powers, since the memo was made or ``Bench.new_tally`` last zeroed them;
+    ``held`` is the number of 4x4 matrices kept now.
     """
 
     bound = 8 * _CHUNK  # matrices held at most
@@ -99,17 +98,7 @@ class PropagatorMemo:
     def __init__(self):
         self.counts = dict.fromkeys(("level_hits", "level_misses", "power_hits", "power_misses"), 0)
         self.held = 0
-        self._physics = None
         self._tables = {"level": {}, "power": {}}
-
-    def bind(self, energies: np.ndarray, drive: np.ndarray, dt: float) -> None:
-        """Empty the memo unless it was filled under exactly this physics."""
-        physics = (energies.shape, energies.tobytes(), drive.tobytes(), dt)
-        if physics != self._physics:
-            self._physics = physics
-            for table in self._tables.values():
-                table.clear()
-            self.held = 0
 
     def get(self, kind: str, key, compute) -> np.ndarray:
         """The ``kind`` ("level" or "power") product stored under ``key``,
@@ -138,8 +127,8 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
     exponentiated once per distinct amplitude and draw.  At most _CHUNK
     exponentials and _CHUNK gathered sample-draw factors are held at once:
     the draws are taken in groups that fit beside the distinct amplitudes,
-    and an envelope with more than _CHUNK of them is split in halves.  When
-    all draws fit one group, the exponentials come from ``memo``.
+    and an envelope with more than _CHUNK of them is split in halves.  Each
+    group's exponentials come from ``memo``, keyed on the group's rows.
     """
     levels, which = np.unique(amp, return_inverse=True)
     if len(levels) > _CHUNK:
@@ -154,8 +143,9 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
         def exponentials():  # (levels, draws, 4, 4)
             return _expm_batch(generator_batch(levels, group, drive), dt)
 
-        if memo is not None and len(group) == len(energies):
-            expm = memo.get("level", levels.tobytes(), exponentials)
+        if memo is not None:
+            key = (group.tobytes(), drive.tobytes(), dt, levels.tobytes())
+            expm = memo.get("level", key, exponentials)
         else:
             expm = exponentials()
         step = _CHUNK // len(group)
@@ -209,20 +199,24 @@ def trace_propagators(
 
     Bursts that overlap in time form one cluster, whose idealized samples
     are summed as the DAC sums the banks.  A lone constant burst's matrix
-    power depends on the draws only through ``energies`` and on the burst
-    only through (amplitude, n, ftw): it is computed once per distinct
-    triple and conjugated by each burst's start and end phase (reference
-    phase, start time and phase code).  Whether a burst is constant is read
-    from ``BurstSegment.constant``, recorded at play time.  Powers and
-    level-set exponentials are kept in ``memo`` (a fresh one if None) and
-    reused by later calls with the same physics.
+    power depends on the physics only through the energies (one row per
+    noise draw), the drive operator and the sample period, and on the burst
+    only through (amplitude, n, ftw): it is kept in ``memo`` under all six,
+    and conjugated by each burst's start and end phase (reference phase,
+    start time and phase code).  Whether a burst is constant is read from
+    ``BurstSegment.constant``, recorded at play time.  The kernel keeps its
+    exponentials in ``memo`` per draw group, under that group's energy rows,
+    the drive operator, the sample period and the level bytes.  Any later
+    call made under the same physics reuses both; an entry made under other
+    physics is never served, because its key differs.  Without ``memo`` the
+    call makes a fresh one, so repeats within the call are still shared.
     """
     energies = _energies(model, lo_freq, exchange_on, noise)  # (r, 4)
     drive = drive_operator(model)
     dt = 1.0 / trace.sample_rate
     if memo is None:
         memo = PropagatorMemo()
-    memo.bind(energies, drive, dt)
+    physics = (energies.tobytes(), drive.tobytes(), dt)  # the power keys' common part
     bits = trace.phase_mod_bits
 
     # Zero-amplitude bursts (idle pads) are inert: treat them as gaps.
@@ -259,7 +253,7 @@ def trace_propagators(
 
             ends = np.array(seg.end_words(bits))[:, None]
             p0, p_end = np.exp(-2j * np.pi * ends / PHASE_WORDS * _KVEC)
-            u = memo.get("power", (float(amp[0]), seg.n, seg.ftw), power)
+            u = memo.get("power", physics + (float(amp[0]), seg.n, seg.ftw), power)
             total = (p_end[:, None] * u * np.conj(p0)) @ total
             continue
         if len(group) == 1:

@@ -309,6 +309,14 @@ def test_sample_rejects_unknown_engine_and_empty_shot_count():
         bench.sample(prog, (2,), 0, shot_rng(0, 0))
 
 
+@pytest.mark.parametrize("qubits, named", [((), "none"), ((3,), "3"), ((2, 0), "0")])
+def test_sample_rejects_qubits_the_device_does_not_have(qubits, named):
+    bench = plain_bench()
+    prog = bench.compile([GateOp("x", 2)])
+    with pytest.raises(ValueError, match=f"1, 2 or both, not {named}$"):
+        bench.sample(prog, qubits, 10, shot_rng(0, 0))
+
+
 # --- golden outputs -------------------------------------------------------------
 # Noiseless runs draw one binomial per qubit and point; these values were
 # recorded before the runners shared one sampling path and must not move.

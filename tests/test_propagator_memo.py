@@ -1,5 +1,6 @@
 """The trace engine's propagator memo: exact amplitude levels, reuse across
-the points of a sweep, clearing on new physics, and its bound."""
+the points of a sweep and the rules of the noise quadrature, keys that
+carry the physics, per-run counts, and its bound."""
 
 import dataclasses
 
@@ -11,7 +12,8 @@ import spinctl.physics.evolve as evolve
 from spinctl.compiler.ir import GateOp
 from spinctl.controller.executor import TxConfig
 from spinctl.controller.nco import PHASE_WORDS, offset_to_ftw
-from spinctl.experiments import Bench, run_spectroscopy
+from spinctl.experiments import (Bench, run_allxy, run_dj, run_qst_trajectory, run_rabi, run_rb,
+                                 run_spectroscopy)
 from spinctl.physics import DeviceModel, PropagatorMemo, trace_propagators
 from spinctl.physics.evolve import _sampled_product
 
@@ -93,17 +95,24 @@ def test_lone_shaped_burst_hands_the_kernel_its_exact_amplitude_levels(monkeypat
 
 # Noisy, the probe's 186 levels times the 9 + 25 rows of the first
 # quadrature batch (3 and 5 nodes over both detuning offsets) exceed one
-# kernel chunk, so its exponentials are made in four draw groups.
-@pytest.mark.parametrize("sigma_detune, shots", [(0.0, 100), (50e3, 12)])
+# kernel chunk, so its exponentials are made in draw groups of 11 rows, each
+# kept under its own rows.  At a 1 MHz spread the sweep with the spectator
+# flipped refines its rule to 9 nodes, so finer rules share the memo too.
+@pytest.mark.parametrize("sigma_detune, shots", [(0.0, 100), (50e3, 12), (1e6, 50)])
 def test_sweep_through_one_bench_matches_memo_free_calls_bit_for_bit(recorded, sigma_detune,
                                                                      shots):
     bench = exchange_bench(sigma_detune=sigma_detune)
+    nodes = []
     for prepare in (False, True):
         run_spectroscopy(bench, 2, sweep_freqs(6), shots=shots, seed=3, shape="gaussian",
                          prepare_other=prepare, engine="trace")
-    # One call per point, noisy too: the first batch's finer rule has 25
-    # rows, which reach the 12 shots, so no point refines its rule further.
-    assert len(recorded) == 12
+        nodes.append(bench.quadrature["nodes"])
+    # One call per point unless a point refines its rule past the first
+    # batch: at 12 shots the batch's finer rule has 25 rows, which reach the
+    # shots, so only the 1 MHz case climbs, one more call per finer rule.
+    climbed = sigma_detune == 1e6
+    assert (max(nodes) > 5) == climbed
+    assert (len(recorded) > 12) == climbed
     for args, kwargs, props in recorded:
         assert kwargs["memo"] is bench.memo
         fresh = trace_propagators(*args, **{k: v for k, v in kwargs.items() if k != "memo"})
@@ -147,6 +156,37 @@ def test_noiseless_sweep_reports_one_level_miss_then_hits(engine):
     misses = 1 if engine == "trace" else 0
     assert res.meta["propagator_memo"] == dict(
         level_hits=hits, level_misses=misses, power_hits=0, power_misses=0)
+
+
+def test_noisy_exchange_on_sweep_keeps_every_draw_group_of_its_levels():
+    # The probe's 186 levels take draw groups of _CHUNK // 186 = 11 rows, so
+    # the 9 + 25 rows of the first quadrature batch make four groups.  Each
+    # is exponentiated at the first point and served at every later one.
+    n, rows = 5, 9 + 25
+    res = run_spectroscopy(exchange_bench(sigma_detune=50e3), 2, sweep_freqs(n), shots=12,
+                           seed=3, shape="gaussian", engine="trace")
+    assert res.meta["quadrature"]["rows"] == rows * n  # no point refines its rule
+    groups = -(-rows // (evolve._CHUNK // 186))
+    assert groups == 4
+    assert res.meta["propagator_memo"] == dict(
+        level_hits=groups * (n - 1), level_misses=groups, power_hits=0, power_misses=0)
+
+
+def test_each_runner_reports_the_memo_use_of_its_own_run():
+    bench = Bench(DeviceModel(), TxConfig())
+    # AllXY's 21 pairs play 36 constant bursts of two kinds (pi and pi/2);
+    # a second run on the same bench counts from zero and misses nothing.
+    first = run_allxy(bench, shots=100, engine="trace").meta["propagator_memo"]
+    again = run_allxy(bench, shots=100, engine="trace").meta["propagator_memo"]
+    assert first == dict(level_hits=0, level_misses=0, power_hits=34, power_misses=2)
+    assert again == dict(level_hits=0, level_misses=0, power_hits=36, power_misses=0)
+    rb = run_rb(bench, (1, 4), n_sequences=2, repetitions=10).meta["propagator_memo"]
+    assert rb["power_misses"] == 0 and rb["power_hits"] > 0
+    zeros = dict.fromkeys(first, 0)  # the dense engine uses no memo
+    dense = [run_allxy(bench, shots=100), run_rabi(bench, [0.1e-6], shots=100),
+             run_qst_trajectory(bench, [0.1e-6], shots=100), run_dj(exchange_bench(), shots=100)]
+    for res in dense:
+        assert res.meta["propagator_memo"] == zeros
 
 
 def test_noisy_sweep_hits_the_memo_across_points_and_stays_within_the_bound(monkeypatch):
