@@ -33,14 +33,16 @@ draw; each sample's factor is that exponential conjugated by its phase.
     group's energy rows, drive operator, sample period, level bytes), a
     constant-burst matrix power on (energies, drive operator, sample period,
     amplitude, n, ftw).  A product made under other physics is never served,
-    because its key differs, so nothing is ever emptied.  A noiseless sweep
-    that rewrites only tuning words (spectroscopy) therefore exponentiates
-    its envelope once.  A noisy point brings the same rows as the one before
-    (the nodes of each rule of ``Bench.sample``'s quadrature), so its entries
-    carry over too, draw group by draw group.  The memo never holds more
-    than ``PropagatorMemo.bound`` (8 _CHUNK) matrices; past that, products
-    are computed and used without being kept.  Without a memo argument a
-    call gets a fresh one, so repeats within the call are still shared.
+    because its key differs.  A noiseless sweep that rewrites only tuning
+    words (spectroscopy) therefore exponentiates its envelope once.  A noisy
+    point brings the same rows as the one before (the nodes of each rule of
+    ``Bench.sample``'s quadrature), so its entries carry over too, draw
+    group by draw group.  The memo holds at most ``PropagatorMemo.bound``
+    (8 _CHUNK) matrices: a product that does not fit beside those held
+    empties it first, so products of physics no longer in use cannot crowd
+    out the current ones, and one larger than the bound is not kept.
+    Without a memo argument a call gets a fresh one, so repeats within the
+    call are still shared.
     ``Bench`` owns one; the dense engine uses none.
 
 The result is the only representation of an evolved program: the final
@@ -90,36 +92,37 @@ class PropagatorMemo:
 
     ``counts`` tallies hits and misses, separately for level sets and for
     powers, since the memo was made or ``Bench.new_tally`` last zeroed them;
-    ``held`` is the number of 4x4 matrices kept now.
+    ``held`` is the number of 4x4 matrices kept now, at most ``bound``.
     """
 
     bound = 8 * _CHUNK  # matrices held at most
 
     def __init__(self):
         self.counts = dict.fromkeys(("level_hits", "level_misses", "power_hits", "power_misses"), 0)
-        self.held = 0
-        self._tables = {"level": {}, "power": {}}
+        self.held, self._tables = 0, {"level": {}, "power": {}}
 
     def get(self, kind: str, key, compute) -> np.ndarray:
         """The ``kind`` ("level" or "power") product stored under ``key``,
-        made by ``compute()`` on a miss and kept if it fits the bound."""
-        table = self._tables[kind]
-        value = table.get(key)
+        made by ``compute()`` on a miss and kept if it fits the bound; one
+        that does not fit beside what is held empties the memo first."""
+        value = self._tables[kind].get(key)
         if value is not None:
             self.counts[kind + "_hits"] += 1
             return value
         self.counts[kind + "_misses"] += 1
         value = compute()
         size = value.size // 16
-        if self.held + size <= self.bound:
+        if size <= self.bound:
+            if self.held + size > self.bound:
+                self._tables, self.held = {"level": {}, "power": {}}, 0
             value.flags.writeable = False  # shared by every later hit
-            table[key] = value
+            self._tables[kind][key] = value
             self.held += size
         return value
 
 
 def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, drive: np.ndarray,
-                     dt: float, memo: PropagatorMemo | None = None) -> np.ndarray:
+                     dt: float, memo: PropagatorMemo | None = None, operator=None) -> np.ndarray:
     """Ordered product of the per-sample propagators of the envelope
     ``amp * exp(1j * phi)``, one per row of ``energies``, shape (r, 4, 4).
 
@@ -128,13 +131,14 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
     exponentials and _CHUNK gathered sample-draw factors are held at once:
     the draws are taken in groups that fit beside the distinct amplitudes,
     and an envelope with more than _CHUNK of them is split in halves.  Each
-    group's exponentials come from ``memo``, keyed on the group's rows.
+    group's exponentials come from ``memo``, keyed on the group's rows,
+    ``operator`` (the drive and dt key part) and the level bytes.
     """
     levels, which = np.unique(amp, return_inverse=True)
     if len(levels) > _CHUNK:
         (amp0, amp1), (phi0, phi1) = np.array_split(amp, 2), np.array_split(phi, 2)
-        return (_sampled_product(amp1, phi1, energies, drive, dt, memo)
-                @ _sampled_product(amp0, phi0, energies, drive, dt, memo))
+        return (_sampled_product(amp1, phi1, energies, drive, dt, memo, operator)
+                @ _sampled_product(amp0, phi0, energies, drive, dt, memo, operator))
     draws = _CHUNK // max(len(levels), 1)
     out = []
     for i in range(0, len(energies), draws):
@@ -143,11 +147,8 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
         def exponentials():  # (levels, draws, 4, 4)
             return _expm_batch(generator_batch(levels, group, drive), dt)
 
-        if memo is not None:
-            key = (group.tobytes(), drive.tobytes(), dt, levels.tobytes())
-            expm = memo.get("level", key, exponentials)
-        else:
-            expm = exponentials()
+        expm = (exponentials() if memo is None else
+                memo.get("level", (group.tobytes(), *operator, levels.tobytes()), exponentials))
         step = _CHUNK // len(group)
         total = np.broadcast_to(np.eye(4, dtype=complex), (len(group), 4, 4)).copy()
         for start in range(0, len(amp), step):
@@ -214,9 +215,9 @@ def trace_propagators(
     energies = _energies(model, lo_freq, exchange_on, noise)  # (r, 4)
     drive = drive_operator(model)
     dt = 1.0 / trace.sample_rate
-    if memo is None:
-        memo = PropagatorMemo()
-    physics = (energies.tobytes(), drive.tobytes(), dt)  # the power keys' common part
+    memo = PropagatorMemo() if memo is None else memo
+    operator = (drive.tobytes(), dt)  # the physics every key holds beside its energy rows
+    physics = (energies.tobytes(), *operator)  # the power keys' common part
     bits = trace.phase_mod_bits
 
     # Zero-amplitude bursts (idle pads) are inert: treat them as gaps.
@@ -265,7 +266,7 @@ def trace_propagators(
                 phase = 2j * np.pi * seg.phase_words(bits) / PHASE_WORDS
                 z[seg.t0 - t0 : seg.t_end - t0] += seg.amp_values * np.exp(phase)
             amp, phi = np.abs(z), np.angle(z)
-        total = _sampled_product(amp, phi, energies, drive, dt, memo) @ total
+        total = _sampled_product(amp, phi, energies, drive, dt, memo, operator) @ total
 
     apply_gap(trace.end - t)
     return total
