@@ -143,13 +143,19 @@ class BurstSegment:
         mod = self.phase_codes << (PHASE_BITS - phase_mod_bits)
         return (self.ftw * k + self.ref_word + mod) % PHASE_WORDS
 
-    def end_words(self, phase_mod_bits: int) -> tuple[int, int]:
-        """Output phase words of the first and the last sample, the ends of
-        ``phase_words`` without building it."""
-        shift = PHASE_BITS - phase_mod_bits
-        first = self.ftw * (self.t0 + 1) + (int(self.phase_codes[0]) << shift)
-        last = self.ftw * self.t_end + (int(self.phase_codes[-1]) << shift)
-        return (first + self.ref_word) % PHASE_WORDS, (last + self.ref_word) % PHASE_WORDS
+
+def end_words(segments, phase_mod_bits: int) -> np.ndarray:
+    """Output phase words of the first and the last sample of each burst,
+    shape (2, len(segments)): the ends of ``BurstSegment.phase_words``
+    without building them.  Each word is formed in Python's exact integers
+    and reduced before it is stored, so no int64 product can overflow."""
+    shift = PHASE_BITS - phase_mod_bits
+    return np.array([
+        [(s.ftw * (s.t0 + 1) + s.ref_word + (int(s.phase_codes[0]) << shift)) % PHASE_WORDS
+         for s in segments],
+        [(s.ftw * (s.t0 + s.n) + s.ref_word + (int(s.phase_codes[-1]) << shift)) % PHASE_WORDS
+         for s in segments],
+    ], dtype=np.int64)
 
 
 @dataclass

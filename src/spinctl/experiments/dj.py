@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..compiler.ir import GateOp
+from ..errors import ConfigError
 from ..physics import corrected_p_up, shot_rng
 from ..physics.readout import correction_slope
 from .base import Bench, binomial_stderr
@@ -62,7 +63,9 @@ def run_dj(bench: Bench, *, shots: int = 10_000, seed: int = 0,
     ``meta["clipped"]``: there the linear stderr understates the spread.
     """
     if not bench.exchange_on:
-        raise ValueError("the algorithm needs an exchange-on frequency plan")
+        raise ConfigError("Deutsch-Jozsa needs the exchange-on frequency plan of its "
+                          "controlled rotations; build the bench with "
+                          "Bench(..., exchange_on=True)")
     bench.new_tally()
     p_out, err = {}, {}
     slope = correction_slope(bench.model, 2)

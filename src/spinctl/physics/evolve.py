@@ -18,14 +18,18 @@ draw; each sample's factor is that exponential conjugated by its phase.
     requantization) of the trace itself; no samples are synthesized.  A lone
     constant burst telescopes to one matrix power, which is what makes
     randomized benchmarking tractable.  That power is computed once per
-    distinct (amplitude, n, ftw) under each physics per memo and conjugated
-    into each burst's own phase frame, so a sequence that replays a few
-    calibrated bursts exponentiates only those few.  A shaped burst, or
-    bursts on both banks at once, go through the kernel.  A lone burst hands
-    the kernel its amplitude-grid values and phase-word angles as they are,
-    so its levels are exactly the envelope's distinct amplitude codes at any
-    tuning word; a cluster of overlapping bursts takes |z| and arg z of its
-    summed samples, as the dense engine does.
+    distinct (amplitude, n, ftw) under each physics per memo, so a sequence
+    that replays a few calibrated bursts exponentiates only those few.  A
+    run of consecutive lone constant bursts is folded in one batched step:
+    their powers are gathered into one stack, each is taken into its own
+    phase frame, with the idle gap before it, by diagonal scalings, and the
+    stack is reduced pairwise, at most _CHUNK // 16 matrices at a time.  A
+    shaped burst, or bursts on both banks at once, end the run and go
+    through the kernel, whose product multiplies the total directly.  A
+    lone burst hands the kernel its amplitude-grid values and phase-word
+    angles as they are, so its levels are exactly the envelope's distinct
+    amplitude codes at any tuning word; a cluster of overlapping bursts
+    takes |z| and arg z of its summed samples, as the dense engine does.
 
 ``PropagatorMemo``
     The trace engine's store of reusable products, each keyed on the
@@ -53,9 +57,12 @@ functions at the end are independent references for tests.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
-from ..controller.executor import BasebandWaveform, ExecutionTrace
+from ..controller.executor import BasebandWaveform, ExecutionTrace, end_words
 from ..controller.nco import PHASE_WORDS
 from .device import DeviceModel, NoiseSample, ZERO_NOISE
 from .hamiltonian import (
@@ -68,6 +75,8 @@ from .hamiltonian import (
 
 _CHUNK = 2048
 _KVEC = np.diag(NUMBER_OP).real  # (0, 1, 1, 2)
+_EYE = np.eye(4, dtype=complex)
+_WORD_PHASE = 2j * np.pi / PHASE_WORDS * _KVEC  # i phi NUMBER_OP for phi of one phase word
 
 
 def _expm_batch(h: np.ndarray, dt: float) -> np.ndarray:
@@ -150,7 +159,7 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
         expm = (exponentials() if memo is None else
                 memo.get("level", (group.tobytes(), *operator, levels.tobytes()), exponentials))
         step = _CHUNK // len(group)
-        total = np.broadcast_to(np.eye(4, dtype=complex), (len(group), 4, 4)).copy()
+        total = _EYE[None].repeat(len(group), axis=0)
         for start in range(0, len(amp), step):
             p = np.exp(-1j * phi[start : start + step, None, None] * _KVEC)  # (n, 1, 4)
             # The gathered copy is scaled in place, in the operand order of
@@ -202,15 +211,28 @@ def trace_propagators(
     are summed as the DAC sums the banks.  A lone constant burst's matrix
     power depends on the physics only through the energies (one row per
     noise draw), the drive operator and the sample period, and on the burst
-    only through (amplitude, n, ftw): it is kept in ``memo`` under all six,
-    and conjugated by each burst's start and end phase (reference phase,
-    start time and phase code).  Whether a burst is constant is read from
-    ``BurstSegment.constant``, recorded at play time.  The kernel keeps its
-    exponentials in ``memo`` per draw group, under that group's energy rows,
-    the drive operator, the sample period and the level bytes.  Any later
-    call made under the same physics reuses both; an entry made under other
-    physics is never served, because its key differs.  Without ``memo`` the
-    call makes a fresh one, so repeats within the call are still shared.
+    only through (amplitude, n, ftw): it is kept in ``memo`` under all six
+    and looked up once per call, and every later play of it in the call
+    adds one ``power_hits``, so hits plus misses count the lone constant
+    bursts played.  Whether a burst is constant is read from
+    ``BurstSegment.constant``, recorded at play time.
+
+    Each run of consecutive lone constant bursts is folded: the run's powers
+    are gathered a chunk at a time (at most _CHUNK // 16 matrices, and at
+    least one burst), scaled in place into each burst's phase frame, P(end)
+    U G P(start)^dagger, where the diagonals P come from the end words
+    (reference phase, start time and phase code, ``end_words``) and G is the
+    idle gap before the burst, and reduced by ``_ordered_product``.  A shaped
+    burst or a cluster ends the run; its kernel product multiplies the total
+    directly, after its own gap.  The pairwise association makes the result
+    differ from a burst-by-burst product in the last bits only.
+
+    The kernel keeps its exponentials in ``memo`` per draw group, under that
+    group's energy rows, the drive operator, the sample period and the level
+    bytes.  Any later call made under the same physics reuses both; an entry
+    made under other physics is never served, because its key differs.
+    Without ``memo`` the call makes a fresh one, so repeats within the call
+    are still shared.
     """
     energies = _energies(model, lo_freq, exchange_on, noise)  # (r, 4)
     drive = drive_operator(model)
@@ -231,42 +253,75 @@ def trace_propagators(
         else:
             clusters.append([seg.t0, seg.t_end, [seg]])
 
-    total = np.broadcast_to(np.eye(4, dtype=complex), (len(energies), 4, 4)).copy()
+    def is_lone_constant(cluster) -> bool:
+        return len(cluster[2]) == 1 and cluster[2][0].constant
+
+    # Sample k of a lone constant burst is sample 0 conjugated by k phase
+    # steps of the tuning word, so the burst telescopes to one matrix power.
+    def power(amplitude: float, n: int, ftw: int):  # the burst's unitary at zero phase
+        u_bar = _expm_batch(generator_batch(np.array([amplitude]), energies, drive)[0], dt)
+        undo_step = np.exp(2j * np.pi * ftw / PHASE_WORDS * _KVEC)
+        return np.linalg.matrix_power(u_bar * undo_step, n - 1) @ u_bar
+
+    lone, gaps, t = [], [], trace.start  # lone constant bursts, the idle gap before each
+    for cluster in clusters:
+        if is_lone_constant(cluster):
+            lone.append(cluster[2][0])
+            gaps.append(cluster[0] - t)
+        t = cluster[1]
+    if lone:
+        rows = {}  # (amplitude, n, ftw) -> its row of `powers`
+        which = np.array([rows.setdefault((float(s.amp_values[0]), s.n, s.ftw), len(rows))
+                          for s in lone])
+        powers = np.array([memo.get("power", physics + key, functools.partial(power, *key))
+                           for key in rows])  # (distinct, r, 4, 4)
+        memo.counts["power_hits"] += len(lone) - len(rows)  # a repeat within the call hits too
+        # i phi NUMBER_OP at each burst's end words, (M, 1, 4) each: P(end)
+        # = exp(-ends) scales a power's rows; P(start)^dagger = exp(starts)
+        # and the idle gap G = exp(idle * energies) scale its columns.
+        starts, ends = end_words(lone, bits)[..., None, None] * _WORD_PHASE
+        p_end = np.exp(-ends)[..., None]  # (M, 1, 4, 1)
+        idle = np.array(gaps)[:, None, None] * (-2j * np.pi * dt)  # (M, 1, 1)
+    chunk = max(1, _CHUNK // 16 // len(energies))  # bursts folded at once
+
+    total = _EYE[None].repeat(len(energies), axis=0)
 
     def apply_gap(n_samples: int):
         nonlocal total
         if n_samples > 0:
             total = np.exp(-2j * np.pi * dt * n_samples * energies)[:, :, None] * total
 
-    t = trace.start
-    for t0, t_end, group in clusters:
-        apply_gap(t0 - t)
-        t = t_end
-        seg = group[0]
-        amp = seg.amp_values
-        if len(group) == 1 and seg.constant:
-            # Sample k is sample 0 conjugated by k phase steps of the tuning
-            # word, so the burst telescopes to one matrix power.
-            def power():  # the burst's unitary at zero phase
-                u_bar = _expm_batch(generator_batch(amp[:1], energies, drive)[0], dt)
-                undo_step = np.exp(2j * np.pi * seg.ftw / PHASE_WORDS * _KVEC)
-                return np.linalg.matrix_power(u_bar * undo_step, seg.n - 1) @ u_bar
-
-            ends = np.array(seg.end_words(bits))[:, None]
-            p0, p_end = np.exp(-2j * np.pi * ends / PHASE_WORDS * _KVEC)
-            u = memo.get("power", physics + (float(amp[0]), seg.n, seg.ftw), power)
-            total = (p_end[:, None] * u * np.conj(p0)) @ total
-            continue
-        if len(group) == 1:
-            # Exact levels: the amplitude codes and phase words as played.
-            phi = 2 * np.pi * seg.phase_words(bits) / PHASE_WORDS
+    t, folded = trace.start, 0  # folded: lone constant bursts multiplied in so far
+    for lone_run, run in itertools.groupby(clusters, is_lone_constant):
+        run = list(run)
+        if lone_run:
+            # Each burst in its phase frame, after the idle gap before it:
+            # P(end) U G P(start)^dagger, scaled in place on the gathered
+            # powers and reduced a chunk at a time.
+            for i in range(folded, folded + len(run), chunk):
+                part = slice(i, min(i + chunk, folded + len(run)))
+                factors = powers[which[part]]  # (c, r, 4, 4)
+                factors *= p_end[part]
+                factors *= np.exp(starts[part] + idle[part] * energies)[..., None, :]
+                total = _ordered_product(factors) @ total
+            folded += len(run)
+            t = run[-1][1]
         else:
-            z = np.zeros(t_end - t0, dtype=complex)  # idealized samples, banks summed
-            for seg in group:
-                phase = 2j * np.pi * seg.phase_words(bits) / PHASE_WORDS
-                z[seg.t0 - t0 : seg.t_end - t0] += seg.amp_values * np.exp(phase)
-            amp, phi = np.abs(z), np.angle(z)
-        total = _sampled_product(amp, phi, energies, drive, dt, memo, operator) @ total
+            for t0, t_end, group in run:
+                apply_gap(t0 - t)
+                t = t_end
+                if len(group) == 1:
+                    # Exact levels: the amplitude codes and phase words as played.
+                    seg = group[0]
+                    amp = seg.amp_values
+                    phi = 2 * np.pi * seg.phase_words(bits) / PHASE_WORDS
+                else:
+                    z = np.zeros(t_end - t0, dtype=complex)  # idealized samples, banks summed
+                    for seg in group:
+                        phase = 2j * np.pi * seg.phase_words(bits) / PHASE_WORDS
+                        z[seg.t0 - t0 : seg.t_end - t0] += seg.amp_values * np.exp(phase)
+                    amp, phi = np.abs(z), np.angle(z)
+                total = _sampled_product(amp, phi, energies, drive, dt, memo, operator) @ total
 
     apply_gap(trace.end - t)
     return total

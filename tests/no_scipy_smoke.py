@@ -1,6 +1,6 @@
 """Import every spinctl module and run a small RB, one noisy dense AllXY
-pair, the spectra and the two-tone report with scipy made unimportable;
-exits non-zero on failure.
+pair, one noisy RB sequence on the trace engine, the spectra and the
+two-tone report with scipy made unimportable; exits non-zero on failure.
 
     python tests/no_scipy_smoke.py
 
@@ -36,6 +36,7 @@ def main():
     from spinctl.controller.executor import TxConfig
     from spinctl.experiments import Bench, run_rb
     from spinctl.experiments.base import gauss_hermite
+    from spinctl.experiments.cliffords import N_CLIFFORDS, recovery_index, sequence_primitives
     from spinctl.metrics import WINDOWS, compute_spectrum, two_tone_report
     from spinctl.physics import DeviceModel, shot_rng
 
@@ -48,6 +49,15 @@ def main():
     prog = noisy.compile([GateOp("x", 2), GateOp("x", 2)])
     (hits,) = noisy.sample(prog, (2,), 10_000, shot_rng(0, 5), engine="dense")
     assert hits > 9_900 and noisy.quadrature["calls"] == 1, (hits, noisy.quadrature)
+
+    # The trace engine folds the sequence's runs of constant bursts.
+    indices = np.random.default_rng(4).integers(0, N_CLIFFORDS, size=25).tolist()
+    ops = [GateOp(g, 2) for g in sequence_primitives(indices + [recovery_index(indices)])]
+    noisy.new_tally()
+    (hits,) = noisy.sample(noisy.compile(ops), (2,), 1_000, shot_rng(0, 6), engine="trace")
+    assert hits < 100, hits  # the sequence returns qubit 2 to |0>
+    assert noisy.memo.counts["power_hits"] > 0, noisy.memo.counts
+    assert noisy.quadrature["calls"] == 1 and noisy.quadrature["converged"], noisy.quadrature
 
     n = 1024
     t = np.arange(n)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from spinctl.controller.executor import Transmitter, TxConfig, execute
+from spinctl.controller.executor import Transmitter, TxConfig, end_words, execute
 from spinctl.controller.memory import Instruction, MemoryImage
 from spinctl.controller.nco import PHASE_WORDS, freq_to_ftw, max_grid_value
 from spinctl.errors import ConfigError
@@ -212,7 +212,8 @@ def test_play_records_constancy_once_per_envelope_block():
     for seg in trace.segments:
         amp, codes = seg.amp_values, seg.phase_codes
         assert seg.constant == bool(np.all(amp == amp[0]) and np.all(codes == codes[0]))
-        assert seg.end_words(bits) == tuple(seg.phase_words(bits)[[0, -1]].tolist())
+    ends = [seg.phase_words(bits)[[0, -1]] for seg in trace.segments]
+    assert np.array_equal(end_words(trace.segments, bits), np.transpose(ends))
     first, last = trace.segments[0], trace.segments[-1]
     assert first.amp_values is last.amp_values  # one block, read once
     assert not first.amp_values.flags.writeable and not first.phase_codes.flags.writeable

@@ -114,6 +114,11 @@ def test_dj_separates_constant_from_balanced_oracles():
         assert res.p_output_one[oracle] == pytest.approx(0.0, abs=0.1)
 
 
+def test_dj_on_an_exchange_off_bench_names_the_fix():
+    with pytest.raises(ConfigError, match=r"Bench\(\.\.\., exchange_on=True\)"):
+        run_dj(plain_bench(), shots=100)
+
+
 def test_dj_stderr_is_readout_corrected():
     # The corrected P(1) is the read fraction through an affine map of slope
     # 1 / (f0 + f1 - 1), so its stderr is the binomial one times that slope.

@@ -7,12 +7,14 @@ import pytest
 
 from spinctl.controller.executor import (
     BasebandWaveform,
+    BurstSegment,
+    ExecutionTrace,
     Transmitter,
     TxConfig,
     synthesize,
 )
 from spinctl.controller.memory import EnvelopeMemory, Instruction, MemoryImage
-from spinctl.controller.nco import offset_to_ftw
+from spinctl.controller.nco import PHASE_WORDS, offset_to_ftw
 from spinctl.physics import (
     DeviceModel,
     NoiseSample,
@@ -367,3 +369,112 @@ def test_trace_engine_result_does_not_depend_on_the_constant_flag():
     physics = dict(exchange_on=True, noise=THREE_DRAWS)
     fast = trace_propagators(trace, m, LO, **physics)
     assert np.max(np.abs(trace_propagators(unflagged, m, LO, **physics) - fast)) < 1e-9
+
+
+# --- the trace engine's fold of constant-burst runs ---------------------------
+
+
+def sequential_propagators(trace, m, lo, exchange_on=False, noise=NoiseSample()):
+    """Reference for the trace engine, one factor at a time in time order:
+    each gap, each lone constant burst's matrix power conjugated into its
+    phase frame, and the per-sample product of every other cluster (a shaped
+    burst, or overlapping bursts with their idealized samples summed)."""
+    energies = np.atleast_2d(diagonal_energies(*detunings(m, lo, exchange_on, noise)))
+    drive, dt, bits = drive_operator(m), 1 / trace.sample_rate, trace.phase_mod_bits
+
+    def p(words):  # diagonal of P(phi) = exp(-i phi NUMBER_OP) at phase words
+        return np.exp(-2j * np.pi * np.asarray(words, dtype=float)[..., None] / PHASE_WORDS
+                      * np.array([0.0, 1.0, 1.0, 2.0]))
+
+    def gap(n):
+        return np.exp(-2j * np.pi * dt * n * energies)[:, :, None]
+
+    total = np.array([np.eye(4, dtype=complex)] * len(energies))
+    bursts = sorted((s for s in trace.segments if np.any(s.amp_values)), key=lambda s: s.t0)
+    t = trace.start
+    while bursts:
+        cluster = [bursts.pop(0)]
+        end = cluster[0].t_end
+        while bursts and bursts[0].t0 < end:
+            cluster.append(bursts.pop(0))
+            end = max(end, cluster[-1].t_end)
+        start, seg = cluster[0].t0, cluster[0]
+        total = gap(start - t) * total
+        if len(cluster) == 1 and len(set(seg.amp_values)) == len(set(seg.phase_codes)) == 1:
+            # P(phi_n) (E P(-2 pi ftw / W))^(n - 1) E P(phi_1)^dagger
+            e = _expm_batch(generator_batch(seg.amp_values[:1], energies, drive)[0], dt)
+            first, last = seg.phase_words(bits)[[0, -1]]
+            power = np.linalg.matrix_power(e * np.conj(p(seg.ftw)), seg.n - 1) @ e
+            factor = p(last)[:, None] * power * np.conj(p(first))
+        else:
+            z = np.zeros(end - start, dtype=complex)
+            for s in cluster:
+                z[s.t0 - start : s.t_end - start] += s.amp_values * np.exp(
+                    2j * np.pi * s.phase_words(bits) / PHASE_WORDS)
+            factor = _ordered_product(_expm_batch(generator_batch(z, energies, drive), dt))
+        total = factor @ total
+        t = end
+    return gap(trace.end - t) * total
+
+
+def noise_rows(r, seed=0):
+    rng = np.random.default_rng(seed)
+    return NoiseSample(*(rng.normal(0.0, 40e3, r) for _ in range(3)))
+
+
+def lone_constant_bursts(trace):
+    bursts = [s for s in trace.segments if np.any(s.amp_values)]
+    return [s for s in bursts if s.constant and not any(
+        o is not s and o.t0 < s.t_end and s.t0 < o.t_end for o in bursts)]
+
+
+@pytest.mark.parametrize("n_cliffords, rows", [(150, 8), (12, evolve._CHUNK // 16 + 2)])
+def test_fold_matches_a_sequential_product_across_chunks(n_cliffords, rows):
+    # At 8 rows a chunk folds 16 bursts, so the 150-Clifford sequence needs
+    # many chunks; at more rows than _CHUNK // 16 each chunk holds one burst.
+    bench = Bench(model(), TxConfig(lo_freq=LO))
+    trace = bench.run_program(bench.compile([GateOp(g, 2) for g in rb_primitives(n_cliffords, 4)]))
+    per_chunk = max(1, evolve._CHUNK // 16 // rows)
+    assert len(lone_constant_bursts(trace)) > 2 * per_chunk
+    noise = noise_rows(rows)
+    fast = trace_propagators(trace, bench.model, LO, noise=noise)
+    assert np.allclose(fast, sequential_propagators(trace, bench.model, LO, noise=noise),
+                       rtol=0, atol=1e-12)
+
+
+def test_fold_matches_a_sequential_product_around_kernel_clusters():
+    # Runs of constant bursts, with and without idle gaps before them and
+    # with a zero-amplitude pad, are cut by a gaussian burst and by two
+    # overlapping constant bursts on both banks; the trace ends in a gap.
+    # 50 rows make two bursts a chunk, so every run crosses a chunk boundary.
+    rng = np.random.default_rng(7)
+    ftws = (offset_to_ftw(24e6), offset_to_ftw(-90e6), offset_to_ftw(19e6))
+    t, segments = 1000, []
+
+    def play(n, amp, bank=0, ftw=ftws[0], idle=0, shape=None, at=None):
+        nonlocal t
+        t0 = t + idle if at is None else at
+        amps = np.full(n, amp) if shape is None else amp * shape
+        codes = np.full(n, rng.integers(0, 1024)) if shape is None else rng.integers(0, 1024, n)
+        segments.append(BurstSegment(bank, 0, t0, n, ftw, int(rng.integers(0, PHASE_WORDS)),
+                                     amps, codes, constant=shape is None))
+        t = max(t, t0 + n)
+
+    run = [(250, 0.5, 0), (125, 0.5, 13), (250, 0.5, 0), (250, 0.5, 40), (125, 0.5, 0)]
+    for n, amp, idle in run:
+        play(n, amp, idle=idle)
+    play(60, 0.0)  # an idle pad
+    play(200, 0.4, shape=np.exp(-0.5 * ((np.arange(200) - 99.5) / 40) ** 2), idle=7)
+    for n, amp, idle in run[:3]:
+        play(n, amp, ftw=ftws[2], idle=idle)
+    start = t + 11
+    play(300, 0.3, at=start)
+    play(300, 0.35, bank=1, ftw=ftws[1], at=start + 120)  # overlaps the burst before
+    for n, amp, idle in run[1:4]:
+        play(n, amp, idle=idle)
+    trace = ExecutionTrace(segments, 1000, t + 77, 10, FS)
+    assert len(lone_constant_bursts(trace)) == 11
+    m, noise = model(), noise_rows(50, seed=1)
+    fast = trace_propagators(trace, m, LO, exchange_on=True, noise=noise)
+    reference = sequential_propagators(trace, m, LO, exchange_on=True, noise=noise)
+    assert np.allclose(fast, reference, rtol=0, atol=1e-12)

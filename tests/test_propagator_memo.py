@@ -14,7 +14,8 @@ from spinctl.controller.executor import TxConfig
 from spinctl.controller.nco import PHASE_WORDS, offset_to_ftw
 from spinctl.experiments import (Bench, run_allxy, run_dj, run_qst_trajectory, run_rabi, run_rb,
                                  run_spectroscopy)
-from spinctl.physics import DeviceModel, PropagatorMemo, trace_propagators
+from spinctl.experiments.cliffords import N_CLIFFORDS, recovery_index, sequence_primitives
+from spinctl.physics import DeviceModel, NoiseSample, PropagatorMemo, trace_propagators
 from spinctl.physics.evolve import _sampled_product
 
 SPEC_STEP = 0.25e6
@@ -187,6 +188,30 @@ def test_each_runner_reports_the_memo_use_of_its_own_run():
              run_qst_trajectory(bench, [0.1e-6], shots=100), run_dj(exchange_bench(), shots=100)]
     for res in dense:
         assert res.meta["propagator_memo"] == zeros
+
+
+def test_every_lone_constant_burst_counts_one_power_lookup():
+    # An RB sequence replays a few calibrated bursts many times within one
+    # call; each play counts one hit or one miss, whether its power was
+    # made earlier in the call or in an earlier call on the same memo.
+    bench = Bench(DeviceModel(), TxConfig())
+    indices = np.random.default_rng(2).integers(0, N_CLIFFORDS, size=40).tolist()
+    ops = [GateOp(g, 2) for g in sequence_primitives(indices + [recovery_index(indices)])]
+    trace = bench.run_program(bench.compile(ops))
+    played = [s for s in trace.segments if np.any(s.amp_values)]
+    assert all(s.constant for s in played)
+    assert all(a.t_end <= b.t0 for a, b in zip(played, played[1:]))  # none overlap
+    distinct = {(float(s.amp_values[0]), s.n, s.ftw) for s in played}
+    assert len(played) > 2 * len(distinct)
+    memo = PropagatorMemo()
+    for noise in (NoiseSample(), NoiseSample(delta_f2=np.array([-30e3, 0.0, 30e3]))):
+        trace_propagators(trace, bench.model, bench.cfg.carrier, noise=noise, memo=memo)
+    counts = memo.counts
+    assert counts["power_hits"] + counts["power_misses"] == 2 * len(played)
+    assert counts["power_misses"] == 2 * len(distinct)  # new energies, new keys
+    trace_propagators(trace, bench.model, bench.cfg.carrier, memo=memo)
+    assert counts["power_misses"] == 2 * len(distinct)
+    assert counts["power_hits"] + counts["power_misses"] == 3 * len(played)
 
 
 def test_noisy_sweep_hits_the_memo_across_points_and_stays_within_the_bound(monkeypatch):
