@@ -17,8 +17,8 @@ from .memory import (
     ListEntry,
     MemoryImage,
 )
-from .executor import BasebandWaveform, Impairments, Transmitter, TxConfig, execute
-from .rf import RfSignal, upconvert
+from .executor import Impairments, Transmitter, TxConfig, Waveform
+from .rf import upconvert
 
 __all__ = [
     "PHASE_BITS",
@@ -36,11 +36,9 @@ __all__ = [
     "Instruction",
     "ListEntry",
     "MemoryImage",
-    "BasebandWaveform",
     "Impairments",
     "Transmitter",
     "TxConfig",
-    "execute",
-    "RfSignal",
+    "Waveform",
     "upconvert",
 ]

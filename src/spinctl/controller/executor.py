@@ -11,9 +11,10 @@ Playing images yields an ``ExecutionTrace``: every burst with its start
 sample, tuning word, reference phase and envelope codes.
 
 Synthesize: ``synthesize`` turns a trace into DAC samples (PAC lookup,
-DAC quantization, bank sum, clipping).  ``Transmitter.execute`` is play
-followed by synthesize; the structured physics engine reads the trace
-and never needs the samples.
+DAC quantization, bank sum, clipping), a baseband ``Waveform``: the one
+signal type, which ``rf.upconvert`` also returns and ``metrics`` reads.
+``Transmitter.execute`` is play followed by synthesize; the structured
+physics engine reads the trace and never needs the samples.
 """
 
 from __future__ import annotations
@@ -86,29 +87,31 @@ class TxConfig:
 
 
 @dataclass
-class BasebandWaveform:
-    """DAC output of one execution: equal-length I/Q sample streams."""
+class Waveform:
+    """An I/Q signal: complex envelope q + 1j*i around ``carrier_freq`` (0 at
+    baseband); ``gain_linear`` is the front-end gain, which the full-scale
+    envelope leaves out."""
 
+    envelope: np.ndarray
     sample_rate: float
-    i: np.ndarray
-    q: np.ndarray
+    carrier_freq: float = 0.0
+    gain_linear: float = 1.0
     start_time: float = 0.0
 
-    def __post_init__(self):
-        if len(self.i) != len(self.q):
-            raise ValueError("i and q sample streams differ in length")
-
     def __len__(self) -> int:
-        return len(self.i)
+        return len(self.envelope)
+
+    @property
+    def i(self) -> np.ndarray:
+        return self.envelope.imag
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.envelope.real
 
     @property
     def duration(self) -> float:
-        return len(self.i) / self.sample_rate
-
-    @property
-    def envelope(self) -> np.ndarray:
-        """Complex envelope relative to the LO: q + 1j*i."""
-        return self.q + 1j * self.i
+        return len(self.envelope) / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -173,20 +176,20 @@ class ExecutionTrace:
         return self.end - self.start
 
 
-def synthesize(trace: ExecutionTrace, cfg: TxConfig) -> BasebandWaveform:
+def synthesize(trace: ExecutionTrace, cfg: TxConfig) -> Waveform:
     """DAC output of a played trace: PAC lookup and DAC quantization of each
-    burst, the banks summed and clipped to the DAC rails."""
-    banks = np.zeros((2, N_BANKS, trace.n_samples))  # (i/q, bank, sample)
+    burst, added into one envelope (the banks sum where they overlap) and
+    clipped to the DAC rails."""
+    z = np.zeros(trace.n_samples, dtype=complex)
     for seg in trace.segments:
         t = seg.t0 - trace.start
-        banks[:, seg.bank, t : t + seg.n] = pac_convert(
-            seg.phase_words(trace.phase_mod_bits),
-            seg.amp_values,
-            pac_addr_bits=cfg.pac_addr_bits,
-            dac_bits=cfg.dac_bits,
-        )
-    i, q = np.clip(banks.sum(axis=1), *cfg.dac_rails)
-    return BasebandWaveform(cfg.f_clk, i, q, start_time=trace.start * cfg.sample_period)
+        i, q = pac_convert(seg.phase_words(trace.phase_mod_bits), seg.amp_values,
+                           pac_addr_bits=cfg.pac_addr_bits, dac_bits=cfg.dac_bits)
+        z.imag[t : t + seg.n] += i
+        z.real[t : t + seg.n] += q
+    for part in (z.real, z.imag):
+        np.clip(part, *cfg.dac_rails, out=part)
+    return Waveform(z, cfg.f_clk, start_time=trace.start * cfg.sample_period)
 
 
 class Transmitter:
@@ -262,15 +265,11 @@ class Transmitter:
             self.sample_count += max(cursors)
         return ExecutionTrace(segments, start, self.sample_count, cfg.phase_mod_bits, cfg.f_clk)
 
-    def execute(self, image: MemoryImage) -> BasebandWaveform:
+    def execute(self, image: MemoryImage) -> Waveform:
         """Run one trigger and return the summed banks."""
         return synthesize(self.play([image]), self.cfg)
 
-    def execute_sequence(self, images) -> BasebandWaveform:
+    def execute_sequence(self, images) -> Waveform:
         """Chain several triggers back to back into one waveform."""
         return synthesize(self.play(images), self.cfg)
 
-
-def execute(image: MemoryImage, cfg: TxConfig, ftws: dict | None = None) -> BasebandWaveform:
-    """One-shot execution on a fresh transmitter."""
-    return Transmitter(cfg, ftws).execute(image)

@@ -120,12 +120,13 @@ def quadrature_tally() -> dict:
 
 @dataclass
 class Bench:
-    """One experiment setup: device, transmitter, plan, and calibration."""
+    """One experiment setup: device, transmitter, plan, and calibration; the
+    default calibration drives at 1 MHz Rabi, another rate is passed as
+    ``cal=default_calibration(..., target_rabi=...)``."""
 
     model: DeviceModel
     cfg: TxConfig
     exchange_on: bool = False
-    target_rabi: float = 1e6
     plan: FrequencyPlan = None
     cal: CalibrationSet = None
     # Trace-engine products reused across ``sample`` calls, each keyed on the
@@ -147,9 +148,7 @@ class Bench:
                 f_clk=self.cfg.f_clk,
             )
         if self.cal is None:
-            self.cal = default_calibration(
-                self.model, self.plan, amp_bits=self.cfg.amp_bits, target_rabi=self.target_rabi
-            )
+            self.cal = default_calibration(self.model, self.plan, amp_bits=self.cfg.amp_bits)
 
     def compile(self, ops) -> CompiledProgram:
         # Looked up on the package at call time, so the benchmark tracer's

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..compiler.ir import GateOp
+from ..errors import ConfigError
 from ..physics import corrected_p_up, shot_rng
 from .base import Bench
 from .cliffords import AVG_PRIMITIVES, N_CLIFFORDS, recovery_index, sequence_primitives
@@ -174,9 +175,15 @@ def run_rb(
     """Benchmark one qubit.  Physics mode samples each sequence on the
     structured engine (averaged over quasi-static noise when the model is
     noisy, see ``Bench.sample``); depolarizing mode applies the analytic
-    channel instead."""
-    bench.new_tally()
+    channel instead.  An empty ``lengths`` or ``n_sequences`` < 1 is
+    rejected before anything is compiled."""
     lengths = list(lengths)
+    problems = ["lengths is empty: give at least one sequence length"] if not lengths else []
+    if n_sequences < 1:
+        problems.append(f"n_sequences={n_sequences}: sample at least 1 sequence per length")
+    if problems:
+        raise ConfigError(problems)
+    bench.new_tally()
     per_sequence = []
     split_lengths = []
     for li, m in enumerate(lengths):

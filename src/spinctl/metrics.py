@@ -2,8 +2,10 @@
 
 Bin powers are normalized so that summing bins of a tone's main lobe
 recovers the tone's mean-square power exactly (Parseval), independent of
-the window.  All frequencies in reports are absolute RF, reconstructed
-from the carrier metadata of the analyzed signal.
+the window.  ``compute_spectrum`` and ``two_tone_report`` take a
+``Waveform``, the DAC output or its upconverted RF signal alike; all
+frequencies in reports are absolute, offset by the waveform's carrier (0 at
+baseband).
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller.executor import BasebandWaveform
-from .controller.rf import RfSignal
+from .controller.executor import Waveform
 
 # Cosine-sum coefficients and main-lobe half-width in bins of each window.
 WINDOWS = {
@@ -64,15 +65,6 @@ class Spectrum:
         return float(p[self.lobe_bins(bin_index)].sum())
 
 
-def _as_envelope(signal):
-    if isinstance(signal, RfSignal):
-        return signal.envelope, signal.sample_rate, signal.carrier_freq
-    if isinstance(signal, BasebandWaveform):
-        return signal.envelope, signal.sample_rate, 0.0
-    arr = np.asarray(signal)
-    return arr, 1.0, 0.0
-
-
 def periodic_window(name: str, n: int) -> np.ndarray:
     """Periodic (DFT-even) window of length ``n``: sum_k a_k cos(k x) over
     x = -pi .. pi with the endpoint dropped; ones when n <= 1."""
@@ -86,17 +78,18 @@ def periodic_window(name: str, n: int) -> np.ndarray:
     return w
 
 
-def compute_spectrum(signal, window: str = "rectangular") -> Spectrum:
+def compute_spectrum(signal: Waveform, window: str = "rectangular") -> Spectrum:
     """Windowed FFT power spectrum over the whole signal, normalized to the
     main tone.
 
     Parameters
     ----------
-    signal : RfSignal | BasebandWaveform | ndarray
-        Analytic signal to analyze; carrier metadata is used when present.
+    signal : Waveform
+        Analytic signal to analyze, at baseband or upconverted; bin
+        frequencies are offset by its carrier.
     window : one of "rectangular", "hann", "blackman-harris"
     """
-    z, fs, carrier = _as_envelope(signal)
+    z, fs, carrier = signal.envelope, signal.sample_rate, signal.carrier_freq
     if len(z) == 0:
         raise ValueError("cannot compute a spectrum of an empty waveform")
     if window not in WINDOWS:
@@ -204,7 +197,7 @@ def lo_rejection(spec: Spectrum) -> float:
     return 10.0 * np.log10(spec.tone_power / leak)
 
 
-def two_tone_report(signal, f_a: float, f_b: float) -> dict:
+def two_tone_report(signal: Waveform, f_a: float, f_b: float) -> dict:
     """Characterize a two-tone signal: tone powers plus intermodulation.
 
     ``f_a`` and ``f_b`` are absolute RF frequencies.  Intermodulation

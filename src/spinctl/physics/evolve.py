@@ -62,7 +62,7 @@ import itertools
 
 import numpy as np
 
-from ..controller.executor import BasebandWaveform, ExecutionTrace, end_words
+from ..controller.executor import ExecutionTrace, Waveform, end_words
 from ..controller.nco import PHASE_WORDS
 from .device import DeviceModel, NoiseSample, ZERO_NOISE
 from .hamiltonian import (
@@ -178,7 +178,7 @@ def _energies(model: DeviceModel, lo_freq: float, exchange_on: bool, noise: Nois
 
 
 def dense_propagators(
-    waveform: BasebandWaveform,
+    waveform: Waveform,
     model: DeviceModel,
     lo_freq: float,
     *,

@@ -1,5 +1,6 @@
 """Import every spinctl module and run a small RB, one noisy dense AllXY
-pair, one noisy RB sequence on the trace engine, the spectra and the
+pair, one noisy RB sequence on the trace engine, a played program through
+synthesize, upconvert and its spectrum, the spectra of each window and the
 two-tone report with scipy made unimportable; exits non-zero on failure.
 
     python tests/no_scipy_smoke.py
@@ -33,7 +34,8 @@ def main():
         importlib.import_module(module.name)
 
     from spinctl.compiler.ir import GateOp
-    from spinctl.controller.executor import TxConfig
+    from spinctl.controller.executor import TxConfig, Waveform, synthesize
+    from spinctl.controller.rf import upconvert
     from spinctl.experiments import Bench, run_rb
     from spinctl.experiments.base import gauss_hermite
     from spinctl.experiments.cliffords import N_CLIFFORDS, recovery_index, sequence_primitives
@@ -59,9 +61,19 @@ def main():
     assert noisy.memo.counts["power_hits"] > 0, noisy.memo.counts
     assert noisy.quadrature["calls"] == 1 and noisy.quadrature["converged"], noisy.quadrature
 
+    # The DAC output and its RF signal are one type, which the metrics read.
+    bench = Bench(DeviceModel(), TxConfig())
+    wf = synthesize(bench.run_program(bench.compile([GateOp("x", 2), GateOp("y2", 1)])), bench.cfg)
+    rf = upconvert(wf, bench.cfg)
+    spec = compute_spectrum(rf)
+    assert rf.carrier_freq == bench.cfg.carrier and len(spec) == len(wf), (rf.carrier_freq, len(spec))
+    offsets = [slot.offset_hz for slot in bench.plan.slots]
+    assert min(abs(spec.tone_freq - rf.carrier_freq - f) for f in offsets) < 2e6, spec.tone_freq
+
     n = 1024
     t = np.arange(n)
     z = 0.4 * np.exp(2j * np.pi * 100 / n * t) + 0.4 * np.exp(2j * np.pi * 180 / n * t)
+    z = Waveform(z, sample_rate=1.0)
     for window in WINDOWS:
         compute_spectrum(z, window=window)
     report = two_tone_report(z, 100 / n, 180 / n)

@@ -7,7 +7,7 @@ import pytest
 
 from spinctl.errors import CapacityError, ConfigError, ProgramError
 from spinctl.controller.image_io import dump_image
-from spinctl.controller.executor import Transmitter, TxConfig, execute
+from spinctl.controller.executor import Transmitter, TxConfig
 from spinctl.controller.nco import PHASE_WORDS, offset_to_ftw, quantize_unit
 from spinctl.compiler import (
     CalibrationSet,
@@ -344,7 +344,7 @@ def test_cross_bank_gates_are_padded_sequential():
     pi1 = cal.gates[(1, "main")].pi_samples
     assert prog.report["duration_samples"] == pi1 + pi2
     cfg = TxConfig(lo_freq=LO)
-    wf = execute(img, cfg, ftws=prog.ftws)
+    wf = Transmitter(cfg, prog.ftws).execute(img)
     assert len(wf) == pi1 + pi2
     # One tone at a time: every sample carries power from exactly one burst.
     power = np.abs(wf.envelope) ** 2

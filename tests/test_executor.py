@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from spinctl.controller.executor import Transmitter, TxConfig, end_words, execute
+from spinctl.controller.executor import Transmitter, TxConfig, end_words
 from spinctl.controller.memory import Instruction, MemoryImage
 from spinctl.controller.nco import PHASE_WORDS, freq_to_ftw, max_grid_value
 from spinctl.errors import ConfigError
@@ -21,7 +21,7 @@ def make_image(cfg, n_env=100, amp=0.5):
 
 def test_empty_list_gives_zero_length_waveform():
     cfg = TxConfig()
-    wf = execute(MemoryImage(), cfg)
+    wf = Transmitter(cfg).execute(MemoryImage())
     assert len(wf) == 0
     assert wf.duration == 0.0
 
@@ -31,7 +31,7 @@ def test_5000_point_envelope_is_5_us():
     img = make_image(cfg, n_env=5000)
     img.add_instruction(0, 0, Instruction(0, start_addr=0, stop_addr=4999))
     img.schedule(0, 0, 0)
-    wf = execute(img, cfg, ftws={(0, 0): freq_to_ftw(24e6)})
+    wf = Transmitter(cfg, {(0, 0): freq_to_ftw(24e6)}).execute(img)
     assert len(wf) == 5000
     assert wf.duration == pytest.approx(5e-6)
 
@@ -43,7 +43,7 @@ def test_burst_matches_closed_form_sinusoid():
     img.add_instruction(0, 0, Instruction(0, start_addr=0, stop_addr=1999))
     img.schedule(0, 0, 0)
     ftw = freq_to_ftw(24e6)
-    wf = execute(img, cfg, ftws={(0, 0): ftw})
+    wf = Transmitter(cfg, {(0, 0): ftw}).execute(img)
     k = np.arange(1, 2001)
     theta = 2 * np.pi * ((k * ftw) % PHASE_WORDS) / PHASE_WORDS
     np.testing.assert_allclose(wf.envelope, 0.5 * np.exp(1j * theta), atol=1e-5)
@@ -60,7 +60,7 @@ def test_phase_update_shifts_second_burst_by_pi():
     img.schedule(0, 0, 0)
     img.schedule(0, 0, 1)
     img.schedule(0, 0, 0)
-    wf = execute(img, cfg, ftws={(0, 0): ftw})
+    wf = Transmitter(cfg, {(0, 0): ftw}).execute(img)
 
     # Continuous-phase extrapolation of the first burst, sign-flipped.
     k = np.arange(1, 2 * n + 1)
@@ -82,7 +82,7 @@ def test_phase_coherence_across_idle_gap():
     img.add_instruction(0, 0, Instruction(0, start_addr=zero_start, stop_addr=zero_stop))
     for slot in (0, 1, 0):
         img.schedule(0, 0, slot)
-    gapped = execute(img, cfg, ftws={(0, 0): ftw})
+    gapped = Transmitter(cfg, {(0, 0): ftw}).execute(img)
 
     img2 = make_image(cfg, n_env=1200, amp=0.7)
     img2.add_instruction(0, 0, Instruction(0, start_addr=0, stop_addr=n - 1))
@@ -111,17 +111,17 @@ def test_banks_play_concurrently_and_sum():
     img.add_instruction(1, 2, Instruction(2, start_addr=0, stop_addr=255))
     img.schedule(0, 0, 0)
     img.schedule(1, 2, 0)
-    two = execute(img, cfg, ftws={(0, 0): freq_to_ftw(24e6), (1, 2): freq_to_ftw(90e6)})
+    two = Transmitter(cfg, {(0, 0): freq_to_ftw(24e6), (1, 2): freq_to_ftw(90e6)}).execute(img)
     assert len(two) == 256  # concurrent, not sequential
 
     img_a = make_image(cfg, n_env=256, amp=0.3)
     img_a.add_instruction(0, 0, Instruction(0, start_addr=0, stop_addr=255))
     img_a.schedule(0, 0, 0)
-    only_a = execute(img_a, cfg, ftws={(0, 0): freq_to_ftw(24e6)})
+    only_a = Transmitter(cfg, {(0, 0): freq_to_ftw(24e6)}).execute(img_a)
     img_b = make_image(cfg, n_env=256, amp=0.3)
     img_b.add_instruction(1, 2, Instruction(2, start_addr=0, stop_addr=255))
     img_b.schedule(1, 2, 0)
-    only_b = execute(img_b, cfg, ftws={(1, 2): freq_to_ftw(90e6)})
+    only_b = Transmitter(cfg, {(1, 2): freq_to_ftw(90e6)}).execute(img_b)
     np.testing.assert_allclose(two.i, only_a.i + only_b.i, atol=1e-12)
 
 
@@ -132,7 +132,7 @@ def test_bank_sum_saturates_at_rails():
     img.add_instruction(1, 0, Instruction(0, start_addr=0, stop_addr=63))
     img.schedule(0, 0, 0)
     img.schedule(1, 0, 0)
-    wf = execute(img, cfg)  # ftw 0 on both: q = 0.9 + 0.9 saturates
+    wf = Transmitter(cfg).execute(img)  # ftw 0 on both: q = 0.9 + 0.9 saturates
     assert wf.q.max() == max_grid_value(8)
     assert wf.q.min() >= -1.0
 
@@ -144,7 +144,7 @@ def test_same_bank_instructions_are_sequential():
     img.add_instruction(0, 1, Instruction(1, start_addr=0, stop_addr=49))
     img.schedule(0, 0, 0)
     img.schedule(0, 1, 0)
-    wf = execute(img, cfg)
+    wf = Transmitter(cfg).execute(img)
     assert len(wf) == 150
 
 
@@ -154,7 +154,7 @@ def test_deterministic_bit_identical():
         img = make_image(cfg, n_env=777, amp=0.618)
         img.add_instruction(0, 5, Instruction(5, start_addr=0, stop_addr=776))
         img.schedule(0, 5, 0)
-        return execute(img, cfg, ftws={(0, 5): freq_to_ftw(123.456e6)})
+        return Transmitter(cfg, {(0, 5): freq_to_ftw(123.456e6)}).execute(img)
     a, b = run(), run()
     assert a.i.tobytes() == b.i.tobytes()
     assert a.q.tobytes() == b.q.tobytes()

@@ -174,6 +174,39 @@ def test_rb_fit_pinned_at_bound_is_flagged_not_warned():
     assert not free.p_at_bound and np.isfinite(free.p_stderr)
 
 
+def _no_compiling(monkeypatch):
+    def compile_program(*args, **kwargs):
+        raise AssertionError("compiled before the arguments were checked")
+    monkeypatch.setattr(compiler, "compile_program", compile_program)
+
+
+def test_rb_rejects_empty_lengths_before_compiling(monkeypatch):
+    _no_compiling(monkeypatch)
+    with pytest.raises(ConfigError, match="^lengths is empty"):
+        run_rb(plain_bench(), [])
+
+
+def test_rb_rejects_fewer_than_one_sequence_before_compiling(monkeypatch):
+    _no_compiling(monkeypatch)
+    for n in (0, -2):
+        with pytest.raises(ConfigError, match=f"^n_sequences={n}: sample at least 1"):
+            run_rb(plain_bench(), (1, 4), n_sequences=n)
+    with pytest.raises(ConfigError) as err:
+        run_rb(plain_bench(), (), n_sequences=0)
+    assert len(err.value.problems) == 2
+
+
+@pytest.mark.parametrize("f_clk, durations, got", [
+    (1e9, [], 0), (1e9, [0.0, 1.4e-9], 1), (1e9, np.zeros(3), 0), (2e9, [0.7e-9], 1),
+])
+def test_rabi_sweep_without_a_two_sample_burst_is_a_config_error(f_clk, durations, got):
+    bench = Bench(DeviceModel(), TxConfig(f_clk=f_clk))
+    ns = 2e9 / f_clk
+    with pytest.raises(ConfigError, match=rf"at least 2 samples \({ns:g} ns at the "
+                                          rf"{f_clk / 1e9:g} GHz clock\), not {got}$"):
+        run_rabi(bench, durations)
+
+
 def test_rabi_frequency_matches_calibrated_rate():
     bench = plain_bench()
     durations = np.linspace(0.0, 1.5e-6, 31)

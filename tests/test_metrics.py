@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import get_window
 
 from helpers import dithered_quantize_complex
-from spinctl.controller.rf import RfSignal
+from spinctl.controller.executor import Waveform
 from spinctl.metrics import (
     WINDOWS,
     compute_spectrum,
@@ -27,7 +27,7 @@ def tone(freq, n, amp=1.0, fs=FS, phase=0.0):
 
 
 def rf(env, carrier=LO, fs=FS):
-    return RfSignal(envelope=env, sample_rate=fs, carrier_freq=carrier)
+    return Waveform(env, fs, carrier_freq=carrier)
 
 
 def coherent_freq(cycles, n, fs=FS):

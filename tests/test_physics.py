@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from spinctl.controller.executor import (
-    BasebandWaveform,
     BurstSegment,
     ExecutionTrace,
     Transmitter,
     TxConfig,
+    Waveform,
     synthesize,
 )
 from spinctl.controller.memory import EnvelopeMemory, Instruction, MemoryImage
@@ -55,7 +55,7 @@ def resonant_waveform(offset, amp, n, fs=FS):
     """Ideal sampled envelope at a baseband offset (no DAC quantization)."""
     k = np.arange(1, n + 1)
     z = amp * np.exp(2j * np.pi * offset * k / fs)
-    return BasebandWaveform(sample_rate=fs, i=np.imag(z), q=np.real(z))
+    return Waveform(z, fs)
 
 
 def test_uncoupled_transition_energies():
@@ -132,7 +132,7 @@ def test_norm_preserved_through_long_evolution():
     m = model(j_off=0.3e6)
     rng = np.random.default_rng(5)
     z = 0.3 * (rng.random(20000) - 0.5) + 0.2j * rng.random(20000)
-    wf = BasebandWaveform(sample_rate=FS, i=np.imag(z), q=np.real(z))
+    wf = Waveform(z, FS)
     out = dense_final(wf, m, LO, exchange_on=False)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
@@ -273,7 +273,7 @@ def test_dense_engine_matches_plain_per_sample_product():
     m = model()
     rng = np.random.default_rng(11)
     z = 0.4 * (rng.random(2500) - 0.5) + 0.3j * (rng.random(2500) - 0.5)
-    wf = BasebandWaveform(sample_rate=FS, i=np.imag(z), q=np.real(z))
+    wf = Waveform(z, FS)
     noise = NoiseSample(
         delta_f1=np.array([0.0, 20e3, -40e3]),
         delta_f2=np.array([5e3, 0.0, -5e3]),

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from spinctl.controller.executor import BasebandWaveform, Impairments, TxConfig
+from spinctl.controller.executor import Impairments, TxConfig, Waveform
 from spinctl.controller.rf import upconvert
+from spinctl.errors import ConfigError
 from spinctl.metrics import compute_spectrum, lo_rejection, sfdr
 
 LO = 13.54e9
@@ -14,7 +15,7 @@ FS = 1e9
 def bb_tone(offset, n, amp=1.0):
     k = np.arange(1, n + 1)
     z = amp * np.exp(2j * np.pi * offset * k / FS)
-    return BasebandWaveform(sample_rate=FS, i=np.imag(z), q=np.real(z))
+    return Waveform(z, FS)
 
 
 def test_ideal_ssb_single_line():
@@ -33,7 +34,7 @@ def test_two_tones_land_at_absolute_frequencies():
     ka = round(f_a * n / FS)
     kb = round(f_b * n / FS)
     za = bb_tone(ka * FS / n, n, 0.5).envelope + bb_tone(kb * FS / n, n, 0.5).envelope
-    wf = BasebandWaveform(sample_rate=FS, i=np.imag(za), q=np.real(za))
+    wf = Waveform(za, FS)
     spec = compute_spectrum(upconvert(wf, TxConfig(lo_freq=LO)))
     p = spec.power_linear()
     top2 = np.argsort(p)[-2:]
@@ -79,6 +80,13 @@ def test_gain_recorded_not_baked_into_dbc():
     rf = upconvert(bb_tone(256 * FS / n, n), cfg)
     assert rf.gain_linear == pytest.approx(10 ** (34 / 20))
     assert np.max(np.abs(rf.envelope)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_waveform_with_a_carrier_is_not_mixed_again():
+    cfg = TxConfig(lo_freq=LO)
+    rf = upconvert(bb_tone(1e6, 128), cfg)
+    with pytest.raises(ConfigError, match="already sits at a 13540000000.0 Hz carrier"):
+        upconvert(rf, cfg)
 
 
 def test_rf_high_triples_carrier():
