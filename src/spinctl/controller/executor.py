@@ -10,9 +10,12 @@ bursts are phase-coherent across idle gaps, instructions, and triggers.
 Playing images yields an ``ExecutionTrace``: every burst with its start
 sample, tuning word, reference phase and envelope codes.
 
-Synthesize: ``synthesize`` turns a trace into DAC samples (PAC lookup,
-DAC quantization, bank sum, clipping), a baseband ``Waveform``: the one
-signal type, which ``rf.upconvert`` also returns and ``metrics`` reads.
+Synthesize: ``synthesize`` turns a trace into DAC samples (PAC table
+lookup, DAC quantization, bank sum, clipping), a baseband ``Waveform``: the
+one signal type, which ``rf.upconvert`` also returns and ``metrics`` reads.
+It sends each bank's back-to-back bursts through the PAC in bounded
+batches of up to ``SYNTH_BATCH`` samples, so its transients stay small
+however long the trace.
 ``Transmitter.execute`` is play followed by synthesize; the structured
 physics engine reads the trace and never needs the samples.
 """
@@ -26,6 +29,11 @@ import numpy as np
 from ..errors import ConfigError
 from .memory import MemoryImage, N_BANKS, N_NCOS
 from .nco import PHASE_BITS, PHASE_WORDS, max_grid_value, pac_convert
+
+# Most samples per ``pac_convert`` call in ``synthesize``: enough to share
+# the PAC table and the per-call overhead among many short bursts, few
+# enough that a call's transients stay far below the output array.
+SYNTH_BATCH = 8192
 
 
 @dataclass
@@ -179,17 +187,45 @@ class ExecutionTrace:
 def synthesize(trace: ExecutionTrace, cfg: TxConfig) -> Waveform:
     """DAC output of a played trace: PAC lookup and DAC quantization of each
     burst, added into one envelope (the banks sum where they overlap) and
-    clipped to the DAC rails."""
+    clipped to the DAC rails.
+
+    The bursts go through ``pac_convert`` in runs: consecutive bursts of one
+    bank that play back to back, at most ``SYNTH_BATCH`` samples together (a
+    longer burst is a run of its own).  Each burst's phase words are those of
+    ``BurstSegment.phase_words``.
+    """
     z = np.zeros(trace.n_samples, dtype=complex)
-    for seg in trace.segments:
-        t = seg.t0 - trace.start
-        i, q = pac_convert(seg.phase_words(trace.phase_mod_bits), seg.amp_values,
-                           pac_addr_bits=cfg.pac_addr_bits, dac_bits=cfg.dac_bits)
-        z.imag[t : t + seg.n] += i
-        z.real[t : t + seg.n] += q
+    shift = PHASE_BITS - trace.phase_mod_bits
+    for bank in range(N_BANKS):
+        for run in _runs([s for s in trace.segments if s.bank == bank]):
+            t0, ns = run[0].t0, [s.n for s in run]
+            n = run[-1].t_end - t0
+            k = np.arange(t0 + 1, t0 + n + 1, dtype=np.int64)
+            # ``phase_words`` of each burst; the mask is the cheaper mod 2**PHASE_BITS.
+            phase = (np.repeat([s.ftw for s in run], ns) * k
+                     + np.repeat([s.ref_word for s in run], ns)
+                     + (np.concatenate([s.phase_codes for s in run]) << shift)) & (PHASE_WORDS - 1)
+            i, q = pac_convert(phase, np.concatenate([s.amp_values for s in run]),
+                               pac_addr_bits=cfg.pac_addr_bits, dac_bits=cfg.dac_bits)
+            t = t0 - trace.start
+            z.imag[t : t + n] += i
+            z.real[t : t + n] += q
     for part in (z.real, z.imag):
         np.clip(part, *cfg.dac_rails, out=part)
     return Waveform(z, cfg.f_clk, start_time=trace.start * cfg.sample_period)
+
+
+def _runs(segments):
+    """Split one bank's bursts, in play order, into runs that play back to
+    back and span at most ``SYNTH_BATCH`` samples unless one burst is longer."""
+    run = []
+    for seg in segments:
+        if run and (seg.t0 != run[-1].t_end or seg.t_end - run[0].t0 > SYNTH_BATCH):
+            yield run
+            run = []
+        run.append(seg)
+    if run:
+        yield run
 
 
 class Transmitter:

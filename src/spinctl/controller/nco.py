@@ -4,6 +4,12 @@ All phase arithmetic is integer, modulo 2**PHASE_BITS.  One phase LSB is
 2*pi / 2**PHASE_BITS radians; a tuning word of ``ftw`` synthesizes exactly
 ``ftw * f_clk / 2**PHASE_BITS`` hertz.  The per-sample output phase of a
 played burst is ``BurstSegment.phase_words`` in the executor.
+
+The phase-to-amplitude converter (PAC) is a table of sin/cos over its
+2**pac_addr_bits addresses, read at the top bits of each phase word.
+``pac_convert`` builds that table and gathers from it when the table is no
+larger than its input, and evaluates sin/cos of the addressed angles
+directly otherwise (a wide PAC on a short input); both give the same bits.
 """
 
 from __future__ import annotations
@@ -74,11 +80,19 @@ def pac_convert(phase, amplitude, *, pac_addr_bits: int, dac_bits: int):
 
     ``phase`` are output phase words, envelope phase modulation included.
     The table address keeps the top ``pac_addr_bits`` bits of the phase.
-    Returns (i, q) = amplitude * (sin, cos) of the table angle, on the DAC
-    grid.
+    The table is built when it has no more entries than ``phase``, so its
+    cost never exceeds the direct evaluation it replaces.  Returns
+    (i, q) = amplitude * (sin, cos) of the table angle, on the DAC grid.
     """
     addr = np.asarray(phase, dtype=np.int64) >> (PHASE_BITS - pac_addr_bits)
-    theta = addr * (2.0 * np.pi / (1 << pac_addr_bits))
-    i = quantize_unit(amplitude * np.sin(theta), dac_bits)
-    q = quantize_unit(amplitude * np.cos(theta), dac_bits)
+    size = 1 << pac_addr_bits
+    step = 2.0 * np.pi / size
+    if size <= addr.size:
+        theta = np.arange(size) * step
+        sin, cos = np.sin(theta)[addr], np.cos(theta)[addr]
+    else:
+        theta = addr * step
+        sin, cos = np.sin(theta), np.cos(theta)
+    i = quantize_unit(amplitude * sin, dac_bits)
+    q = quantize_unit(amplitude * cos, dac_bits)
     return i, q

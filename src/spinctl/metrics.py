@@ -6,6 +6,16 @@ the window.  ``compute_spectrum`` and ``two_tone_report`` take a
 ``Waveform``, the DAC output or its upconverted RF signal alike; all
 frequencies in reports are absolute, offset by the waveform's carrier (0 at
 baseband).
+
+Noise floor: ``spur_mask`` (and so ``snr``) compares each bin with the
+median dBc of its block, the 64 consecutive bins 0..63, 64..127, ... of the
+spectrum, a shorter last block standing alone.  A bin 20 dB above its
+block's median is a spur.
+
+Two-tone products: ``two_tone_report`` measures m*f_a + n*f_b (offsets from
+the carrier) for every signed pair of order |m| + |n| = 2 or 3,
+``IMD_PRODUCTS``, twenty in all.  An analytic signal has distinct lines at
++f and -f, so 2f_b - f_a and f_a - 2f_b are two products.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller.executor import Waveform
+from .errors import ConfigError
 
 # Cosine-sum coefficients and main-lobe half-width in bins of each window.
 WINDOWS = {
@@ -24,7 +35,10 @@ WINDOWS = {
 }
 
 SPUR_ABOVE_MEDIAN_DB = 20.0  # a bin this far above local median noise is a spur
-_MEDIAN_BLOCK = 64
+_MEDIAN_BLOCK = 64  # bins per noise-floor block
+# (m, n) of each intermodulation product m*f_a + n*f_b.
+IMD_PRODUCTS = tuple((m, n) for m in range(-3, 4) for n in range(-3, 4)
+                     if abs(m) + abs(n) in (2, 3))
 
 
 @dataclass
@@ -57,12 +71,24 @@ class Spectrum:
         return np.arange(lo, hi + 1)
 
     def bin_of(self, freq_hz: float) -> int:
-        return int(np.argmin(np.abs(self.freqs - freq_hz)))
+        """The bin nearest ``freq_hz``, the lower one on a tie: the index
+        ``argmin(abs(freqs - freq_hz))`` gives."""
+        freqs = self.freqs
+        b = int(np.searchsorted(freqs, freq_hz))  # first bin at or above
+        if b == len(freqs) or (b > 0 and abs(freqs[b - 1] - freq_hz) <= abs(freqs[b] - freq_hz)):
+            b -= 1
+        # Distances grow away from ``freq_hz`` on either side, so an earlier
+        # bin can tie only if the one just below ties too (rounded distances
+        # far outside the span, or repeated bin frequencies).
+        if b > 0 and not abs(freqs[b - 1] - freq_hz) > abs(freqs[b] - freq_hz):
+            return int(np.argmin(np.abs(freqs - freq_hz)))
+        return b
 
     def tone_power_at(self, bin_index: int) -> float:
-        """Linear tone power from the lobe sum around a bin."""
-        p = self.power_linear()
-        return float(p[self.lobe_bins(bin_index)].sum())
+        """Linear tone power from the lobe sum around a bin: the sum of
+        ``power_linear()`` over ``lobe_bins(bin_index)``."""
+        lobe = self.power_dbc[self.lobe_bins(bin_index)]
+        return float((self.tone_power * 10.0 ** (lobe / 10.0)).sum())
 
 
 def periodic_window(name: str, n: int) -> np.ndarray:
@@ -72,8 +98,8 @@ def periodic_window(name: str, n: int) -> np.ndarray:
     if n <= 1:
         return np.ones(n)
     x = np.linspace(-np.pi, np.pi, n + 1)[:-1]
-    w = np.zeros(n)
-    for k, a in enumerate(coefficients):
+    w = np.full(n, coefficients[0])
+    for k, a in enumerate(coefficients[1:], start=1):
         w += a * np.cos(k * x)
     return w
 
@@ -129,12 +155,15 @@ def _band_mask(spec: Spectrum, center: float, bandwidth: float | None) -> np.nda
 
 
 def _local_median_db(power_dbc: np.ndarray, block: int = _MEDIAN_BLOCK) -> np.ndarray:
-    """Blockwise median as a cheap local noise-floor estimate."""
+    """Blockwise median as a cheap local noise-floor estimate: every bin
+    reads the median of its block of ``block`` consecutive bins, counted
+    from bin 0; a shorter last block is its own block."""
     n = len(power_dbc)
+    full = n - n % block
     out = np.empty(n)
-    for start in range(0, n, block):
-        seg = power_dbc[start : start + block]
-        out[start : start + block] = np.median(seg)
+    out[:full] = np.repeat(np.median(power_dbc[:full].reshape(-1, block), axis=1), block)
+    if full < n:
+        out[full:] = np.median(power_dbc[full:])
     return out
 
 
@@ -200,11 +229,19 @@ def lo_rejection(spec: Spectrum) -> float:
 def two_tone_report(signal: Waveform, f_a: float, f_b: float) -> dict:
     """Characterize a two-tone signal: tone powers plus intermodulation.
 
-    ``f_a`` and ``f_b`` are absolute RF frequencies.  Intermodulation
-    products m*f_a +/- n*f_b with m + n <= 3 inside the analysis span are
-    reported relative to the weaker tone.  The spectrum is rectangular-windowed.
+    ``f_a`` and ``f_b`` are absolute RF frequencies inside the analysis span
+    (``ConfigError`` otherwise).  Each product of ``IMD_PRODUCTS`` that falls
+    inside the span and off both tones' lobes is reported under the label
+    ``"{m}fa{n:+d}fb"`` (e.g. ``"2fa-1fb"``, ``"-1fa+2fb"``) in dB relative
+    to the weaker tone.  The spectrum is rectangular-windowed.
     """
     spec = compute_spectrum(signal)
+    span_lo, span_hi = spec.freqs[0], spec.freqs[-1]
+    outside = [f"tone {name} = {f} Hz outside the spectrum's span {span_lo}..{span_hi} Hz "
+               f"around the carrier {spec.carrier_freq} Hz (tones are absolute frequencies)"
+               for name, f in (("f_a", f_a), ("f_b", f_b)) if not span_lo <= f <= span_hi]
+    if outside:
+        raise ConfigError(outside)
     min_spacing = (2 * spec.lobe_halfwidth + 1) * spec.fs / len(spec)
     if abs(f_a - f_b) < min_spacing:
         raise ValueError(
@@ -217,23 +254,17 @@ def two_tone_report(signal: Waveform, f_a: float, f_b: float) -> dict:
 
     base_a = f_a - spec.carrier_freq
     base_b = f_b - spec.carrier_freq
-    span_lo, span_hi = spec.freqs[0], spec.freqs[-1]
     products = {}
     claimed = set(spec.lobe_bins(bin_a)) | set(spec.lobe_bins(bin_b))
-    for m in range(0, 4):
-        for n in range(0, 4):
-            if m + n < 2 or m + n > 3:
-                continue
-            for sign in (+1, -1):
-                f = spec.carrier_freq + m * base_a + sign * n * base_b
-                if not span_lo <= f <= span_hi:
-                    continue
-                b = spec.bin_of(f)
-                if b in claimed:
-                    continue
-                label = f"{m}fa{'+' if sign > 0 else '-'}{n}fb"
-                p = spec.tone_power_at(b)
-                products[label] = 10.0 * np.log10(max(p / weaker, 1e-300))
+    for m, n in IMD_PRODUCTS:
+        f = spec.carrier_freq + m * base_a + n * base_b
+        if not span_lo <= f <= span_hi:
+            continue
+        b = spec.bin_of(f)
+        if b in claimed:
+            continue
+        p = spec.tone_power_at(b)
+        products[f"{m}fa{n:+d}fb"] = 10.0 * np.log10(max(p / weaker, 1e-300))
     largest = max(products.values()) if products else float("-inf")
     return {
         "tone_a_dbc": 10.0 * np.log10(p_a / spec.tone_power),

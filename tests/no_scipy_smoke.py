@@ -1,7 +1,8 @@
 """Import every spinctl module and run a small RB, one noisy dense AllXY
 pair, one noisy RB sequence on the trace engine, a played program through
-synthesize, upconvert and its spectrum, the spectra of each window and the
-two-tone report with scipy made unimportable; exits non-zero on failure.
+synthesize, upconvert, its spectrum, SNR, SFDR, LO rejection and two-tone
+report, and the spectra of each window with scipy made unimportable; exits
+non-zero on failure.
 
     python tests/no_scipy_smoke.py
 
@@ -39,7 +40,15 @@ def main():
     from spinctl.experiments import Bench, run_rb
     from spinctl.experiments.base import gauss_hermite
     from spinctl.experiments.cliffords import N_CLIFFORDS, recovery_index, sequence_primitives
-    from spinctl.metrics import WINDOWS, compute_spectrum, two_tone_report
+    from spinctl.metrics import (
+        IMD_PRODUCTS,
+        WINDOWS,
+        compute_spectrum,
+        lo_rejection,
+        sfdr,
+        snr,
+        two_tone_report,
+    )
     from spinctl.physics import DeviceModel, shot_rng
 
     res = run_rb(Bench(DeviceModel(), TxConfig()), (1, 10, 30, 60), n_sequences=3,
@@ -69,6 +78,13 @@ def main():
     assert rf.carrier_freq == bench.cfg.carrier and len(spec) == len(wf), (rf.carrier_freq, len(spec))
     offsets = [slot.offset_hz for slot in bench.plan.slots]
     assert min(abs(spec.tone_freq - rf.carrier_freq - f) for f in offsets) < 2e6, spec.tone_freq
+    levels = snr(spec), sfdr(spec), lo_rejection(spec)
+    assert all(np.isfinite(levels)) and min(levels) > 0.0, levels
+    # The program plays both qubits' tones, one after the other.
+    report = two_tone_report(rf, *(rf.carrier_freq + f for f in offsets))
+    tones = report["tone_a_dbc"], report["tone_b_dbc"]
+    assert max(tones) == 0.0 and min(tones) > -10.0, report
+    assert len(report["products_dbc"]) == len(IMD_PRODUCTS), report
 
     n = 1024
     t = np.arange(n)

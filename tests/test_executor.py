@@ -1,13 +1,27 @@
 """Instruction execution: timing, phase coherence, bank summation."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spinctl.controller.executor import Transmitter, TxConfig, end_words
+from spinctl.controller.executor import (
+    SYNTH_BATCH,
+    Transmitter,
+    TxConfig,
+    end_words,
+    synthesize,
+)
 from spinctl.controller.memory import Instruction, MemoryImage
-from spinctl.controller.nco import PHASE_WORDS, freq_to_ftw, max_grid_value
+from spinctl.controller.nco import (
+    PHASE_BITS,
+    PHASE_WORDS,
+    freq_to_ftw,
+    max_grid_value,
+    offset_to_ftw,
+    quantize_unit,
+)
 from spinctl.errors import ConfigError
 
 
@@ -217,3 +231,73 @@ def test_play_records_constancy_once_per_envelope_block():
     first, last = trace.segments[0], trace.segments[-1]
     assert first.amp_values is last.amp_values  # one block, read once
     assert not first.amp_values.flags.writeable and not first.phase_codes.flags.writeable
+
+
+def per_burst_reference(trace, cfg):
+    """DAC output of a trace burst by burst, each PAC angle evaluated
+    directly: the reference for the batched ``synthesize``."""
+    z = np.zeros(trace.n_samples, dtype=complex)
+    for seg in trace.segments:
+        addr = seg.phase_words(trace.phase_mod_bits) >> (PHASE_BITS - cfg.pac_addr_bits)
+        theta = addr * (2.0 * np.pi / (1 << cfg.pac_addr_bits))
+        t = seg.t0 - trace.start
+        z.imag[t : t + seg.n] += quantize_unit(seg.amp_values * np.sin(theta), cfg.dac_bits)
+        z.real[t : t + seg.n] += quantize_unit(seg.amp_values * np.cos(theta), cfg.dac_bits)
+    for part in (z.real, z.imag):
+        np.clip(part, *cfg.dac_rails, out=part)
+    return z
+
+
+@pytest.mark.parametrize("cfg", [TxConfig(), TxConfig(dac_bits=24, amp_bits=20, pac_addr_bits=22)],
+                         ids=["10-bit", "22-bit-pac"])
+def test_synthesize_matches_per_burst_reference(cfg):
+    img = make_image(cfg, n_env=300, amp=0.1)
+    n_code = 1 << cfg.phase_mod_bits
+    img.envelope.write_values(np.linspace(0.05, 0.7, 300), (np.arange(300) * 37) % n_code)
+    # Three back-to-back medium bursts straddle a batch bound; the long
+    # burst alone exceeds a batch.
+    medium = img.envelope.write_values(np.full(SYNTH_BATCH // 3 + 11, 0.45))
+    long = img.envelope.write_values(np.full(SYNTH_BATCH + 100, 0.3), np.full(SYNTH_BATCH + 100, 5))
+    ramp = (300, 599)
+    plays = {
+        (0, 0): [ramp, medium, "phase", medium, medium],
+        (0, 1): [(0, 299), long],  # shares a batch with NCO 0's last burst
+        # Bank 1 overlaps bank 0 and ends earlier: its ramp and the next
+        # trigger's first burst fit one batch but do not play back to back.
+        (1, 3): [medium, medium, long, ramp],
+    }
+    for (bank, nco), blocks in plays.items():
+        for block in blocks:
+            instr = (Instruction(nco, phase_update=PHASE_WORDS // 3) if block == "phase"
+                     else Instruction(nco, start_addr=block[0], stop_addr=block[1]))
+            img.schedule(bank, nco, img.add_instruction(bank, nco, instr))
+    ftws = {(0, 0): freq_to_ftw(24e6), (0, 1): freq_to_ftw(90.5e6), (1, 3): offset_to_ftw(-37e6)}
+    tx = Transmitter(cfg, ftws)
+    first, second = tx.play([img, img]), tx.play([img])  # bank 1 idles between triggers
+    assert first.start == 0 < second.start
+    assert max(seg.n for seg in first.segments) > SYNTH_BATCH
+    for trace in (first, second):
+        wf = synthesize(trace, cfg)
+        assert wf.envelope.tobytes() == per_burst_reference(trace, cfg).tobytes()
+
+
+def test_synthesize_transients_stay_bounded():
+    # 64 bursts of 2000 samples per bank and trigger: one PAC call per bank
+    # would hold about 25 MiB of transients beside the 4 MiB output.
+    cfg = TxConfig()
+    img = make_image(cfg, n_env=2000, amp=0.4)
+    for bank in (0, 1):
+        for nco in range(8):
+            for _ in range(8):
+                instr = Instruction(nco, start_addr=0, stop_addr=1999)
+                img.schedule(bank, nco, img.add_instruction(bank, nco, instr))
+    ftws = {(bank, nco): 1000 * nco + 7 * bank for bank in (0, 1) for nco in range(8)}
+    trace = Transmitter(cfg, ftws).play([img, img])
+    tracemalloc.start()
+    try:
+        wf = synthesize(trace, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(wf) == 2 * 64 * 2000
+    assert peak - wf.envelope.nbytes < 2 << 20

@@ -7,8 +7,10 @@ from scipy.signal import get_window
 
 from helpers import dithered_quantize_complex
 from spinctl.controller.executor import Waveform
+from spinctl.errors import ConfigError
 from spinctl.metrics import (
     WINDOWS,
+    _local_median_db,
     compute_spectrum,
     periodic_window,
     lo_rejection,
@@ -178,6 +180,31 @@ def test_cubic_nonlinearity_imd3_level():
     assert report["imd_worst_dbc"] == pytest.approx(expected, abs=0.5)
 
 
+@pytest.mark.parametrize("spur", [(-1, 2), (2, -1)], ids=["2fb-fa", "2fa-fb"])
+def test_two_tone_reads_a_third_order_spur_on_either_side(spur):
+    # An analytic signal's 2fb - fa and fa - 2fb are distinct lines.
+    n = 1 << 15
+    fa, fb = coherent_freq(787, n), coherent_freq(1193, n)
+    m, k = spur
+    z = 0.4 * tone(fa, n) + 0.4 * tone(fb, n) + 0.4e-2 * tone(m * fa + k * fb, n)
+    report = two_tone_report(rf(z), LO + fa, LO + fb)
+    products = report["products_dbc"]
+    assert products[f"{m}fa{k:+d}fb"] == pytest.approx(-40.0, abs=1e-6)
+    assert report["imd_worst_dbc"] == products[f"{m}fa{k:+d}fb"]
+    assert len(products) == 20  # every signed order-2 and order-3 product, once
+
+
+def test_two_tone_rejects_tones_outside_the_span():
+    n = 1 << 12
+    fa, fb = coherent_freq(100, n), coherent_freq(300, n)
+    z = rf(0.4 * tone(fa, n) + 0.4 * tone(fb, n))
+    with pytest.raises(ConfigError, match=f"span.*carrier {LO}") as info:
+        two_tone_report(z, fa, fb)  # baseband offsets for an RF waveform
+    assert len(info.value.problems) == 2
+    with pytest.raises(ConfigError, match="f_b"):
+        two_tone_report(z, LO + fa, LO + FS)
+
+
 def test_two_tone_unresolvable_error():
     n = 1 << 10
     z = tone(coherent_freq(100, n), n) + tone(coherent_freq(101, n), n)
@@ -201,3 +228,36 @@ def test_windows_match_scipy_periodic_windows(n):
     for name, reference in SCIPY_WINDOWS.items():
         w = periodic_window(name, n)
         assert np.max(np.abs(w - get_window(reference, n, fftbins=True))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [64 * 9, 64 * 9 + 13, 37, 1])
+def test_block_median_matches_a_per_block_loop(n):
+    rng = np.random.default_rng(n)
+    power_dbc = np.round(rng.normal(-120.0, 20.0, size=n), 1)  # repeated values too
+    reference = np.empty(n)
+    for start in range(0, n, 64):
+        reference[start : start + 64] = np.median(power_dbc[start : start + 64])
+    assert _local_median_db(power_dbc).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("carrier", [0.0, LO])
+def test_bin_of_matches_argmin_with_its_tie_rule(carrier):
+    n = 64
+    spec = compute_spectrum(rf(tone(coherent_freq(5, n), n), carrier=carrier))
+    freqs = spec.freqs
+    midpoints = (freqs[:-1] + freqs[1:]) / 2  # exact ties: the lower bin wins
+    outside = [freqs[0] - 1e6, freqs[-1] + 1e6, carrier - 1e12, carrier + 1e12,
+               -1e30, 1e30]  # the last two tie across the whole span
+    for f in [*freqs, *midpoints, *(midpoints + 1e-3), *outside]:
+        assert spec.bin_of(f) == int(np.argmin(np.abs(freqs - f))), f
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+def test_tone_power_at_sums_power_linear_over_the_lobe(window):
+    n = 1 << 10
+    rng = np.random.default_rng(5)
+    z = tone(coherent_freq(100, n), n) + 1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    spec = compute_spectrum(rf(z), window=window)
+    p = spec.power_linear()
+    for b in (0, 1, spec.tone_bin, n - 2, n - 1):
+        assert spec.tone_power_at(b) == float(p[spec.lobe_bins(b)].sum())

@@ -1,6 +1,7 @@
 """Tuning-word arithmetic and phase-accumulator behavior."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -159,3 +160,32 @@ def test_pac_phase_mod_shifts_lookup():
     i0, q0 = pac_convert(burst(0, 256).phase_words(10), 0.5, **bits)
     i1, q1 = pac_convert(burst(1 << 20, 0).phase_words(10), 0.5, **bits)
     assert i0[0] == i1[0] and q0[0] == q1[0]
+
+
+@pytest.mark.parametrize("pac_addr_bits", [1, 10, 13])
+def test_pac_table_gather_matches_direct_evaluation(pac_addr_bits):
+    # A call with at least as many phases as table entries gathers from the
+    # table; shorter calls evaluate sin/cos of each angle.  Every address
+    # appears, and 30-bit DAC codes keep the angles' low bits visible.
+    rng = np.random.default_rng(pac_addr_bits)
+    every_address = np.arange(1 << pac_addr_bits) << (PHASE_BITS - pac_addr_bits)
+    phases = np.concatenate([every_address, rng.integers(0, PHASE_WORDS, size=2 << pac_addr_bits)])
+    amp = rng.uniform(-1.0, 1.0, size=phases.size)
+    bits = dict(pac_addr_bits=pac_addr_bits, dac_bits=30)
+    table = pac_convert(phases, amp, **bits)
+    short = (1 << pac_addr_bits) - 1
+    direct = [pac_convert(phases[s : s + short], amp[s : s + short], **bits)
+              for s in range(0, phases.size, short)]
+    for part, pieces in zip(table, zip(*direct)):
+        assert part.tobytes() == np.concatenate(pieces).tobytes()
+
+
+def test_wide_pac_on_a_short_input_builds_no_table():
+    tracemalloc.start()
+    try:
+        i, q = pac_convert(np.arange(1000) * 4099, 0.5, pac_addr_bits=PHASE_BITS, dac_bits=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a 2**22-entry sine table alone would take 32 MiB
+    assert i.shape == q.shape == (1000,)
