@@ -84,21 +84,17 @@ class _Compiler:
         self.cursors = [max(self.cursors)] * 2
 
     def _snapshot(self) -> tuple:
-        # The image and both indexes are append-only, so lengths mark them.
-        return (len(self.image.envelope), len(self.image.instruction_list),
-                len(self.env_blocks), len(self.table_slots), self.zero_block,
+        # The image is append-only, so lengths mark it; its indexes need no
+        # copy, as ``_finalize_image`` follows every restore and replaces them.
+        return (len(self.image.envelope), len(self.image.instruction_list), len(self.table_slots),
                 dict(self.frames), dict(self.applied_ref), list(self.cursors))
 
     def _restore(self, snap: tuple):
-        n_env, n_list, n_blocks, n_slots, self.zero_block, *state = snap
-        self.frames, self.applied_ref, self.cursors = state
+        n_env, n_list, n_slots, self.frames, self.applied_ref, self.cursors = snap
         self.image.envelope.truncate(n_env)
         del self.image.instruction_list[n_list:]
-        for key in list(self.env_blocks)[n_blocks:]:
-            del self.env_blocks[key]
-        for key in list(self.table_slots)[n_slots:]:
-            self.image.tables[key[0]][key[1]].pop()
-            del self.table_slots[key]
+        for bank, nco, *_ in list(self.table_slots)[n_slots:]:
+            self.image.tables[bank][nco].pop()
 
     # -- primitive emissions ------------------------------------------------
 

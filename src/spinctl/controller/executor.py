@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from .memory import MemoryImage, N_BANKS, N_NCOS
-from .nco import PHASE_BITS, PHASE_WORDS, max_grid_value, pac_convert
+from .nco import PHASE_BITS, PHASE_WORDS, max_grid_value, output_phase, pac_convert
 
 # Most samples per ``pac_convert`` call in ``synthesize``: enough to share
 # the PAC table and the per-call overhead among many short bursts, few
@@ -147,24 +147,22 @@ class BurstSegment:
         """Output phase word of each sample, envelope phase code included.
 
         The accumulator advances before the output, so sample k of the burst
-        (k = 1..n) reads ftw * (t0 + k) + ref_word plus the phase code scaled
-        up to full phase-word units.
+        (k = 1..n) reads ``output_phase`` at clock sample t0 + k.
         """
         k = np.arange(self.t0 + 1, self.t_end + 1, dtype=np.int64)
-        mod = self.phase_codes << (PHASE_BITS - phase_mod_bits)
-        return (self.ftw * k + self.ref_word + mod) % PHASE_WORDS
+        shift = PHASE_BITS - phase_mod_bits
+        return output_phase(self.ftw, k, self.ref_word, self.phase_codes, shift)
 
 
 def end_words(segments, phase_mod_bits: int) -> np.ndarray:
     """Output phase words of the first and the last sample of each burst,
     shape (2, len(segments)): the ends of ``BurstSegment.phase_words``
-    without building them.  Each word is formed in Python's exact integers
-    and reduced before it is stored, so no int64 product can overflow."""
+    without building them."""
     shift = PHASE_BITS - phase_mod_bits
     return np.array([
-        [(s.ftw * (s.t0 + 1) + s.ref_word + (int(s.phase_codes[0]) << shift)) % PHASE_WORDS
+        [output_phase(s.ftw, s.t0 + 1, s.ref_word, int(s.phase_codes[0]), shift)
          for s in segments],
-        [(s.ftw * (s.t0 + s.n) + s.ref_word + (int(s.phase_codes[-1]) << shift)) % PHASE_WORDS
+        [output_phase(s.ftw, s.t0 + s.n, s.ref_word, int(s.phase_codes[-1]), shift)
          for s in segments],
     ], dtype=np.int64)
 
@@ -192,7 +190,7 @@ def synthesize(trace: ExecutionTrace, cfg: TxConfig) -> Waveform:
     The bursts go through ``pac_convert`` in runs: consecutive bursts of one
     bank that play back to back, at most ``SYNTH_BATCH`` samples together (a
     longer burst is a run of its own).  Each burst's phase words are those of
-    ``BurstSegment.phase_words``.
+    ``BurstSegment.phase_words``, from the same ``output_phase``.
     """
     z = np.zeros(trace.n_samples, dtype=complex)
     shift = PHASE_BITS - trace.phase_mod_bits
@@ -200,11 +198,10 @@ def synthesize(trace: ExecutionTrace, cfg: TxConfig) -> Waveform:
         for run in _runs([s for s in trace.segments if s.bank == bank]):
             t0, ns = run[0].t0, [s.n for s in run]
             n = run[-1].t_end - t0
-            k = np.arange(t0 + 1, t0 + n + 1, dtype=np.int64)
-            # ``phase_words`` of each burst; the mask is the cheaper mod 2**PHASE_BITS.
-            phase = (np.repeat([s.ftw for s in run], ns) * k
-                     + np.repeat([s.ref_word for s in run], ns)
-                     + (np.concatenate([s.phase_codes for s in run]) << shift)) & (PHASE_WORDS - 1)
+            phase = output_phase(np.repeat([s.ftw for s in run], ns),
+                                 np.arange(t0 + 1, t0 + n + 1, dtype=np.int64),
+                                 np.repeat([s.ref_word for s in run], ns),
+                                 np.concatenate([s.phase_codes for s in run]), shift)
             i, q = pac_convert(phase, np.concatenate([s.amp_values for s in run]),
                                pac_addr_bits=cfg.pac_addr_bits, dac_bits=cfg.dac_bits)
             t = t0 - trace.start

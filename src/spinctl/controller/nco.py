@@ -2,8 +2,9 @@
 
 All phase arithmetic is integer, modulo 2**PHASE_BITS.  One phase LSB is
 2*pi / 2**PHASE_BITS radians; a tuning word of ``ftw`` synthesizes exactly
-``ftw * f_clk / 2**PHASE_BITS`` hertz.  The per-sample output phase of a
-played burst is ``BurstSegment.phase_words`` in the executor.
+``ftw * f_clk / 2**PHASE_BITS`` hertz.  ``output_phase`` is the one rule
+for the output phase word at a clock sample; every burst's phase words, the
+PAC's input and the trace engine's phase frames are read through it.
 
 The phase-to-amplitude converter (PAC) is a table of sin/cos over its
 2**pac_addr_bits addresses, read at the top bits of each phase word.
@@ -20,6 +21,14 @@ import numpy as np
 
 PHASE_BITS = 22
 PHASE_WORDS = 1 << PHASE_BITS
+PHASE_MASK = PHASE_WORDS - 1
+
+
+def output_phase(ftw, k, ref_word, code, shift: int):
+    """Output phase word at clock sample ``k``: ftw * k + ref_word + (code <<
+    shift), mod 2**PHASE_BITS.  Elementwise over ints or int64 arrays, and
+    exact for any k: k is reduced first, so ftw * k stays below 2**44."""
+    return (ftw * (k & PHASE_MASK) + ref_word + (code << shift)) & PHASE_MASK
 
 
 def round_half_away(x):

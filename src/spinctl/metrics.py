@@ -148,12 +148,6 @@ def compute_spectrum(signal: Waveform, window: str = "rectangular") -> Spectrum:
     )
 
 
-def _band_mask(spec: Spectrum, center: float, bandwidth: float | None) -> np.ndarray:
-    if bandwidth is None:
-        return np.ones(len(spec), dtype=bool)
-    return np.abs(spec.freqs - center) <= bandwidth / 2.0
-
-
 def _local_median_db(power_dbc: np.ndarray, block: int = _MEDIAN_BLOCK) -> np.ndarray:
     """Blockwise median as a cheap local noise-floor estimate: every bin
     reads the median of its block of ``block`` consecutive bins, counted
@@ -173,7 +167,7 @@ def spur_mask(spec: Spectrum) -> np.ndarray:
     return spec.power_dbc > floor + SPUR_ABOVE_MEDIAN_DB
 
 
-def sfdr(spec: Spectrum, exclusions=None, bandwidth: float | None = None) -> float:
+def sfdr(spec: Spectrum, exclusions=None) -> float:
     """Carrier power minus the largest remaining bin, in dB.
 
     ``exclusions`` is an iterable of absolute-frequency intervals (lo, hi)
@@ -183,7 +177,7 @@ def sfdr(spec: Spectrum, exclusions=None, bandwidth: float | None = None) -> flo
     """
     if exclusions is None:
         exclusions = [(spec.carrier_freq - 2 * spec.rbw, spec.carrier_freq + 2 * spec.rbw)]
-    mask = _band_mask(spec, spec.freqs[spec.tone_bin], bandwidth)
+    mask = np.ones(len(spec), dtype=bool)
     mask[spec.lobe_bins(spec.tone_bin)] = False
     for lo, hi in exclusions:
         mask &= ~((spec.freqs >= lo) & (spec.freqs <= hi))
@@ -193,7 +187,7 @@ def sfdr(spec: Spectrum, exclusions=None, bandwidth: float | None = None) -> flo
     return -worst
 
 
-def snr(spec: Spectrum, signal_bin: int | None = None, integration_bw: float = 25e6) -> float:
+def snr(spec: Spectrum, integration_bw: float = 25e6) -> float:
     """Tone power over integrated noise in a band centered on the tone.
 
     Spur bins (and the tone's own lobe) are excluded from the noise sum.
@@ -202,17 +196,15 @@ def snr(spec: Spectrum, signal_bin: int | None = None, integration_bw: float = 2
         raise ValueError(
             f"integration bandwidth {integration_bw} Hz below resolution {spec.rbw} Hz"
         )
-    if signal_bin is None:
-        signal_bin = spec.tone_bin
-    center = float(spec.freqs[signal_bin])
+    center = spec.tone_freq
     half = integration_bw / 2.0
     f_lo, f_hi = spec.freqs[0], spec.freqs[-1]
     if center - half < f_lo - spec.rbw or center + half > f_hi + spec.rbw:
         raise ValueError("integration band exceeds the Nyquist span of the spectrum")
-    mask = _band_mask(spec, center, integration_bw)
-    mask[spec.lobe_bins(signal_bin)] = False
+    mask = np.abs(spec.freqs - center) <= half
+    mask[spec.lobe_bins(spec.tone_bin)] = False
     mask &= ~spur_mask(spec)
-    tone = spec.tone_power_at(signal_bin)
+    tone = spec.tone_power_at(spec.tone_bin)
     noise = float(spec.power_linear()[mask].sum())
     if noise <= 0.0:
         return float("inf")

@@ -14,7 +14,7 @@ from .evolve import (
     trace_propagators,
     two_level_evolve,
 )
-from .readout import born_probabilities, corrected_p_up, measure, readout_probabilities
+from .readout import born_probabilities, corrected_p_up, readout_probabilities
 
 __all__ = [
     "DeviceModel",
@@ -32,6 +32,5 @@ __all__ = [
     "two_level_evolve",
     "born_probabilities",
     "corrected_p_up",
-    "measure",
     "readout_probabilities",
 ]

@@ -19,17 +19,16 @@ draw; each sample's factor is that exponential conjugated by its phase.
     constant burst telescopes to one matrix power, which is what makes
     randomized benchmarking tractable.  That power is computed once per
     distinct (amplitude, n, ftw) under each physics per memo, so a sequence
-    that replays a few calibrated bursts exponentiates only those few.  A
-    run of consecutive lone constant bursts is folded in one batched step:
-    their powers are gathered into one stack, each is taken into its own
-    phase frame, with the idle gap before it, by diagonal scalings, and the
-    stack is reduced pairwise, at most _CHUNK // 16 matrices at a time.  A
-    shaped burst, or bursts on both banks at once, end the run and go
-    through the kernel, whose product multiplies the total directly.  A
-    lone burst hands the kernel its amplitude-grid values and phase-word
-    angles as they are, so its levels are exactly the envelope's distinct
-    amplitude codes at any tuning word; a cluster of overlapping bursts
-    takes |z| and arg z of its summed samples, as the dense engine does.
+    that replays a few calibrated bursts exponentiates only those few.  Any
+    other cluster (a shaped burst, or bursts on both banks at once) goes
+    through the kernel.  A lone burst hands the kernel its amplitude-grid
+    values and phase-word angles as they are, so its levels are exactly the
+    envelope's distinct amplitude codes at any tuning word; a cluster of
+    overlapping bursts takes |z| and arg z of its summed samples, as the
+    dense engine does.  Every cluster then folds the same way: it becomes
+    one factor, its power or its kernel product taken into its phase frame
+    after the idle gap before it, and the factors are reduced pairwise, at
+    most _CHUNK // 16 matrices at a time.
 
 ``PropagatorMemo``
     The trace engine's store of reusable products, each keyed on the
@@ -58,7 +57,6 @@ functions at the end are independent references for tests.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -75,8 +73,10 @@ from .hamiltonian import (
 
 _CHUNK = 2048
 _KVEC = np.diag(NUMBER_OP).real  # (0, 1, 1, 2)
+_MINUS_I_KVEC = -1j * _KVEC  # -i NUMBER_OP per unit phase
 _EYE = np.eye(4, dtype=complex)
-_WORD_PHASE = 2j * np.pi / PHASE_WORDS * _KVEC  # i phi NUMBER_OP for phi of one phase word
+# +i and -i phi NUMBER_OP for phi of one phase word, shape (2, 1, 1, 4)
+_WORD_PHASE = 2j * np.pi / PHASE_WORDS * np.array([_KVEC, -_KVEC])[:, None, None]
 
 
 def _expm_batch(h: np.ndarray, dt: float) -> np.ndarray:
@@ -161,13 +161,14 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
         step = _CHUNK // len(group)
         total = _EYE[None].repeat(len(group), axis=0)
         for start in range(0, len(amp), step):
-            p = np.exp(-1j * phi[start : start + step, None, None] * _KVEC)  # (n, 1, 4)
+            p = np.exp(phi[start : start + step, None, None] * _MINUS_I_KVEC)  # (n, 1, 4)
             # The gathered copy is scaled in place, in the operand order of
             # P E P^dagger, so no (n, draws, 4, 4) temporaries are made.
             factors = expm[which[start : start + step]]
             np.multiply(p[..., :, None], factors, out=factors)
             factors *= np.conj(p)[..., None, :]
-            total = _ordered_product(factors) @ total
+            product = _ordered_product(factors)
+            total = product @ total if start else product
         out.append(total)
     return np.concatenate(out)
 
@@ -217,15 +218,16 @@ def trace_propagators(
     bursts played.  Whether a burst is constant is read from
     ``BurstSegment.constant``, recorded at play time.
 
-    Each run of consecutive lone constant bursts is folded: the run's powers
+    Every cluster is one factor P(end) F P(start)^dagger G, where G is the
+    idle gap before it.  For a lone constant burst F is its power and the
+    diagonals P come from its end words (reference phase, start time and
+    phase code, ``end_words``); for any other cluster F is the kernel
+    product, already in the lab frame, and its end words are 0.  The factors
     are gathered a chunk at a time (at most _CHUNK // 16 matrices, and at
-    least one burst), scaled in place into each burst's phase frame, P(end)
-    U G P(start)^dagger, where the diagonals P come from the end words
-    (reference phase, start time and phase code, ``end_words``) and G is the
-    idle gap before the burst, and reduced by ``_ordered_product``.  A shaped
-    burst or a cluster ends the run; its kernel product multiplies the total
-    directly, after its own gap.  The pairwise association makes the result
-    differ from a burst-by-burst product in the last bits only.
+    least one cluster), scaled in place, and reduced by ``_ordered_product``;
+    the idle tail after the last cluster is applied at the end.  The pairwise
+    association makes the result differ from a cluster-by-cluster product in
+    the last bits only.
 
     The kernel keeps its exponentials in ``memo`` per draw group, under that
     group's energy rows, the drive operator, the sample period and the level
@@ -245,16 +247,13 @@ def trace_propagators(
     # Zero-amplitude bursts (idle pads) are inert: treat them as gaps.
     clusters = []  # [t0, t_end, segments]
     active = (s for s in trace.segments
-              if (s.amp_values[0] if s.constant else np.any(s.amp_values)))
+              if (s.amp_values[0] if s.constant else s.amp_values.any()))
     for seg in sorted(active, key=lambda s: s.t0):
         if clusters and seg.t0 < clusters[-1][1]:
             clusters[-1][1] = max(clusters[-1][1], seg.t_end)
             clusters[-1][2].append(seg)
         else:
             clusters.append([seg.t0, seg.t_end, [seg]])
-
-    def is_lone_constant(cluster) -> bool:
-        return len(cluster[2]) == 1 and cluster[2][0].constant
 
     # Sample k of a lone constant burst is sample 0 conjugated by k phase
     # steps of the tuning word, so the burst telescopes to one matrix power.
@@ -263,68 +262,53 @@ def trace_propagators(
         undo_step = np.exp(2j * np.pi * ftw / PHASE_WORDS * _KVEC)
         return np.linalg.matrix_power(u_bar * undo_step, n - 1) @ u_bar
 
-    lone, gaps, t = [], [], trace.start  # lone constant bursts, the idle gap before each
-    for cluster in clusters:
-        if is_lone_constant(cluster):
-            lone.append(cluster[2][0])
-            gaps.append(cluster[0] - t)
-        t = cluster[1]
-    if lone:
-        rows = {}  # (amplitude, n, ftw) -> its row of `powers`
-        which = np.array([rows.setdefault((float(s.amp_values[0]), s.n, s.ftw), len(rows))
-                          for s in lone])
-        powers = np.array([memo.get("power", physics + key, functools.partial(power, *key))
-                           for key in rows])  # (distinct, r, 4, 4)
-        memo.counts["power_hits"] += len(lone) - len(rows)  # a repeat within the call hits too
-        # i phi NUMBER_OP at each burst's end words, (M, 1, 4) each: P(end)
-        # = exp(-ends) scales a power's rows; P(start)^dagger = exp(starts)
-        # and the idle gap G = exp(idle * energies) scale its columns.
-        starts, ends = end_words(lone, bits)[..., None, None] * _WORD_PHASE
-        p_end = np.exp(-ends)[..., None]  # (M, 1, 4, 1)
-        idle = np.array(gaps)[:, None, None] * (-2j * np.pi * dt)  # (M, 1, 1)
-    chunk = max(1, _CHUNK // 16 // len(energies))  # bursts folded at once
-
-    total = _EYE[None].repeat(len(energies), axis=0)
-
-    def apply_gap(n_samples: int):
-        nonlocal total
-        if n_samples > 0:
-            total = np.exp(-2j * np.pi * dt * n_samples * energies)[:, :, None] * total
-
-    t, folded = trace.start, 0  # folded: lone constant bursts multiplied in so far
-    for lone_run, run in itertools.groupby(clusters, is_lone_constant):
-        run = list(run)
-        if lone_run:
-            # Each burst in its phase frame, after the idle gap before it:
-            # P(end) U G P(start)^dagger, scaled in place on the gathered
-            # powers and reduced a chunk at a time.
-            for i in range(folded, folded + len(run), chunk):
-                part = slice(i, min(i + chunk, folded + len(run)))
-                factors = powers[which[part]]  # (c, r, 4, 4)
-                factors *= p_end[part]
-                factors *= np.exp(starts[part] + idle[part] * energies)[..., None, :]
-                total = _ordered_product(factors) @ total
-            folded += len(run)
-            t = run[-1][1]
+    def kernel_product(t0: int, t_end: int, group) -> np.ndarray:
+        if len(group) == 1:
+            # Exact levels: the amplitude codes and phase words as played.
+            amp, phi = group[0].amp_values, group[0].phase_words(bits) * (2 * np.pi / PHASE_WORDS)
         else:
-            for t0, t_end, group in run:
-                apply_gap(t0 - t)
-                t = t_end
-                if len(group) == 1:
-                    # Exact levels: the amplitude codes and phase words as played.
-                    seg = group[0]
-                    amp = seg.amp_values
-                    phi = 2 * np.pi * seg.phase_words(bits) / PHASE_WORDS
-                else:
-                    z = np.zeros(t_end - t0, dtype=complex)  # idealized samples, banks summed
-                    for seg in group:
-                        phase = 2j * np.pi * seg.phase_words(bits) / PHASE_WORDS
-                        z[seg.t0 - t0 : seg.t_end - t0] += seg.amp_values * np.exp(phase)
-                    amp, phi = np.abs(z), np.angle(z)
-                total = _sampled_product(amp, phi, energies, drive, dt, memo, operator) @ total
+            z = np.zeros(t_end - t0, dtype=complex)  # idealized samples, banks summed
+            for seg in group:
+                phase = seg.phase_words(bits) * (2j * np.pi / PHASE_WORDS)
+                z[seg.t0 - t0 : seg.t_end - t0] += seg.amp_values * np.exp(phase)
+            amp, phi = np.abs(z), np.angle(z)
+        return _sampled_product(amp, phi, energies, drive, dt, memo, operator)
 
-    apply_gap(trace.end - t)
-    return total
+    heads = [group[0] for _, _, group in clusters]
+    lone = [len(group) == 1 and group[0].constant for _, _, group in clusters]
+    shaped = [i for i, is_lone in enumerate(lone) if not is_lone][::-1]  # kernel, last first
+    rows = {}  # (amplitude, n, ftw) -> its row of `powers`
+    which = np.array([rows.setdefault((float(s.amp_values[0]), s.n, s.ftw), len(rows))
+                      if is_lone else -1 for s, is_lone in zip(heads, lone)])
+    total = _EYE[None].repeat(len(energies), axis=0)
+    # A kernel cluster's gathered row is replaced, so any row serves it.
+    powers = np.array([memo.get("power", physics + key, functools.partial(power, *key))
+                       for key in rows] or [total])  # (distinct, r, 4, 4)
+    memo.counts["power_hits"] += len(heads) - len(shaped) - len(rows)  # repeats in the call
+    # +-i phi NUMBER_OP at each cluster's start and end word, (M, 1, 4) each:
+    # P(end) = exp(minus_ends) scales a factor's rows, P(start)^dagger =
+    # exp(starts) and G = exp(idle * energies) scale its columns.
+    words = end_words(heads, bits)
+    words[:, shaped] = 0
+    starts, minus_ends = words[..., None, None] * _WORD_PHASE
+    p_end = np.exp(minus_ends)[..., None]  # (M, 1, 4, 1)
+    ends_at = [trace.start] + [t_end for _, t_end, _ in clusters]
+    step = -2j * np.pi * dt  # G = exp(gap * step * energies)
+    idle = np.array([(t0 - t) * step for (t0, _, _), t in zip(clusters, ends_at)])[:, None, None]
+    chunk = max(1, _CHUNK // 16 // len(energies))  # clusters folded at once
+
+    for i in range(0, len(clusters), chunk):
+        part = slice(i, i + chunk)
+        factors = powers[which[part]]  # (c, r, 4, 4)
+        while shaped and shaped[-1] < i + chunk:
+            j = shaped.pop()
+            factors[j - i] = kernel_product(*clusters[j])
+        factors *= p_end[part]
+        factors *= np.exp(starts[part] + idle[part] * energies)[..., None, :]
+        product = _ordered_product(factors)
+        total = product @ total if i else product
+    tail = trace.end - ends_at[-1]
+    return np.exp(tail * step * energies)[:, :, None] * total if tail else total
 
 
 # --- closed-form two-level references ---------------------------------------

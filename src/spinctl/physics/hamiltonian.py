@@ -47,13 +47,17 @@ def detunings(model: DeviceModel, lo_freq: float, exchange_on: bool,
 
 def diagonal_energies(d1, d2, j) -> np.ndarray:
     """Diagonal of the generator, shape (..., 4) for scalar or array inputs."""
-    d1, d2, j = np.broadcast_arrays(d1, d2, j)
-    return np.stack([np.zeros_like(d1), d2 - j / 2, d1 - j / 2, d1 + d2], axis=-1)
+    e = np.zeros(np.broadcast(d1, d2, j).shape + (4,))
+    e[..., 1], e[..., 2], e[..., 3] = d2 - j / 2, d1 - j / 2, d1 + d2
+    return e
 
 
 def drive_operator(model: DeviceModel) -> np.ndarray:
-    w1, w2 = model.drive_coupling
-    return w1 * S1 + w2 * S2
+    """w1 S1 + w2 S2: the two raising operators have disjoint entries."""
+    d = np.zeros((4, 4), dtype=complex)
+    d[2, 0] = d[3, 1] = model.drive_coupling[0]
+    d[1, 0] = d[3, 2] = model.drive_coupling[1]
+    return d
 
 
 def generator_batch(z: np.ndarray, energies: np.ndarray, drive: np.ndarray) -> np.ndarray:

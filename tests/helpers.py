@@ -1,4 +1,5 @@
-"""Shared construction helpers for metric, physics and acceptance tests."""
+"""Shared construction helpers and reference oracles for metric, physics,
+readout and acceptance tests."""
 
 import numpy as np
 
@@ -44,3 +45,49 @@ def dithered_quantize_complex(z, bits, rng):
     return dithered_quantize(np.real(z), bits, rng) + 1j * dithered_quantize(
         np.imag(z), bits, rng
     )
+
+
+def measure(amplitudes, model: DeviceModel, shots: int,
+            rng: np.random.Generator) -> np.ndarray:
+    """Sample shot records of one state (amplitudes of shape (4,)), shape
+    (shots, 2) with columns (q1_bit, q2_bit): the shot-by-shot reference for
+    the chain that ``readout_probabilities`` gives in closed form.
+
+    Qubit 2 first; its outcome conditions the qubit-1 distribution through
+    state collapse before the mapping rotation is applied.
+    """
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    probs = np.abs(np.asarray(amplitudes)) ** 2
+    if probs.shape != (4,):
+        raise ValueError(f"measure samples one state of 4 amplitudes, got shape {probs.shape}")
+    p2 = probs[1] + probs[3]
+    q2_true = rng.random(shots) < p2
+
+    # P(q1 = 1 | q2 outcome) from the collapsed state.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1_given_up = probs[3] / p2 if p2 > 0 else 0.0
+        p1_given_down = probs[2] / (1.0 - p2) if p2 < 1 else 0.0
+    p1_cond = np.where(q2_true, p1_given_up, p1_given_down)
+    q1_true = rng.random(shots) < p1_cond
+
+    # Mapping rotation: correct with probability (1 + d) / 2.
+    d = model.crot_readout_fidelity
+    faithful = rng.random(shots) < (1.0 + d) / 2.0
+    q1_mapped = np.where(faithful, q1_true, ~q1_true)
+
+    q2_read = _flip_through(q2_true, model.readout_q2, rng)
+    q1_read = _flip_through(q1_mapped, model.readout_q1, rng)
+    # Post-measurement state of qubit 2 is |0>: the protocol reinitializes it.
+    return np.stack([q1_read, q2_read], axis=1).astype(np.int8)
+
+
+def _flip_through(bits: np.ndarray, fid, rng: np.random.Generator) -> np.ndarray:
+    u = rng.random(len(bits))
+    keep = np.where(bits, u < fid.f1, u < fid.f0)
+    return np.where(keep, bits, ~bits)
+
+
+def empirical_p_up(records: np.ndarray) -> tuple[float, float]:
+    """Fraction of shots reading 1, per qubit."""
+    return float(records[:, 0].mean()), float(records[:, 1].mean())

@@ -1,5 +1,6 @@
 """Import every spinctl module and run a small RB, one noisy dense AllXY
-pair, one noisy RB sequence on the trace engine, a played program through
+pair, one noisy RB sequence and one program of gaussian and rectangular
+gates on the trace engine, a played program through
 synthesize, upconvert, its spectrum, SNR, SFDR, LO rejection and two-tone
 report, and the spectra of each window with scipy made unimportable; exits
 non-zero on failure.
@@ -61,7 +62,7 @@ def main():
     (hits,) = noisy.sample(prog, (2,), 10_000, shot_rng(0, 5), engine="dense")
     assert hits > 9_900 and noisy.quadrature["calls"] == 1, (hits, noisy.quadrature)
 
-    # The trace engine folds the sequence's runs of constant bursts.
+    # The trace engine folds the sequence's constant bursts as matrix powers.
     indices = np.random.default_rng(4).integers(0, N_CLIFFORDS, size=25).tolist()
     ops = [GateOp(g, 2) for g in sequence_primitives(indices + [recovery_index(indices)])]
     noisy.new_tally()
@@ -69,6 +70,17 @@ def main():
     assert hits < 100, hits  # the sequence returns qubit 2 to |0>
     assert noisy.memo.counts["power_hits"] > 0, noisy.memo.counts
     assert noisy.quadrature["calls"] == 1 and noisy.quadrature["converged"], noisy.quadrature
+
+    # Gaussian bursts go through the kernel inside the same fold.  A virtual
+    # z by pi turns the second half back, whatever the gaussian's angle.
+    shaped = [GateOp("x2", 2), GateOp("x", 2, shape="gaussian"), GateOp("z", 2, angle=np.pi),
+              GateOp("x", 2, shape="gaussian"), GateOp("x2", 2)]
+    noisy.new_tally()
+    (hits,) = noisy.sample(noisy.compile(shaped), (2,), 1_000, shot_rng(0, 7), engine="trace")
+    assert hits < 100, hits  # qubit 2 returns to |0>
+    counts = noisy.memo.counts
+    assert counts["level_hits"] + counts["level_misses"] > 0, counts
+    assert counts["power_hits"] + counts["power_misses"] > 0, counts
 
     # The DAC output and its RF signal are one type, which the metrics read.
     bench = Bench(DeviceModel(), TxConfig())

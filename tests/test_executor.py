@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import spinctl.controller.executor as executor
 from spinctl.controller.executor import (
     SYNTH_BATCH,
     Transmitter,
@@ -20,6 +21,7 @@ from spinctl.controller.nco import (
     freq_to_ftw,
     max_grid_value,
     offset_to_ftw,
+    pac_convert,
     quantize_unit,
 )
 from spinctl.errors import ConfigError
@@ -231,6 +233,36 @@ def test_play_records_constancy_once_per_envelope_block():
     first, last = trace.segments[0], trace.segments[-1]
     assert first.amp_values is last.amp_values  # one block, read once
     assert not first.amp_values.flags.writeable and not first.phase_codes.flags.writeable
+
+
+def test_phase_words_stay_exact_after_2_to_the_42_samples(monkeypatch):
+    # At the largest tuning word ftw * k passes 2**63 near 2**41 samples.
+    # The burst's phase words, its end words and the words ``synthesize``
+    # feeds the PAC all come from one rule; each must equal exact integers.
+    cfg = TxConfig()
+    img = MemoryImage()
+    img.envelope.write_codes(np.full(6, 300), np.array([0, 1, 1023, 512, 7, 1000]))
+    img.add_instruction(0, 2, Instruction(2, start_addr=0, stop_addr=5))
+    img.schedule(0, 2, 0)
+    tx = Transmitter(cfg, ftws={(0, 2): PHASE_WORDS - 1})
+    tx.sample_count = 2**42
+    trace = tx.play([img])
+    (seg,) = trace.segments
+    shift = PHASE_BITS - trace.phase_mod_bits
+    oracle = [(seg.ftw * (seg.t0 + k) + seg.ref_word + (int(c) << shift)) % PHASE_WORDS
+              for k, c in enumerate(seg.phase_codes.tolist(), start=1)]
+    assert seg.t0 == 2**42 and seg.ftw == PHASE_WORDS - 1
+    assert seg.phase_words(trace.phase_mod_bits).tolist() == oracle
+    assert end_words([seg], trace.phase_mod_bits).tolist() == [[oracle[0]], [oracle[-1]]]
+    fed = []
+
+    def recording(phase, amplitude, **bits):
+        fed.append(np.array(phase))
+        return pac_convert(phase, amplitude, **bits)
+
+    monkeypatch.setattr(executor, "pac_convert", recording)
+    synthesize(trace, cfg)
+    assert np.concatenate(fed).tolist() == oracle
 
 
 def per_burst_reference(trace, cfg):

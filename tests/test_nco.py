@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spinctl.controller.executor import BurstSegment
 from spinctl.controller.nco import (
@@ -17,6 +17,7 @@ from spinctl.controller.nco import (
     ftw_to_offset,
     max_grid_value,
     offset_to_ftw,
+    output_phase,
     pac_convert,
 )
 
@@ -120,6 +121,25 @@ def test_vectorized_phase_matches_stepping(ftw, t0, ref, n):
     got = played_words(ftw, n, t0=t0, ref=ref)
     assert got.tolist() == expected
     assert (int(got[-1]) - ref) % PHASE_WORDS == acc
+
+
+@given(
+    st.integers(min_value=0, max_value=PHASE_WORDS - 1),
+    st.integers(min_value=0, max_value=(1 << 62) - 1),
+    st.integers(min_value=0, max_value=PHASE_WORDS - 1),
+    st.integers(min_value=0, max_value=(1 << 10) - 1),
+)
+@example(PHASE_WORDS - 1, 1 << 42, PHASE_WORDS - 1, 1023)
+def test_output_phase_is_exact_for_ints_arrays_and_int64_scalars(ftw, k, ref, code):
+    # Python ints, int64 arrays and int64 scalars all give the exact word;
+    # an int64 scalar product past 2**63 would warn, which fails the test.
+    shift = PHASE_BITS - 10
+    exact = (ftw * k + ref + (code << shift)) % PHASE_WORDS
+    assert output_phase(ftw, k, ref, code, shift) == exact
+    as_int64 = [np.int64(v) for v in (ftw, k, ref, code)]
+    assert output_phase(*as_int64, shift) == exact
+    as_arrays = [np.full(3, v, dtype=np.int64) for v in (ftw, k, ref, code)]
+    assert output_phase(*as_arrays, shift).tolist() == [exact] * 3
 
 
 def test_ref_phase_offsets_output_not_accumulator():

@@ -371,7 +371,7 @@ def test_trace_engine_result_does_not_depend_on_the_constant_flag():
     assert np.max(np.abs(trace_propagators(unflagged, m, LO, **physics) - fast)) < 1e-9
 
 
-# --- the trace engine's fold of constant-burst runs ---------------------------
+# --- the trace engine's fold of burst clusters ---------------------------------
 
 
 def sequential_propagators(trace, m, lo, exchange_on=False, noise=NoiseSample()):
@@ -446,9 +446,10 @@ def test_fold_matches_a_sequential_product_around_kernel_clusters():
     # Runs of constant bursts, with and without idle gaps before them and
     # with a zero-amplitude pad, are cut by a gaussian burst and by two
     # overlapping constant bursts on both banks; the trace ends in a gap.
-    # 50 rows make two bursts a chunk, so every run crosses a chunk boundary.
+    # 50 rows make two clusters a chunk, so every run crosses a chunk boundary.
     rng = np.random.default_rng(7)
     ftws = (offset_to_ftw(24e6), offset_to_ftw(-90e6), offset_to_ftw(19e6))
+    gauss = np.exp(-0.5 * ((np.arange(200) - 99.5) / 40) ** 2)
     t, segments = 1000, []
 
     def play(n, amp, bank=0, ftw=ftws[0], idle=0, shape=None, at=None):
@@ -460,21 +461,59 @@ def test_fold_matches_a_sequential_product_around_kernel_clusters():
                                      amps, codes, constant=shape is None))
         t = max(t, t0 + n)
 
+    def overlap(idle):  # two constant bursts on both banks, one cluster
+        start = t + idle
+        play(300, 0.3, at=start)
+        play(300, 0.35, bank=1, ftw=ftws[1], at=start + 120)
+
+    m, noise = model(), noise_rows(50, seed=1)
+
+    def check(trace, n_lone, n_kernel):
+        ends = []  # of each cluster of overlapping bursts
+        for s in sorted((s for s in trace.segments if np.any(s.amp_values)), key=lambda s: s.t0):
+            if ends and s.t0 < ends[-1]:
+                ends[-1] = max(ends[-1], s.t_end)
+            else:
+                ends.append(s.t_end)
+        assert len(lone_constant_bursts(trace)) == n_lone and len(ends) - n_lone == n_kernel
+        fast = trace_propagators(trace, m, LO, exchange_on=True, noise=noise)
+        reference = sequential_propagators(trace, m, LO, exchange_on=True, noise=noise)
+        assert np.allclose(fast, reference, rtol=0, atol=1e-12)
+
     run = [(250, 0.5, 0), (125, 0.5, 13), (250, 0.5, 0), (250, 0.5, 40), (125, 0.5, 0)]
     for n, amp, idle in run:
         play(n, amp, idle=idle)
     play(60, 0.0)  # an idle pad
-    play(200, 0.4, shape=np.exp(-0.5 * ((np.arange(200) - 99.5) / 40) ** 2), idle=7)
+    play(200, 0.4, shape=gauss, idle=7)
     for n, amp, idle in run[:3]:
         play(n, amp, ftw=ftws[2], idle=idle)
-    start = t + 11
-    play(300, 0.3, at=start)
-    play(300, 0.35, bank=1, ftw=ftws[1], at=start + 120)  # overlaps the burst before
+    overlap(11)  # overlaps the burst before
     for n, amp, idle in run[1:4]:
         play(n, amp, idle=idle)
-    trace = ExecutionTrace(segments, 1000, t + 77, 10, FS)
-    assert len(lone_constant_bursts(trace)) == 11
-    m, noise = model(), noise_rows(50, seed=1)
-    fast = trace_propagators(trace, m, LO, exchange_on=True, noise=noise)
-    reference = sequential_propagators(trace, m, LO, exchange_on=True, noise=noise)
-    assert np.allclose(fast, reference, rtol=0, atol=1e-12)
+    check(ExecutionTrace(segments, 1000, t + 77, 10, FS), 11, 2)
+
+    # Kernel clusters that start chunks (clusters 0, 4 and 6) and end one
+    # (cluster 3), the first one with no gap or total before it.
+    t, segments = 1000, []
+    play(200, 0.4, shape=gauss)
+    play(250, 0.5, idle=5)
+    play(125, 0.5)
+    play(200, 0.3, shape=gauss, ftw=ftws[2], idle=9)
+    play(200, 0.4, shape=gauss, bank=1, ftw=ftws[1])
+    play(250, 0.5, idle=3)
+    overlap(0)
+    play(125, 0.5, idle=21)
+    check(ExecutionTrace(segments, 1000, t, 10, FS), 4, 4)
+
+    # Kernel clusters only, across three chunks.
+    t, segments = 1000, []
+    for k in range(3):
+        play(200, 0.4, shape=gauss, idle=17 * k)
+        overlap(k)
+    check(ExecutionTrace(segments, 1000, t + 5, 10, FS), 0, 6)
+
+    # No active burst: the product is the idle gap alone.
+    t, segments = 1000, []
+    play(60, 0.0, idle=30)
+    check(ExecutionTrace(segments, 900, t + 40, 10, FS), 0, 0)
+    check(ExecutionTrace([], 900, 900, 10, FS), 0, 0)

@@ -8,12 +8,12 @@ from spinctl.physics import (
     ReadoutFidelity,
     born_probabilities,
     corrected_p_up,
-    measure,
     readout_probabilities,
     shot_rng,
 )
 from spinctl.errors import ConfigError
-from spinctl.physics.readout import empirical_p_up
+
+from helpers import empirical_p_up, measure
 
 
 def model(**kw):
