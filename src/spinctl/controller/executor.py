@@ -8,7 +8,10 @@ bank are strictly sequential.  NCO phase accumulators advance on every
 clock from the trigger onward whether or not their NCO is selected, so
 bursts are phase-coherent across idle gaps, instructions, and triggers.
 Playing images yields an ``ExecutionTrace``: every burst with its start
-sample, tuning word, reference phase and envelope codes.
+sample, tuning word, reference phase and envelope codes.  Play also checks
+what only a whole image shows (list length, bit widths, empty slots,
+bursts past the envelope) in the walk that plays it; memory writes check
+the rest.
 
 Synthesize: ``synthesize`` turns a trace into DAC samples (PAC table
 lookup, DAC quantization, bank sum, clipping), a baseband ``Waveform``: the
@@ -26,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError
-from .memory import MemoryImage, N_BANKS, N_NCOS
+from ..errors import CapacityError, ConfigError
+from .memory import LIST_CAPACITY, MemoryImage, N_BANKS, N_NCOS
 from .nco import PHASE_BITS, PHASE_WORDS, max_grid_value, output_phase, pac_convert
 
 # Most samples per ``pac_convert`` call in ``synthesize``: enough to share
@@ -250,32 +253,45 @@ class Transmitter:
     def play(self, images) -> ExecutionTrace:
         """Run triggers back to back and record every burst they play.
 
-        Each image is validated before it changes any state; playing it
-        applies its phase updates and advances the clock by its longest bank.
-        Bursts of one envelope block share its read-only sample arrays, which
-        are read and tested for constancy once per image.
+        Playing an image applies its phase updates and advances the clock by
+        its longest bank.  The same walk checks the image: list length, bit
+        widths, empty slots and bursts past the envelope.  It plays on local
+        copies of the clock and reference phases, stored once every image has
+        played, so a bad image leaves the transmitter unchanged.  Bursts of
+        one envelope block share its read-only sample arrays, which are
+        checked, read and tested for constancy once per image.
         """
         cfg = self.cfg
-        start = self.sample_count
+        ftws, ref_phase = self.ftws.tolist(), self.ref_phase.tolist()
+        start = clock = self.sample_count
         segments = []
         for image in images:
-            image.validate()
-            env = image.envelope
+            env, tables, entries = image.envelope, image.tables, image.instruction_list
+            if len(entries) > LIST_CAPACITY:
+                raise CapacityError("instruction list", LIST_CAPACITY, len(entries))
             if env.amp_bits != cfg.amp_bits or env.phase_mod_bits != cfg.phase_mod_bits:
                 raise ValueError(
                     "image envelope bit widths do not match the transmitter configuration"
                 )
             cursors = [0] * N_BANKS  # each bank plays its bursts back to back
             blocks = {}  # (start, stop) -> (amp_values, phase_codes, constant)
-            for ref in image.instruction_list:
-                instr = image.tables[ref.bank][ref.nco][ref.slot]
+            for pos, (bank, nco, slot) in enumerate(entries):
+                if not (0 <= bank < N_BANKS and 0 <= nco < N_NCOS
+                        and 0 <= slot < len(tables[bank][nco])):
+                    raise ValueError(
+                        f"list entry {pos} references empty slot bank{bank}/nco{nco}/slot{slot}"
+                    )
+                instr = tables[bank][nco][slot]
                 if instr.is_phase_update:
-                    self.ref_phase[ref.bank, ref.nco] = (
-                        self.ref_phase[ref.bank, ref.nco] + instr.phase_update
-                    ) % PHASE_WORDS
+                    ref_phase[bank][nco] = (ref_phase[bank][nco] + instr.phase_update) % PHASE_WORDS
                     continue
                 block = (instr.start_addr, instr.stop_addr)
                 if block not in blocks:
+                    if instr.stop_addr >= len(env):
+                        raise ValueError(
+                            f"list entry {pos} envelope range [{instr.start_addr}, "
+                            f"{instr.stop_addr}] exceeds envelope length {len(env)}"
+                        )
                     amp, codes = env.amp_values(*block), env.phase_codes(*block)
                     amp.flags.writeable = codes.flags.writeable = False
                     constant = bool(np.all(amp == amp[0]) and np.all(codes == codes[0]))
@@ -283,20 +299,22 @@ class Transmitter:
                 amp, codes, constant = blocks[block]
                 segments.append(
                     BurstSegment(
-                        bank=ref.bank,
-                        nco=ref.nco,
-                        t0=self.sample_count + cursors[ref.bank],
+                        bank=bank,
+                        nco=nco,
+                        t0=clock + cursors[bank],
                         n=instr.n_samples,
-                        ftw=int(self.ftws[ref.bank, ref.nco]),
-                        ref_word=int(self.ref_phase[ref.bank, ref.nco]),
+                        ftw=ftws[bank][nco],
+                        ref_word=ref_phase[bank][nco],
                         amp_values=amp,
                         phase_codes=codes,
                         constant=constant,
                     )
                 )
-                cursors[ref.bank] += instr.n_samples
-            self.sample_count += max(cursors)
-        return ExecutionTrace(segments, start, self.sample_count, cfg.phase_mod_bits, cfg.f_clk)
+                cursors[bank] += instr.n_samples
+            clock += max(cursors)
+        self.ref_phase[:] = ref_phase
+        self.sample_count = clock
+        return ExecutionTrace(segments, start, clock, cfg.phase_mod_bits, cfg.f_clk)
 
     def execute(self, image: MemoryImage) -> Waveform:
         """Run one trigger and return the summed banks."""

@@ -1,12 +1,16 @@
 """Controller memories: envelope store, instruction tables, instruction list.
 
 Capacities mirror the modeled hardware and are hard limits: writes past
-them raise CapacityError instead of truncating.
+them raise CapacityError instead of truncating.  Every write checks what
+it writes (codes, instruction forms, bank/NCO/slot ranges); what only the
+whole image can show, an empty slot or a burst past the envelope, is
+checked by ``Transmitter.play`` as it plays the list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,21 +164,12 @@ class Instruction:
         return self.stop_addr - self.start_addr + 1
 
 
-@dataclass(frozen=True)
-class ListEntry:
+class ListEntry(NamedTuple):
     """Instruction-list reference: which table slot of which NCO to run."""
 
     bank: int
     nco: int
     slot: int
-
-    def __post_init__(self):
-        if not 0 <= self.bank < N_BANKS:
-            raise ValueError(f"bank {self.bank} outside 0..{N_BANKS - 1}")
-        if not 0 <= self.nco < N_NCOS:
-            raise ValueError(f"nco {self.nco} outside 0..{N_NCOS - 1}")
-        if not 0 <= self.slot < TABLE_CAPACITY:
-            raise ValueError(f"slot {self.slot} outside 0..{TABLE_CAPACITY - 1}")
 
 
 def _empty_tables():
@@ -204,34 +199,19 @@ class MemoryImage:
         return len(table) - 1
 
     def schedule(self, bank: int, nco: int, slot: int):
-        """Append a table reference to the instruction list."""
+        """Append a table reference to the instruction list.  Whether the
+        slot holds an instruction is checked when the image is played."""
         if len(self.instruction_list) + 1 > LIST_CAPACITY:
             raise CapacityError(
                 "instruction list", LIST_CAPACITY, len(self.instruction_list) + 1
             )
+        if not 0 <= bank < N_BANKS:
+            raise ValueError(f"bank {bank} outside 0..{N_BANKS - 1}")
+        if not 0 <= nco < N_NCOS:
+            raise ValueError(f"nco {nco} outside 0..{N_NCOS - 1}")
+        if not 0 <= slot < TABLE_CAPACITY:
+            raise ValueError(f"slot {slot} outside 0..{TABLE_CAPACITY - 1}")
         self.instruction_list.append(ListEntry(bank, nco, slot))
-
-    def validate(self) -> None:
-        """Check every list reference and envelope address before execution."""
-        if len(self.instruction_list) > LIST_CAPACITY:
-            raise CapacityError(
-                "instruction list", LIST_CAPACITY, len(self.instruction_list)
-            )
-        n_env = len(self.envelope)
-        for pos, ref in enumerate(self.instruction_list):
-            table = self.tables[ref.bank][ref.nco]
-            if ref.slot >= len(table):
-                raise ValueError(
-                    f"list entry {pos} references empty slot "
-                    f"bank{ref.bank}/nco{ref.nco}/slot{ref.slot}"
-                )
-            instr = table[ref.slot]
-            if not instr.is_phase_update and instr.stop_addr >= n_env:
-                raise ValueError(
-                    f"list entry {pos} envelope range "
-                    f"[{instr.start_addr}, {instr.stop_addr}] exceeds "
-                    f"envelope length {n_env}"
-                )
 
     def occupancy(self) -> dict:
         return {

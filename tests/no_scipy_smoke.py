@@ -2,8 +2,10 @@
 pair, one noisy RB sequence and one program of gaussian and rectangular
 gates on the trace engine, a played program through
 synthesize, upconvert, its spectrum, SNR, SFDR, LO rejection and two-tone
-report, and the spectra of each window with scipy made unimportable; exits
-non-zero on failure.
+report, a program split across triggers through image dump, load and play
+(and one image with a dangling list entry, which play must reject), and the
+spectra of each window with scipy made unimportable; exits non-zero on
+failure.
 
     python tests/no_scipy_smoke.py
 
@@ -36,7 +38,9 @@ def main():
         importlib.import_module(module.name)
 
     from spinctl.compiler.ir import GateOp
-    from spinctl.controller.executor import TxConfig, Waveform, synthesize
+    from spinctl.controller.executor import Transmitter, TxConfig, Waveform, synthesize
+    from spinctl.controller.image_io import dump_image, load_image
+    from spinctl.controller.memory import ListEntry
     from spinctl.controller.rf import upconvert
     from spinctl.experiments import Bench, run_rb
     from spinctl.experiments.base import gauss_hermite
@@ -97,6 +101,26 @@ def main():
     tones = report["tone_a_dbc"], report["tone_b_dbc"]
     assert max(tones) == 0.0 and min(tones) > -10.0, report
     assert len(report["products_dbc"]) == len(IMD_PRODUCTS), report
+
+    # A program split across triggers round-trips through the image format
+    # and plays its reported duration; a dangling list entry is caught in play.
+    prog = bench.compile([GateOp("x", 2), GateOp("y2", 1)] * 1200)
+    assert prog.report["split"] and prog.n_triggers >= 2, prog.report
+    blobs = [dump_image(image) for image in prog.images]
+    loaded = [load_image(blob) for blob in blobs]
+    assert [dump_image(image) for image in loaded] == blobs
+    tx = Transmitter(bench.cfg, prog.ftws)
+    trace = tx.play(loaded)
+    assert trace.n_samples == prog.report["duration_samples"], trace.n_samples
+    count = tx.sample_count
+    loaded[-1].instruction_list.append(ListEntry(1, 15, 7))  # the earlier images play first
+    try:
+        tx.play(loaded)
+    except ValueError as exc:
+        assert "empty slot" in str(exc), exc
+    else:
+        raise AssertionError("a dangling list entry played")
+    assert tx.sample_count == count, tx.sample_count
 
     n = 1024
     t = np.arange(n)

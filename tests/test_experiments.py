@@ -174,6 +174,13 @@ def test_rb_fit_pinned_at_bound_is_flagged_not_warned():
     assert not free.p_at_bound and np.isfinite(free.p_stderr)
 
 
+def test_rb_reports_the_lengths_that_split_across_triggers():
+    # 600 Cliffords overflow one image; a single Clifford does not.
+    res = run_rb(plain_bench(), (1, 600), n_sequences=1, repetitions=50, seed=4)
+    assert res.split_lengths == [600]
+    assert res.survival == [1.0, 1.0]
+
+
 def _no_compiling(monkeypatch):
     def compile_program(*args, **kwargs):
         raise AssertionError("compiled before the arguments were checked")

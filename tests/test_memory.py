@@ -1,10 +1,12 @@
-"""Capacity enforcement and structural validation of controller memories."""
+"""Capacity enforcement and structural checks of controller memories, at
+write time and at play time."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinctl.errors import CapacityError
+from spinctl.controller.executor import Transmitter, TxConfig
 from spinctl.controller.memory import (
     ENVELOPE_CAPACITY,
     LIST_CAPACITY,
@@ -137,27 +139,81 @@ def test_instruction_needs_exactly_one_form():
         Instruction(0, start_addr=5, stop_addr=4)
 
 
-def test_list_entry_bounds():
-    with pytest.raises(ValueError):
-        ListEntry(2, 0, 0)
-    with pytest.raises(ValueError):
-        ListEntry(0, 16, 0)
-    with pytest.raises(ValueError):
-        ListEntry(0, 0, 8)
-
-
-def test_validate_catches_dangling_slot_and_bad_range():
+def test_schedule_checks_bank_nco_and_slot_ranges():
     img = MemoryImage()
-    img.envelope.write_values(np.zeros(4))
+    for bank, nco, slot, message in ((2, 0, 0, "bank 2 outside 0..1"),
+                                     (-1, 0, 0, "bank -1 outside 0..1"),
+                                     (0, 16, 0, "nco 16 outside 0..15"),
+                                     (0, 0, 8, "slot 8 outside 0..7")):
+        with pytest.raises(ValueError, match=message):
+            img.schedule(bank, nco, slot)
+    assert img.instruction_list == []
+    img.schedule(1, 15, 7)  # in range; an empty slot is found when played
+    assert img.instruction_list == [ListEntry(1, 15, 7)] == [(1, 15, 7)]
+
+
+def _good_image():
+    """A phase update on bank 0 / NCO 0, then a burst of the 4-point block."""
+    img = MemoryImage()
+    img.envelope.write_values(np.full(4, 0.5))
     img.add_instruction(0, 0, Instruction(0, start_addr=0, stop_addr=3))
+    img.add_instruction(0, 0, Instruction(0, phase_update=1000))
+    img.add_instruction(1, 0, Instruction(0, phase_update=7))  # what bank -1 would wrap to
+    img.schedule(0, 0, 1)
     img.schedule(0, 0, 0)
-    img.validate()
+    return img
 
-    img.instruction_list.append(ListEntry(0, 0, 5))
-    with pytest.raises(ValueError, match="empty slot"):
-        img.validate()
 
-    img.instruction_list.pop()
+def _played_transmitter():
+    tx = Transmitter(TxConfig())
+    tx.play([_good_image()])
+    assert tx.sample_count == 4 and tx.ref_phase[0, 0] == 1000
+    return tx
+
+
+def _assert_rejected(tx, images, error, match):
+    count, ref = tx.sample_count, tx.ref_phase.copy()
+    with pytest.raises(error, match=match):
+        tx.play(images)
+    assert tx.sample_count == count
+    assert np.array_equal(tx.ref_phase, ref)
+
+
+def test_play_catches_dangling_slot_and_bad_range():
+    tx = _played_transmitter()
+    for entry in (ListEntry(0, 0, 5), ListEntry(0, 3, 0), ListEntry(2, 0, 0),
+                  ListEntry(0, 16, 0), ListEntry(-1, 0, 0), ListEntry(0, -16, 0),
+                  ListEntry(0, 0, -1)):
+        img = _good_image()
+        img.instruction_list.append(entry)
+        _assert_rejected(tx, [img], ValueError, "list entry 2 references empty slot")
+        # A good image played before the bad one in the same call is undone too.
+        _assert_rejected(tx, [_good_image(), img], ValueError, "empty slot")
+
+    img = _good_image()
     img.tables[0][0][0] = Instruction(0, start_addr=0, stop_addr=10)
-    with pytest.raises(ValueError, match="exceeds"):
-        img.validate()
+    _assert_rejected(tx, [img], ValueError,
+                     r"list entry 1 envelope range \[0, 10\] exceeds envelope length 4")
+    tx.play([_good_image()])
+    assert tx.sample_count == 8 and tx.ref_phase[0, 0] == 2000
+
+
+def test_play_rejects_envelope_bit_widths_other_than_the_config():
+    tx = _played_transmitter()
+    for amp_bits, phase_mod_bits in ((8, 10), (10, 12)):
+        img = _good_image()
+        img.envelope = EnvelopeMemory(amp_bits, phase_mod_bits)
+        img.envelope.write_values(np.full(4, 0.5))
+        _assert_rejected(tx, [img], ValueError, "bit widths do not match")
+
+
+def test_play_rejects_a_list_padded_past_capacity():
+    tx = _played_transmitter()
+    img = _good_image()
+    for _ in range(LIST_CAPACITY - len(img.instruction_list)):
+        img.schedule(0, 0, 0)
+    img.instruction_list.append(ListEntry(0, 0, 0))  # past what schedule allows
+    _assert_rejected(tx, [img], CapacityError, "instruction list .* requested 2049, limit 2048")
+    img.instruction_list.pop()
+    tx.play([img])  # a full list plays
+    assert tx.sample_count == 4 + 4 * (LIST_CAPACITY - 1)

@@ -194,6 +194,20 @@ def test_two_tone_reads_a_third_order_spur_on_either_side(spur):
     assert len(products) == 20  # every signed order-2 and order-3 product, once
 
 
+def test_two_tone_skips_products_on_a_tone_or_outside_the_span():
+    n = 4096
+    fa, fb = coherent_freq(400, n), coherent_freq(800, n)
+    z = Waveform(0.4 * tone(fa, n) + 0.4 * tone(fb, n), FS)  # baseband, span +-500 MHz
+    report = two_tone_report(z, fa, fb)
+    products = report["products_dbc"]
+    assert len(products) == 16
+    for label in ("-1fa+1fb", "2fa+0fb"):  # fb - fa = fa and 2fa = fb: on a tone's lobe
+        assert label not in products
+    for label in ("0fa+3fb", "0fa-3fb"):  # +-3fb = +-586 MHz
+        assert label not in products
+    assert report["imd_worst_dbc"] < -200.0
+
+
 def test_two_tone_rejects_tones_outside_the_span():
     n = 1 << 12
     fa, fb = coherent_freq(100, n), coherent_freq(300, n)

@@ -31,6 +31,7 @@ from spinctl.compiler import GateOp, parse_program
 from spinctl.experiments import Bench
 from spinctl.physics.evolve import _expm_batch, _ordered_product
 from spinctl.physics.hamiltonian import diagonal_energies, drive_operator, generator_batch
+from spinctl.physics.state import renormalized
 
 from helpers import final_state, rb_primitives
 
@@ -135,6 +136,13 @@ def test_norm_preserved_through_long_evolution():
     wf = Waveform(z, FS)
     out = dense_final(wf, m, LO, exchange_on=False)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+def test_renormalized_removes_rounding_and_raises_on_drift():
+    state = np.array([[1.0, 0.0, 0.0, 1e-7]])  # drifts by 5e-15, under 1e-12
+    assert np.linalg.norm(renormalized(state, 10)) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError, match="drifted by 5e-05 over 10 factors, beyond 1e-12"):
+        renormalized(np.array([[1.0, 0.0, 0.0, 0.01]]), 10)
 
 
 def test_j_zero_factorizes_to_two_level_oracle():
