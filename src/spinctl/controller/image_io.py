@@ -109,6 +109,7 @@ def load_image(data: bytes) -> MemoryImage:
     (n_env,) = r.take("<I")
     try:
         entries = r.records(ENV_RECORD, n_env)
+        at = r.pos  # envelope errors: past its block; record errors: at the record
         if n_env:
             image.envelope.write_codes(entries["amp"], entries["pm"])
         for bank in range(N_BANKS):
@@ -117,22 +118,23 @@ def load_image(data: bytes) -> MemoryImage:
                 base = r.pos
                 records = r.records(INSTR_RECORD, count).tolist()
                 for k, (kind, start, stop, pu) in enumerate(records):
+                    at = base + k * INSTR_RECORD.itemsize
                     if kind == 1:
                         instr = Instruction(nco, phase_update=pu)
                     elif kind == 0:
                         instr = Instruction(nco, start_addr=start, stop_addr=stop)
                     else:
-                        raise ImageFormatError(
-                            f"unknown instruction kind {kind}", offset=base + k * INSTR_RECORD.itemsize
-                        )
+                        raise ImageFormatError(f"unknown instruction kind {kind}", offset=at)
                     image.add_instruction(bank, nco, instr)
         (n_list,) = r.take("<I")
-        for bank, nco, slot in r.records(LIST_RECORD, n_list).tolist():
+        base = r.pos
+        for k, (bank, nco, slot) in enumerate(r.records(LIST_RECORD, n_list).tolist()):
+            at = base + k * LIST_RECORD.itemsize
             image.schedule(bank, nco, slot)
     except ImageFormatError:
         raise
-    except Exception as exc:  # capacity/range errors land here with an offset
-        raise ImageFormatError(str(exc), offset=r.pos) from exc
+    except Exception as exc:  # capacity/range errors land here, at the record that raised
+        raise ImageFormatError(str(exc), offset=at) from exc
     if r.pos != len(data):
         raise ImageFormatError("trailing bytes after image", offset=r.pos)
     return image

@@ -15,8 +15,6 @@ directly otherwise (a wide PAC on a short input); both give the same bits.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 PHASE_BITS = 22
@@ -40,13 +38,16 @@ def round_half_away(x):
 def freq_to_ftw(f: float, f_clk: float = 1e9) -> int:
     """Convert a frequency in Hz to a tuning word.
 
-    Exact rational arithmetic, round half away from zero; the synthesized
-    frequency then differs from ``f`` by at most ``f_clk / 2**(PHASE_BITS+1)``.
+    Exact integer arithmetic on the floats' ratios, round half away from
+    zero; the synthesized frequency then differs from ``f`` by at most
+    ``f_clk / 2**(PHASE_BITS+1)``.
     """
     if not 0.0 <= f < f_clk / 2:
         raise ValueError(f"frequency {f} Hz outside [0, f_clk/2) Nyquist range")
-    x = Fraction(f) * PHASE_WORDS / Fraction(f_clk)
-    return int((2 * x + 1) // 2)
+    (a, b), (c, d) = float(f).as_integer_ratio(), float(f_clk).as_integer_ratio()
+    # f * PHASE_WORDS / f_clk = num / den with den > 0; the word is floor(num / den + 1/2).
+    num, den = a * d * PHASE_WORDS, b * c
+    return (2 * num + den) // (2 * den)
 
 
 def ftw_to_freq(ftw: int, f_clk: float = 1e9) -> float:

@@ -86,10 +86,14 @@ def noise_axes(model: DeviceModel, exchange_on: bool) -> list:
     """The quadrature's dimensions: per dimension, the ``NoiseSample``
     fields it sets and their spread.  Offsets without spread get none.
 
-    Without exchange or exchange noise the generator is H1 x I + I x H2, so
-    each qubit's marginal depends on its own detuning offset alone and one
-    dimension sets both offsets: row k serves qubit 1 at delta_1 = sigma x_k
-    and qubit 2 at delta_2 = sigma x_k.
+    Without exchange or exchange noise every row has E(11) = E(01) + E(10),
+    the one separability rule of ``physics.evolve``: the generator is
+    H1 x I + I x H2, both engines' kernel evolves each spin as a 2x2, and
+    each qubit's marginal depends on its own detuning offset alone.  One
+    dimension then sets both offsets: row k serves qubit 1 at
+    delta_1 = sigma x_k and qubit 2 at delta_2 = sigma x_k.  With exchange
+    on, j_off > 0 or sigma_j > 0 the rows are not separable, each offset
+    gets its own dimension, and the kernel takes its 4x4 path.
     """
     sigma, sigma_j = model.sigma_detune, model.sigma_j
     if sigma_j == 0 and model.exchange(exchange_on) == 0:

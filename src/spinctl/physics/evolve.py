@@ -9,6 +9,20 @@ H(a e^{i phi}) = P(phi) H(a) P(phi)^dagger, an identity, not an
 approximation.  Each distinct amplitude is exponentiated once per noise
 draw; each sample's factor is that exponential conjugated by its phase.
 
+The kernel reads the block structure from the energies it is given, by one
+rule: when every row has E(11) = E(01) + E(10) exactly, which is J = 0 for
+that row, the generator is H1 x I + I x H2 and U = U1 x U2.  It then
+evolves each spin as a 2x2: closed-form exponentials (``su2_exp``, no
+eigendecomposition), the phase frame as e^{+-i phi} on the off-diagonal
+entries, and a pairwise product written out over structure-of-arrays
+operands.  It returns the same (r, 4, 4) Kronecker products, so no caller
+knows which path ran.  An exchange-off bench with no exchange noise
+(j_off = 0, sigma_j = 0) takes the spin path on every call.  A call with
+any row where exchange shows in the energies takes the 4x4 path: on an
+exchange-on bench, with j_off > 0, or with a nonzero delta_j in any row
+(sigma_j > 0).  On the trace engine this concerns the kernel clusters;
+lone constant bursts are 4x4 matrix powers on every bench.
+
 ``dense_propagators``
     Reference path: the exact ordered product over the DAC samples
     synthesized from the trace.
@@ -31,9 +45,9 @@ draw; each sample's factor is that exponential conjugated by its phase.
     most _CHUNK // 16 matrices at a time.
 
 ``PropagatorMemo``
-    The trace engine's store of reusable products, each keyed on the
-    physics it was made under: a kernel exponential set on (its draw
-    group's energy rows, drive operator, sample period, level bytes), a
+    The trace engine's store of reusable products, each keyed on the physics
+    it was made under: a kernel exponential set on (block structure, its
+    draw group's energy rows, drive operator, sample period, level bytes), a
     constant-burst matrix power on (energies, drive operator, sample period,
     amplitude, n, ftw).  A product made under other physics is never served,
     because its key differs.  A noiseless sweep that rewrites only tuning
@@ -41,17 +55,19 @@ draw; each sample's factor is that exponential conjugated by its phase.
     point brings the same rows as the one before (the nodes of each rule of
     ``Bench.sample``'s quadrature), so its entries carry over too, draw
     group by draw group.  The memo holds at most ``PropagatorMemo.bound``
-    (8 _CHUNK) matrices: a product that does not fit beside those held
-    empties it first, so products of physics no longer in use cannot crowd
-    out the current ones, and one larger than the bound is not kept.
-    Without a memo argument a call gets a fresh one, so repeats within the
-    call are still shared.
+    (8 _CHUNK) 4x4 matrices' worth of bytes, a spin-path level set counting
+    half a matrix per level and row: a product that does not fit beside
+    those held empties it first, so products of physics no longer in use
+    cannot crowd out the current ones, and one larger than the bound is not
+    kept.  Without a memo argument a call gets a fresh one, so repeats
+    within the call are still shared.
     ``Bench`` owns one; the dense engine uses none.
 
 The result is the only representation of an evolved program: the final
 state from basis state k is column k of a unitary, checked and rescaled by
-the norm policy of ``state.renormalized``.  The closed-form two-level
-functions at the end are independent references for tests.
+the norm policy of ``state.renormalized``.  Of the closed-form two-level
+functions at the end, ``su2_exp`` is the spin path's exponential; the
+others are independent references for tests.
 """
 
 from __future__ import annotations
@@ -101,10 +117,12 @@ class PropagatorMemo:
 
     ``counts`` tallies hits and misses, separately for level sets and for
     powers, since the memo was made or ``Bench.new_tally`` last zeroed them;
-    ``held`` is the number of 4x4 matrices kept now, at most ``bound``.
+    ``held`` is the memory kept now, at most ``bound``, in 4x4 complex
+    matrices: a 4x4 stack counts its matrices, and a level set of the spin
+    path, two 2x2 per level and row, half a matrix per level and row.
     """
 
-    bound = 8 * _CHUNK  # matrices held at most
+    bound = 8 * _CHUNK  # 4x4 complex matrices' bytes held at most
 
     def __init__(self):
         self.counts = dict.fromkeys(("level_hits", "level_misses", "power_hits", "power_misses"), 0)
@@ -120,7 +138,7 @@ class PropagatorMemo:
             return value
         self.counts[kind + "_misses"] += 1
         value = compute()
-        size = value.size // 16
+        size = -(-value.nbytes // _EYE.nbytes)  # in 4x4 matrices, rounded up
         if size <= self.bound:
             if self.held + size > self.bound:
                 self._tables, self.held = {"level": {}, "power": {}}, 0
@@ -130,46 +148,117 @@ class PropagatorMemo:
         return value
 
 
+def _matrix_exponentials(levels: np.ndarray, group: np.ndarray, drive: np.ndarray,
+                         dt: float) -> np.ndarray:
+    """E(level) under each row of ``group``, shape (levels, rows, 4, 4)."""
+    return _expm_batch(generator_batch(levels, group, drive), dt)
+
+
+def _matrix_product(expm: np.ndarray, which: np.ndarray, phi: np.ndarray,
+                    rows: int) -> np.ndarray:
+    """Ordered product of P(phi_k) E[which_k] P(phi_k)^dagger, shape (rows, 4, 4)."""
+    step = _CHUNK // rows
+    total = _EYE[None].repeat(rows, axis=0)
+    for start in range(0, len(which), step):
+        p = np.exp(phi[start : start + step, None, None] * _MINUS_I_KVEC)  # (n, 1, 4)
+        # The gathered copy is scaled in place, in the operand order of
+        # P E P^dagger, so no (n, rows, 4, 4) temporaries are made.
+        factors = expm[which[start : start + step]]
+        np.multiply(p[..., :, None], factors, out=factors)
+        factors *= np.conj(p)[..., None, :]
+        product = _ordered_product(factors)
+        total = product @ total if start else product
+    return total
+
+
+def _spin_exponentials(levels: np.ndarray, group: np.ndarray, drive: np.ndarray,
+                       dt: float) -> np.ndarray:
+    """Each spin's E(level) under each row of ``group``, in closed form, as
+    structure-of-arrays 2x2 matrices of shape (2, 2, levels, 2 rows): column
+    k < rows is spin 1 under row k, column rows + k spin 2 under it.
+
+    With E(00) = 0, spin 1 sees E(10) and the drive's S1 coupling w1 =
+    drive[2, 0], spin 2 sees E(01) and w2 = drive[1, 0] (``drive_operator``).
+    """
+    detuning = np.concatenate([group[:, 2], group[:, 1]])
+    coupling = np.repeat([drive[2, 0], drive[1, 0]], len(group))  # <1|H|0> per unit level
+    off = 0.5 * levels[:, None] * coupling
+    u = su2_exp(detuning / 2, off.real, off.imag, -detuning / 2, dt)  # (levels, 2 rows, 2, 2)
+    return np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1)))
+
+
+def _spin_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2x2 matrices held as (2, 2, ...) structure-of-arrays."""
+    return a[:, :1] * b[None, 0] + a[:, 1:] * b[None, 1]
+
+
+def _spin_product(expm: np.ndarray, which: np.ndarray, phi: np.ndarray,
+                  rows: int) -> np.ndarray:
+    """Ordered product of each spin's P(phi_k) E[which_k] P(phi_k)^dagger,
+    returned as the two spins' Kronecker product, shape (rows, 4, 4).
+
+    Per spin P(phi) = diag(1, e^{-i phi}), so the frame scales E's upper
+    right entry by e^{i phi} and its lower left by e^{-i phi}.  The factors
+    are reduced pairwise as in ``_ordered_product``, one whole-array
+    ``_spin_matmul`` per level of the reduction.
+
+    A chunk gathers half as many sample-draw pairs as the 4x4 path's
+    (at least one sample).  On an AllXY pair (760 samples, 8 rows, one BLAS
+    thread) full _CHUNK chunks took 1.7 ms a call, 0.84 ms at half: their
+    256 kB gathers and first-level temporaries were handed back to the
+    system after each chunk and paged in again, 379 minor faults a call.
+    """
+    step = max(1, _CHUNK // 2 // rows)
+    total = _EYE[:2, :2, None].repeat(2 * rows, axis=2)
+    for start in range(0, len(which), step):
+        factors = np.take(expm, which[start : start + step], axis=2)  # (2, 2, n, 2 rows)
+        phase = np.exp(1j * phi[start : start + step])[:, None]
+        factors[0, 1] *= phase
+        factors[1, 0] *= phase.conj()
+        while factors.shape[2] > 1:
+            m = factors.shape[2] // 2
+            head = _spin_matmul(factors[:, :, 1 : 2 * m : 2], factors[:, :, 0 : 2 * m : 2])
+            factors = (np.concatenate([head, factors[:, :, 2 * m :]], axis=2)
+                       if factors.shape[2] % 2 else head)
+        total = _spin_matmul(factors[:, :, 0], total) if start else factors[:, :, 0]
+    u1, u2 = total[..., :rows], total[..., rows:]
+    kron = u1[:, None, :, None] * u2[None, :, None, :]  # [i1, i2, j1, j2, row]
+    return np.moveaxis(kron, -1, 0).reshape(rows, 4, 4)
+
+
 def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, drive: np.ndarray,
                      dt: float, memo: PropagatorMemo | None = None, operator=None) -> np.ndarray:
     """Ordered product of the per-sample propagators of the envelope
     ``amp * exp(1j * phi)``, one per row of ``energies``, shape (r, 4, 4).
 
     Sample k contributes P(phi_k) E(amp_k) P(phi_k)^dagger, with E
-    exponentiated once per distinct amplitude and draw.  At most _CHUNK
+    exponentiated once per distinct amplitude and draw.  When every row has
+    E(11) = E(01) + E(10) (no exchange), the generator is H1 x I + I x H2
+    and each spin is evolved as a 2x2 (``_spin_exponentials``,
+    ``_spin_product``); otherwise the 4x4 path runs.  At most _CHUNK
     exponentials and _CHUNK gathered sample-draw factors are held at once:
     the draws are taken in groups that fit beside the distinct amplitudes,
     and an envelope with more than _CHUNK of them is split in halves.  Each
-    group's exponentials come from ``memo``, keyed on the group's rows,
-    ``operator`` (the drive and dt key part) and the level bytes.
+    group's exponentials come from ``memo``, keyed on the block structure,
+    the group's rows, ``operator`` (the drive and dt key part) and the
+    level bytes.
     """
     levels, which = np.unique(amp, return_inverse=True)
     if len(levels) > _CHUNK:
         (amp0, amp1), (phi0, phi1) = np.array_split(amp, 2), np.array_split(phi, 2)
         return (_sampled_product(amp1, phi1, energies, drive, dt, memo, operator)
                 @ _sampled_product(amp0, phi0, energies, drive, dt, memo, operator))
+    spins = np.array_equal(energies[:, 3], energies[:, 1] + energies[:, 2])
+    exponentials, product = ((_spin_exponentials, _spin_product) if spins
+                             else (_matrix_exponentials, _matrix_product))
     draws = _CHUNK // max(len(levels), 1)
     out = []
     for i in range(0, len(energies), draws):
         group = energies[i : i + draws]
-
-        def exponentials():  # (levels, draws, 4, 4)
-            return _expm_batch(generator_batch(levels, group, drive), dt)
-
-        expm = (exponentials() if memo is None else
-                memo.get("level", (group.tobytes(), *operator, levels.tobytes()), exponentials))
-        step = _CHUNK // len(group)
-        total = _EYE[None].repeat(len(group), axis=0)
-        for start in range(0, len(amp), step):
-            p = np.exp(phi[start : start + step, None, None] * _MINUS_I_KVEC)  # (n, 1, 4)
-            # The gathered copy is scaled in place, in the operand order of
-            # P E P^dagger, so no (n, draws, 4, 4) temporaries are made.
-            factors = expm[which[start : start + step]]
-            np.multiply(p[..., :, None], factors, out=factors)
-            factors *= np.conj(p)[..., None, :]
-            product = _ordered_product(factors)
-            total = product @ total if start else product
-        out.append(total)
+        compute = functools.partial(exponentials, levels, group, drive, dt)
+        expm = (compute() if memo is None else
+                memo.get("level", (spins, group.tobytes(), *operator, levels.tobytes()), compute))
+        out.append(product(expm, which, phi, len(group)))
     return np.concatenate(out)
 
 

@@ -1,5 +1,6 @@
-"""Import every spinctl module and run a small RB, one noisy dense AllXY
-pair, one noisy RB sequence and one program of gaussian and rectangular
+"""Import every spinctl module and run a small RB, two noisy dense AllXY
+pairs on an exchange-off bench (the kernel's closed-form spin path), one
+noisy RB sequence and one program of gaussian and rectangular
 gates on the trace engine, a played program through
 synthesize, upconvert, its spectrum, SNR, SFDR, LO rejection and two-tone
 report, a program split across triggers through image dump, load and play
@@ -43,6 +44,7 @@ def main():
     from spinctl.controller.memory import ListEntry
     from spinctl.controller.rf import upconvert
     from spinctl.experiments import Bench, run_rb
+    from spinctl.experiments.allxy import ALLXY_PAIRS, IDEAL_SIGMA_Z
     from spinctl.experiments.base import gauss_hermite
     from spinctl.experiments.cliffords import N_CLIFFORDS, recovery_index, sequence_primitives
     from spinctl.metrics import (
@@ -54,7 +56,7 @@ def main():
         snr,
         two_tone_report,
     )
-    from spinctl.physics import DeviceModel, shot_rng
+    from spinctl.physics import DeviceModel, corrected_p_up, shot_rng
 
     res = run_rb(Bench(DeviceModel(), TxConfig()), (1, 10, 30, 60), n_sequences=3,
                  repetitions=50, seed=1, depolarizing_eps=0.02)
@@ -65,6 +67,14 @@ def main():
     prog = noisy.compile([GateOp("x", 2), GateOp("x", 2)])
     (hits,) = noisy.sample(prog, (2,), 10_000, shot_rng(0, 5), engine="dense")
     assert hits > 9_900 and noisy.quadrature["calls"] == 1, (hits, noisy.quadrature)
+
+    # Exchange off, the dense kernel evolves each spin as a 2x2 in closed
+    # form.  An equator pair puts qubit 2 at <sigma_z> = 0.
+    k = ALLXY_PAIRS.index(("x", "y"))
+    prog = noisy.compile([GateOp(g, 2) for g in ALLXY_PAIRS[k]])
+    (hits,) = noisy.sample(prog, (2,), 10_000, shot_rng(0, k), engine="dense")
+    sigma_z = 2.0 * corrected_p_up(hits / 10_000, noisy.model, 2) - 1.0
+    assert not noisy.exchange_on and abs(sigma_z - IDEAL_SIGMA_Z[k]) <= 0.05, sigma_z
 
     # The trace engine folds the sequence's constant bursts as matrix powers.
     indices = np.random.default_rng(4).integers(0, N_CLIFFORDS, size=25).tolist()

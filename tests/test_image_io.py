@@ -1,6 +1,7 @@
 """Binary round trips and disassembly of memory images."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -129,6 +130,54 @@ def test_truncated_file_reports_offset():
         load_image(data[: len(data) - 2])
     assert err.value.offset is not None
     assert err.value.offset <= len(data)
+
+
+def record_offsets(image):
+    """Byte offsets of every instruction record and every list record in
+    the dump of ``image``, from the layout in the module docstring."""
+    pos = 12 + 4 * len(image.envelope)
+    instructions = []
+    for bank_tables in image.tables:
+        for table in bank_tables:
+            pos += 1  # the table's count
+            instructions += [pos + 13 * k for k in range(len(table))]
+            pos += 13 * len(table)
+    pos += 4  # the list length
+    return instructions, [pos + 3 * k for k in range(len(image.instruction_list))]
+
+
+@pytest.mark.parametrize("which", [0, 1, -1], ids=["first", "middle", "last"])
+def test_bad_instruction_record_reports_its_own_offset(which):
+    image = sample_image()
+    data = bytearray(dump_image(image))
+    instructions, _ = record_offsets(image)
+    assert len(instructions) == 3
+    at = instructions[which]
+    struct.pack_into("<BIII", data, at, 0, 10, 5, 0)  # a burst from 10 back to 5
+    with pytest.raises(ImageFormatError, match=r"\[10, 5\] is not ordered") as err:
+        load_image(bytes(data))
+    assert err.value.offset == at
+    data[at] = 9  # an unknown kind
+    with pytest.raises(ImageFormatError, match="unknown instruction kind 9") as err:
+        load_image(bytes(data))
+    assert err.value.offset == at
+
+
+@pytest.mark.parametrize("which", [0, 1, -1], ids=["first", "middle", "last"])
+def test_bad_list_record_reports_its_own_offset(which):
+    image = sample_image()
+    data = bytearray(dump_image(image))
+    _, entries = record_offsets(image)
+    assert len(entries) == 3 and entries[-1] + 3 == len(data)
+    at = entries[which]
+    data[at] = 5  # bank
+    with pytest.raises(ImageFormatError, match="bank 5 outside 0..1") as err:
+        load_image(bytes(data))
+    assert err.value.offset == at
+    data[at], data[at + 1] = 1, 16  # nco
+    with pytest.raises(ImageFormatError, match="nco 16 outside 0..15") as err:
+        load_image(bytes(data))
+    assert err.value.offset == at
 
 
 def test_bad_magic_rejected():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from spinctl.controller.executor import BurstSegment
 from spinctl.controller.nco import (
@@ -50,6 +50,60 @@ def test_ftw_matches_rational_oracle(f, f_clk):
     if f >= f_clk / 2:
         return
     assert freq_to_ftw(f, f_clk) == exact_ftw(f, f_clk)
+
+
+def fraction_word(f, f_clk):
+    """The tuning-word formula on ``Fraction``s: round half away from zero
+    of f * 2^22 / f_clk, negative offsets wrapped."""
+    x = Fraction(abs(f)) * PHASE_WORDS / Fraction(f_clk)
+    word = int((2 * x + 1) // 2)
+    return word if f >= 0 else (PHASE_WORDS - word) % PHASE_WORDS
+
+
+# (k + 1/2) * f_clk / 2^22 is exact for these clocks: the words' halves.
+EXACT_CLOCKS = (1e9, 0.5e9, 2.4e9, 2.0**30)
+
+
+@st.composite
+def signed_offsets(draw):
+    """(f, f_clk): any offset in (-f_clk/2, f_clk/2), an exact half word, or
+    one of the few floats next to +-f_clk/2."""
+    f_clk = draw(st.sampled_from(EXACT_CLOCKS) | st.floats(1e3, 1e12))
+    half = f_clk / 2
+    kind = draw(st.sampled_from(["any", "half", "edge"]))
+    if kind == "any":
+        f = draw(st.floats(-half, half, exclude_min=True, exclude_max=True))
+    elif kind == "half":
+        k = draw(st.integers(-PHASE_WORDS // 2, PHASE_WORDS // 2 - 1))
+        f = (k + 0.5) * f_clk / PHASE_WORDS
+    else:
+        f = half
+        for _ in range(draw(st.integers(1, 4))):
+            f = np.nextafter(f, 0.0)
+        f = float(f) * draw(st.sampled_from([1, -1]))
+    assume(-half < f < half)
+    return f, f_clk
+
+
+@given(signed_offsets())
+@example((0.5 * 1e9 / PHASE_WORDS, 1e9))  # half an LSB rounds up to word 1
+@example((-0.5 * 1e9 / PHASE_WORDS, 1e9))  # and away from zero below it
+@example((float(np.nextafter(0.5e9, 0.0)), 1e9))
+@example((-float(np.nextafter(0.5e9, 0.0)), 1e9))
+def test_integer_words_match_the_fraction_formula_bit_for_bit(offset):
+    f, f_clk = offset
+    assert offset_to_ftw(f, f_clk) == fraction_word(f, f_clk)
+    if f >= 0:
+        assert freq_to_ftw(f, f_clk) == fraction_word(f, f_clk)
+
+
+def test_exact_half_words_round_away_from_zero():
+    for f_clk in EXACT_CLOCKS:
+        for k in (0, 1, 7, PHASE_WORDS // 2 - 1):
+            f = (k + 0.5) * f_clk / PHASE_WORDS
+            assert Fraction(f) * PHASE_WORDS / Fraction(f_clk) == Fraction(2 * k + 1, 2)
+            assert freq_to_ftw(f, f_clk) == k + 1
+            assert offset_to_ftw(-f, f_clk) == PHASE_WORDS - (k + 1)
 
 
 @given(st.floats(min_value=0, max_value=499e6))

@@ -1,6 +1,7 @@
 """Hamiltonian structure, unitary evolution, and engine cross-checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,10 +29,11 @@ from spinctl.physics import (
 )
 import spinctl.physics.evolve as evolve
 from spinctl.compiler import GateOp, parse_program
-from spinctl.experiments import Bench
+from spinctl.experiments import Bench, run_allxy, run_qst_trajectory, run_rabi, run_rb
+from spinctl.experiments.base import noise_axes, noise_rule
 from spinctl.physics.evolve import _expm_batch, _ordered_product
 from spinctl.physics.hamiltonian import diagonal_energies, drive_operator, generator_batch
-from spinctl.physics.state import renormalized
+from spinctl.physics.state import ROUNDING_PER_FACTOR, renormalized
 
 from helpers import final_state, rb_primitives
 
@@ -525,3 +527,174 @@ def test_fold_matches_a_sequential_product_around_kernel_clusters():
     play(60, 0.0, idle=30)
     check(ExecutionTrace(segments, 900, t + 40, 10, FS), 0, 0)
     check(ExecutionTrace([], 900, 900, 10, FS), 0, 0)
+
+
+# --- exchange off: each spin evolved as a 2x2 ---------------------------------
+
+
+def per_sample_product(z, m, lo, noise=NoiseSample(), exchange_on=False, dt=1 / FS):
+    """The 4x4 oracle: one generator and one eigh exponential per sample and
+    row, multiplied in order; the identity for an empty envelope."""
+    energies = np.atleast_2d(diagonal_energies(*detunings(m, lo, exchange_on, noise)))
+    if len(z) == 0:
+        return np.array([np.eye(4, dtype=complex)] * len(energies))
+    return _ordered_product(_expm_batch(generator_batch(np.asarray(z), energies,
+                                                        drive_operator(m)), dt))
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Calls of each kernel path: "spins" (two 2x2) and "matrix" (one 4x4)."""
+    calls = {"spins": 0, "matrix": 0}
+    for name, product in (("spins", evolve._spin_product), ("matrix", evolve._matrix_product)):
+        def counting(*args, _name=name, _product=product):
+            calls[_name] += 1
+            return _product(*args)
+
+        monkeypatch.setattr(evolve, product.__name__, counting)
+    return calls
+
+
+def rule_rows(bench, n):
+    """The noise rows of ``Bench.sample``'s n-node rule on ``bench``."""
+    return noise_rule(noise_axes(bench.model, bench.exchange_on), n)[0]
+
+
+def test_runner_programs_at_j_zero_match_the_4x4_oracle_on_both_engines(monkeypatch, paths):
+    # Every trace that Rabi (one qubit and both at once, t = 0 included),
+    # AllXY, RB and QST play on a noisy exchange-off bench, plus gaussian
+    # bursts, evolved over the 3- and 5-node rows.  The dense engine takes
+    # the spin path on each; the trace engine on its kernel clusters (both
+    # banks at once in simultaneous Rabi, the gaussian bursts).
+    traces = []
+    run_program = Bench.run_program
+
+    def recording(self, prog):
+        traces.append(run_program(self, prog))
+        return traces[-1]
+
+    monkeypatch.setattr(Bench, "run_program", recording)
+    bench = Bench(model(sigma_detune=50e3), TxConfig(lo_freq=LO))
+    run_rabi(bench, [0.0, 0.3e-6], shots=10)
+    run_rabi(bench, [0.4e-6], simultaneous=True, shots=10)
+    run_allxy(bench, shots=10)
+    run_rb(bench, (1, 3), n_sequences=1, repetitions=10)
+    run_qst_trajectory(bench, [0.2e-6], shots=10)
+    bench.sample(bench.compile(parse_program(
+        "x2 q2\nx q2 shape=gaussian\nz q2 angle=pi/3\ny q1 shape=gaussian\n")), (1, 2), 10,
+        np.random.default_rng(0))
+    assert len(traces) == 2 + 1 + 21 + 2 + 4 + 1
+    assert traces[0].n_samples == 0  # Rabi at t = 0 plays nothing
+    noise = NoiseSample(*(np.concatenate(pair) for pair in zip(rule_rows(bench, 3),
+                                                               rule_rows(bench, 5))))
+    m, with_clusters = bench.model, 0
+    for trace in traces:
+        paths.update(spins=0, matrix=0)
+        wf = synthesize(trace, bench.cfg)
+        dense = dense_propagators(wf, m, LO, noise=noise)
+        assert dense.shape == (8, 4, 4) and paths["matrix"] == 0
+        assert paths["spins"] >= (wf.envelope.size > 0)  # more if the levels split
+        assert np.max(np.abs(dense - per_sample_product(wf.envelope, m, LO, noise))) < 1e-12
+        paths.update(spins=0)
+        fast = trace_propagators(trace, m, LO, noise=noise)
+        active = [s for s in trace.segments if np.any(s.amp_values)]
+        kernel = len(lone_constant_bursts(trace)) < len(active)
+        assert paths["matrix"] == 0 and (paths["spins"] > 0) == kernel
+        with_clusters += kernel
+        reference = sequential_propagators(trace, m, LO, noise=noise)
+        assert np.max(np.abs(fast - reference)) < 1e-12
+    assert with_clusters == 2  # simultaneous Rabi and the gaussian bursts
+
+
+def test_spin_path_edge_cases_match_the_4x4_oracle(paths):
+    # Unequal couplings, so a spin given the other's coupling shows.
+    m, rng = model(drive_coupling=(2.3e6, 1.7e6)), np.random.default_rng(3)
+    x = np.linspace(-3.0, 3.0, 65)
+    three = NoiseSample(np.array([0.0, 20e3, -40e3]), np.array([5e3, 0.0, -5e3]))
+    z = 0.4 * (rng.random(2500) - 0.5) + 0.3j * (rng.random(2500) - 0.5)
+    assert len(np.unique(np.abs(z))) > evolve._CHUNK  # the kernel splits the envelope
+    bench = Bench(m, TxConfig(lo_freq=LO))
+    pair = synthesize(bench.run_program(bench.compile([GateOp("x", 2), GateOp("y2", 2)])),
+                      bench.cfg).envelope
+    cases = [
+        (np.zeros(0, dtype=complex), three),
+        (np.array([0.3 - 0.1j]), three),
+        (z, three),
+        (pair, NoiseSample(40e3 * x, 40e3 * x)),  # the 65-node rule
+    ]
+    for envelope, noise in cases:
+        got = dense_propagators(Waveform(envelope, FS), m, LO, noise=noise)
+        assert got.shape == (len(noise[0]), 4, 4)
+        assert np.max(np.abs(got - per_sample_product(envelope, m, LO, noise))) < 1e-12
+    assert paths["matrix"] == 0 and paths["spins"] >= len(cases)
+    assert np.array_equal(dense_propagators(Waveform(np.zeros(0), FS), m, LO, noise=three),
+                          np.array([np.eye(4)] * 3))
+
+
+def test_spin_path_over_a_long_envelope_matches_the_4x4_oracle_to_rounding(paths):
+    # 20,000 samples of 26 levels take 59 chunks at 3 rows.  Both products
+    # round at about 1e-16 a factor and the same levels recur, so rounding
+    # adds up coherently: against a long-double product of the same factors
+    # the spin path is 1.9e-12 off and the oracle 5.8e-12, both beyond 1e-12.
+    # The bound is the norm policy's rounding allowance per factor.
+    m, rng = model(), np.random.default_rng(5)
+    z = np.round((0.3 * (rng.random(20_000) - 0.5) + 0.2j * rng.random(20_000)) * 32) / 32
+    noise = NoiseSample(np.array([0.0, 30e3, -30e3]), np.array([0.0, 30e3, -30e3]))
+    got = dense_propagators(Waveform(z, FS), m, LO, noise=noise)
+    assert paths == dict(spins=1, matrix=0)
+    error = np.max(np.abs(got - per_sample_product(z, m, LO, noise)))
+    assert error < len(z) * ROUNDING_PER_FACTOR
+
+
+@pytest.mark.parametrize("case", ["j_off", "exchange_on", "sigma_j"])
+def test_any_row_with_exchange_takes_the_4x4_path(paths, case):
+    # sigma_j > 0: only the quadrature's centre node has delta_j = 0, so the
+    # call's rows are not all separable.
+    bench = {"j_off": Bench(model(j_off=0.3e6, sigma_detune=50e3), TxConfig(lo_freq=LO)),
+             "exchange_on": Bench(model(sigma_detune=50e3), TxConfig(lo_freq=LO), exchange_on=True),
+             "sigma_j": Bench(model(sigma_detune=50e3, sigma_j=20e3), TxConfig(lo_freq=LO))}[case]
+    prog = bench.compile([GateOp("x", 2, shape="gaussian"), GateOp("y2", 1)])
+    for engine in ("dense", "trace"):
+        paths.update(spins=0, matrix=0)
+        bench.sample(prog, (1, 2), 100, np.random.default_rng(0), engine=engine)
+        assert paths["spins"] == 0 and paths["matrix"] > 0
+    if case == "sigma_j":
+        # The centre node's rows alone (delta_j = sigma_j x 0, zero to
+        # rounding) meet E(11) = E(01) + E(10) exactly and take the spin path.
+        rows = rule_rows(bench, 3)
+        centre = np.abs(rows[2]) < 1e-6
+        assert 0 < centre.sum() < len(centre)
+        centre_rows = NoiseSample(*(r[centre] for r in rows))
+        e = diagonal_energies(*detunings(bench.model, LO, False, centre_rows))
+        assert np.array_equal(e[:, 3], e[:, 1] + e[:, 2])
+        paths.update(spins=0, matrix=0)
+        wf = synthesize(bench.run_program(prog), bench.cfg)
+        dense_propagators(wf, bench.model, LO, noise=centre_rows)
+        assert paths["spins"] > 0 and paths["matrix"] == 0
+
+
+def test_spin_path_transients_do_not_grow_with_the_envelope():
+    # 65 rows, the finest rule: a chunk holds 15 samples.  Only the
+    # per-sample arrays of np.unique grow with the envelope, and the spin
+    # path stays within the 4x4 path's peak on the same samples.
+    m, rng = model(), np.random.default_rng(1)
+    x = np.linspace(-3.0, 3.0, 65)
+    drive = drive_operator(m)
+    separable = np.atleast_2d(diagonal_energies(*detunings(
+        m, LO, False, NoiseSample(40e3 * x, 40e3 * x))))
+    coupled = np.atleast_2d(diagonal_energies(*detunings(
+        m, LO, False, NoiseSample(40e3 * x, 40e3 * x, 1e3 * x))))
+    z = np.round((0.3 * (rng.random(20_000) - 0.5) + 0.2j * rng.random(20_000)) * 8) / 8
+    amp, phi = np.abs(z), np.angle(z)
+
+    def peak(n, energies):
+        tracemalloc.start()
+        try:
+            evolve._sampled_product(amp[:n], phi[:n], energies, drive, 1 / FS)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(2_000, separable), peak(20_000, separable)
+    assert long - short <= 18_000 * 48
+    assert long <= peak(20_000, coupled)

@@ -228,14 +228,15 @@ def test_noisy_sweep_hits_the_memo_across_points_and_stays_within_the_bound(monk
     # Exchange off, the quadrature has one dimension; every point brings the
     # same 3 + 5 rows, so the probe's 187 levels at this calibration (8 rows
     # each, one kernel chunk) and the spectator's power are made once for
-    # the whole sweep.
+    # the whole sweep.  The levels are kept as two 2x2 per level and row,
+    # half a 4x4 matrix each; the power is 8 matrices.
     bench = Bench(DeviceModel(sigma_detune=50e3), TxConfig())
     res = run_spectroscopy(bench, 2, sweep_freqs(n), shots=10_000, seed=2, shape="gaussian",
                            prepare_other=True, engine="trace")
     assert res.meta["quadrature"]["rows"] == 8 * n
     assert res.meta["propagator_memo"] == dict(
         level_hits=n - 1, level_misses=1, power_hits=n - 1, power_misses=1)
-    assert max(held) == (187 + 1) * 8 <= PropagatorMemo.bound
+    assert max(held) == 187 * 8 // 2 + 8 <= PropagatorMemo.bound
 
 
 def test_a_full_memo_keeps_nothing_more_and_changes_no_result(monkeypatch, recorded):
@@ -298,3 +299,50 @@ def test_memo_is_not_part_of_bench_construction_equality_or_repr():
     assert "memo" not in repr(a)
     with pytest.raises(TypeError):
         Bench(DeviceModel(), TxConfig(), memo=PropagatorMemo())
+
+
+def test_memo_counts_both_block_structures_in_the_bytes_of_4x4_matrices(monkeypatch):
+    # One memo holds the level sets of both kernel paths.  A 4x4 set counts
+    # its matrices; a spin set, two 2x2 per level and row, half a matrix per
+    # level and row, rounded up, so ``bound`` means the same bytes for both
+    # and even a one-level, one-row spin set counts.
+    model = DeviceModel()
+    drive, dt = evolve.drive_operator(model), 1e-9
+    operator = (drive.tobytes(), dt)
+    rows = NoiseSample(np.array([0.0, 20e3, -20e3]), np.array([5e3, 0.0, -5e3]))
+    coupled = evolve._energies(model, 13.54e9, True, rows)
+    separable = evolve._energies(model, 13.54e9, False, rows)
+    amp, phi = np.array([0.2, 0.0, 0.35, 0.2]), np.array([0.3, 0.0, -1.2, 2.0])
+
+    memo = PropagatorMemo()
+    for energies in (coupled, separable):
+        _sampled_product(amp, phi, energies, drive, dt, memo, operator)
+    assert memo.counts["level_misses"] == 2
+    assert memo.held == 3 * 3 + 5  # 9 matrices; 3 x 3 x 8 complex = 4.5 matrices
+    bytes_held = sum(v.nbytes for table in memo._tables.values() for v in table.values())
+    assert bytes_held == (9 + 4.5) * 256
+    # The same rows serve both paths only under their own block structure.
+    for energies in (coupled, separable):
+        _sampled_product(amp, phi, energies, drive, dt, memo, operator)
+    assert memo.counts["level_hits"] == 2 and memo.held == 14
+
+    # A separable row in a call with a coupled one takes the 4x4 path: with
+    # more than _CHUNK // 2 levels it is a draw group of its own, kept under
+    # the 4x4 structure and never served to a call of that row alone.
+    levels = np.linspace(0.0, 0.5, evolve._CHUNK // 2 + 5)
+    both = np.concatenate([separable[1:2], coupled[2:]])
+    for energies in (both, separable[1:2]):
+        kept = _sampled_product(levels, levels, energies, drive, dt, memo, operator)
+        fresh = _sampled_product(levels, levels, energies, drive, dt)
+        assert np.array_equal(kept, fresh)
+    assert memo.counts["level_misses"] == 2 + 3
+
+    monkeypatch.setattr(PropagatorMemo, "bound", 2)
+    small, one_row = PropagatorMemo(), separable[:1]
+    held = []
+    for level in (0.1, 0.2, 0.3):
+        _sampled_product(np.array([level]), np.array([0.5]), one_row, drive, dt, small, operator)
+        held.append(small.held)
+    assert held == [1, 2, 1]  # each fills half the bound; the third empties the memo
+    assert small.counts["level_misses"] == 3
+    assert sum(len(table) for table in small._tables.values()) == 1
