@@ -9,19 +9,31 @@ H(a e^{i phi}) = P(phi) H(a) P(phi)^dagger, an identity, not an
 approximation.  Each distinct amplitude is exponentiated once per noise
 draw; each sample's factor is that exponential conjugated by its phase.
 
+One ordered product serves the kernel, the trace engine's fold and
+``two_level_evolve``: a pairwise reduction (``_soa_product``) over k x k
+matrices held as (k, k, n, ...) structure-of-arrays, k = 2 per spin or 4,
+gathered at most _ENTRIES complex entries at a time.  The phase frame
+telescopes: with P(phi) = exp(-i phi kvec), kvec = (0, 1) per spin or
+(0, 1, 1, 2), and phi_0 = 0,
+
+    prod_k P(phi_k) E_k P(phi_k)^dagger = P(phi_n) G_n ... G_1,
+    G_k = E_k P(phi_{k-1} - phi_k),
+
+one column scaling per factor and one row scaling at the end.  Operands
+keep this layout inside an engine, memo entries included.
+
 The kernel reads the block structure from the energies it is given, by one
 rule: when every row has E(11) = E(01) + E(10) exactly, which is J = 0 for
-that row, the generator is H1 x I + I x H2 and U = U1 x U2.  It then
-evolves each spin as a 2x2: closed-form exponentials (``su2_exp``, no
-eigendecomposition), the phase frame as e^{+-i phi} on the off-diagonal
-entries, and a pairwise product written out over structure-of-arrays
-operands.  It returns the same (r, 4, 4) Kronecker products, so no caller
-knows which path ran.  An exchange-off bench with no exchange noise
-(j_off = 0, sigma_j = 0) takes the spin path on every call.  A call with
-any row where exchange shows in the energies takes the 4x4 path: on an
-exchange-on bench, with j_off > 0, or with a nonzero delta_j in any row
-(sigma_j > 0).  On the trace engine this concerns the kernel clusters;
-lone constant bursts are 4x4 matrix powers on every bench.
+that row, the generator is H1 x I + I x H2 and U = U1 x U2.  Each spin's
+exponentials are then 2x2 in closed form (``su2_exp``), otherwise 4x4
+through ``eigh``; that is the only fork, and the spins' products are
+returned as their Kronecker product, so no caller knows which ran.  An
+exchange-off bench with no exchange noise (j_off = 0, sigma_j = 0) takes
+the spin exponentials on every call; a call with any row where exchange
+shows in the energies takes the 4x4 ones: on an exchange-on bench, with
+j_off > 0, or with a nonzero delta_j in any row (sigma_j > 0).  On the
+trace engine this concerns the kernel clusters; lone constant bursts are
+4x4 matrix powers on every bench.
 
 ``dense_propagators``
     Reference path: the exact ordered product over the DAC samples
@@ -39,10 +51,8 @@ lone constant bursts are 4x4 matrix powers on every bench.
     values and phase-word angles as they are, so its levels are exactly the
     envelope's distinct amplitude codes at any tuning word; a cluster of
     overlapping bursts takes |z| and arg z of its summed samples, as the
-    dense engine does.  Every cluster then folds the same way: it becomes
-    one factor, its power or its kernel product taken into its phase frame
-    after the idle gap before it, and the factors are reduced pairwise, at
-    most _CHUNK // 16 matrices at a time.
+    dense engine does.  Every cluster, power or kernel product, is then
+    one factor of the same telescoped fold.
 
 ``PropagatorMemo``
     The trace engine's store of reusable products, each keyed on the physics
@@ -87,28 +97,37 @@ from .hamiltonian import (
     generator_batch,
 )
 
-_CHUNK = 2048
-_KVEC = np.diag(NUMBER_OP).real  # (0, 1, 1, 2)
-_MINUS_I_KVEC = -1j * _KVEC  # -i NUMBER_OP per unit phase
+_CHUNK = 2048  # distinct levels exponentiated at once, and the memo's unit
+_ENTRIES = 4 * _CHUNK  # complex entries of gathered factors held at once
+_KVEC = np.diag(NUMBER_OP).real  # (0, 1, 1, 2); its first two, (0, 1), per spin
 _EYE = np.eye(4, dtype=complex)
-# +i and -i phi NUMBER_OP for phi of one phase word, shape (2, 1, 1, 4)
-_WORD_PHASE = 2j * np.pi / PHASE_WORDS * np.array([_KVEC, -_KVEC])[:, None, None]
+_WORD = 2 * np.pi / PHASE_WORDS  # radians per phase word
 
 
 def _expm_batch(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-2j pi dt H) for a stack of Hermitian matrices."""
     w, v = np.linalg.eigh(h)
-    phases = np.exp(-2j * np.pi * dt * w)
-    return (v * phases[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    rotated = v * np.exp(-2j * np.pi * dt * w)[..., None, :]
+    return rotated @ np.conj(v, out=v).swapaxes(-1, -2)
 
 
-def _ordered_product(us: np.ndarray) -> np.ndarray:
-    """U[n-1] @ ... @ U[0] by pairwise reduction (index 0 acts first)."""
-    while us.shape[0] > 1:
-        m = us.shape[0] // 2
-        head = np.matmul(us[1 : 2 * m : 2], us[0 : 2 * m : 2])
-        us = np.concatenate([head, us[2 * m :]], axis=0) if us.shape[0] % 2 else head
-    return us[0]
+def _soa_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for k x k matrices held as (k, k, ...) structure-of-arrays."""
+    out = a[:, :1] * b[None, 0]
+    for j in range(1, len(b)):
+        out += a[:, j : j + 1] * b[None, j]
+    return out
+
+
+def _soa_product(factors: np.ndarray) -> np.ndarray:
+    """F[n-1] ... F[0] of (k, k, n, ...) structure-of-arrays factors by
+    pairwise reduction along axis 2 (index 0 acts first), shape (k, k, ...)."""
+    while factors.shape[2] > 1:
+        m = factors.shape[2] // 2
+        head = _soa_matmul(factors[:, :, 1 : 2 * m : 2], factors[:, :, 0 : 2 * m : 2])
+        factors = (np.concatenate([head, factors[:, :, 2 * m :]], axis=2)
+                   if factors.shape[2] % 2 else head)
+    return factors[:, :, 0]
 
 
 class PropagatorMemo:
@@ -150,25 +169,10 @@ class PropagatorMemo:
 
 def _matrix_exponentials(levels: np.ndarray, group: np.ndarray, drive: np.ndarray,
                          dt: float) -> np.ndarray:
-    """E(level) under each row of ``group``, shape (levels, rows, 4, 4)."""
-    return _expm_batch(generator_batch(levels, group, drive), dt)
-
-
-def _matrix_product(expm: np.ndarray, which: np.ndarray, phi: np.ndarray,
-                    rows: int) -> np.ndarray:
-    """Ordered product of P(phi_k) E[which_k] P(phi_k)^dagger, shape (rows, 4, 4)."""
-    step = _CHUNK // rows
-    total = _EYE[None].repeat(rows, axis=0)
-    for start in range(0, len(which), step):
-        p = np.exp(phi[start : start + step, None, None] * _MINUS_I_KVEC)  # (n, 1, 4)
-        # The gathered copy is scaled in place, in the operand order of
-        # P E P^dagger, so no (n, rows, 4, 4) temporaries are made.
-        factors = expm[which[start : start + step]]
-        np.multiply(p[..., :, None], factors, out=factors)
-        factors *= np.conj(p)[..., None, :]
-        product = _ordered_product(factors)
-        total = product @ total if start else product
-    return total
+    """E(level) under each row of ``group``, as structure-of-arrays 4x4
+    matrices of shape (4, 4, levels, rows)."""
+    u = _expm_batch(generator_batch(levels, group, drive), dt)
+    return np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1)))
 
 
 def _spin_exponentials(levels: np.ndarray, group: np.ndarray, drive: np.ndarray,
@@ -183,74 +187,55 @@ def _spin_exponentials(levels: np.ndarray, group: np.ndarray, drive: np.ndarray,
     detuning = np.concatenate([group[:, 2], group[:, 1]])
     coupling = np.repeat([drive[2, 0], drive[1, 0]], len(group))  # <1|H|0> per unit level
     off = 0.5 * levels[:, None] * coupling
-    u = su2_exp(detuning / 2, off.real, off.imag, -detuning / 2, dt)  # (levels, 2 rows, 2, 2)
-    return np.ascontiguousarray(np.moveaxis(u, (-2, -1), (0, 1)))
+    return su2_exp(detuning / 2, off.real, off.imag, -detuning / 2, dt)
 
 
-def _spin_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2x2 matrices held as (2, 2, ...) structure-of-arrays."""
-    return a[:, :1] * b[None, 0] + a[:, 1:] * b[None, 1]
-
-
-def _spin_product(expm: np.ndarray, which: np.ndarray, phi: np.ndarray,
-                  rows: int) -> np.ndarray:
-    """Ordered product of each spin's P(phi_k) E[which_k] P(phi_k)^dagger,
-    returned as the two spins' Kronecker product, shape (rows, 4, 4).
-
-    Per spin P(phi) = diag(1, e^{-i phi}), so the frame scales E's upper
-    right entry by e^{i phi} and its lower left by e^{-i phi}.  The factors
-    are reduced pairwise as in ``_ordered_product``, one whole-array
-    ``_spin_matmul`` per level of the reduction.
-
-    A chunk gathers half as many sample-draw pairs as the 4x4 path's
-    (at least one sample).  On an AllXY pair (760 samples, 8 rows, one BLAS
-    thread) full _CHUNK chunks took 1.7 ms a call, 0.84 ms at half: their
-    256 kB gathers and first-level temporaries were handed back to the
-    system after each chunk and paged in again, 379 minor faults a call.
-    """
-    step = max(1, _CHUNK // 2 // rows)
-    total = _EYE[:2, :2, None].repeat(2 * rows, axis=2)
+def _frame_product(expm: np.ndarray, which: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """G[n-1] ... G[0], G_k = E[which_k] P(phi_{k-1} - phi_k) with
+    phi_{-1} = 0, of structure-of-arrays exponentials (k, k, levels, c): the
+    kernel's product before its last P(phi_{n-1}), shape (k, k, c).  A chunk
+    gathers at most _ENTRIES complex entries (at least one sample)."""
+    k, columns = expm.shape[0], expm.shape[-1]
+    kvec = _KVEC[1:k, None, None]  # column 0 is never scaled
+    step = max(1, _ENTRIES // (k * k * columns))
+    turns = np.exp(1j * (phi - np.concatenate(([0.0], phi[:-1]))))  # e^{i (phi_k - phi_{k-1})}
+    total = _EYE[:k, :k, None].repeat(columns, axis=2)
     for start in range(0, len(which), step):
-        factors = np.take(expm, which[start : start + step], axis=2)  # (2, 2, n, 2 rows)
-        phase = np.exp(1j * phi[start : start + step])[:, None]
-        factors[0, 1] *= phase
-        factors[1, 0] *= phase.conj()
-        while factors.shape[2] > 1:
-            m = factors.shape[2] // 2
-            head = _spin_matmul(factors[:, :, 1 : 2 * m : 2], factors[:, :, 0 : 2 * m : 2])
-            factors = (np.concatenate([head, factors[:, :, 2 * m :]], axis=2)
-                       if factors.shape[2] % 2 else head)
-        total = _spin_matmul(factors[:, :, 0], total) if start else factors[:, :, 0]
-    u1, u2 = total[..., :rows], total[..., rows:]
-    kron = u1[:, None, :, None] * u2[None, :, None, :]  # [i1, i2, j1, j2, row]
-    return np.moveaxis(kron, -1, 0).reshape(rows, 4, 4)
+        factors = np.take(expm, which[start : start + step], axis=2)  # (k, k, n, c)
+        scale = turns[start : start + step, None] ** kvec  # (k - 1, n, 1)
+        for row in factors:
+            row[1:] *= scale
+        product = _soa_product(factors)
+        total = _soa_matmul(product, total) if start else product
+    return total
 
 
 def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, drive: np.ndarray,
                      dt: float, memo: PropagatorMemo | None = None, operator=None) -> np.ndarray:
     """Ordered product of the per-sample propagators of the envelope
-    ``amp * exp(1j * phi)``, one per row of ``energies``, shape (r, 4, 4).
+    ``amp * exp(1j * phi)``, one per row of ``energies``, as
+    structure-of-arrays unitaries of shape (4, 4, r).
 
     Sample k contributes P(phi_k) E(amp_k) P(phi_k)^dagger, with E
-    exponentiated once per distinct amplitude and draw.  When every row has
-    E(11) = E(01) + E(10) (no exchange), the generator is H1 x I + I x H2
-    and each spin is evolved as a 2x2 (``_spin_exponentials``,
-    ``_spin_product``); otherwise the 4x4 path runs.  At most _CHUNK
-    exponentials and _CHUNK gathered sample-draw factors are held at once:
-    the draws are taken in groups that fit beside the distinct amplitudes,
-    and an envelope with more than _CHUNK of them is split in halves.  Each
-    group's exponentials come from ``memo``, keyed on the block structure,
-    the group's rows, ``operator`` (the drive and dt key part) and the
-    level bytes.
+    exponentiated once per distinct amplitude and draw; the product is
+    P(phi_{n-1}) times ``_frame_product``.  When every row has
+    E(11) = E(01) + E(10) (no exchange), each spin's exponentials are 2x2
+    (``_spin_exponentials``) and the spins' products are joined as a
+    Kronecker product, whose frame is the 4x4 one; otherwise they are 4x4
+    (``_matrix_exponentials``).  At most _CHUNK exponentials are held at
+    once: the draws are taken in groups that fit beside the distinct
+    amplitudes, and an envelope with more than _CHUNK of them is split in
+    halves.  Each group's exponentials come from ``memo``, keyed on the
+    block structure, the group's rows, ``operator`` (the drive and dt key
+    part) and the level bytes.
     """
     levels, which = np.unique(amp, return_inverse=True)
     if len(levels) > _CHUNK:
         (amp0, amp1), (phi0, phi1) = np.array_split(amp, 2), np.array_split(phi, 2)
-        return (_sampled_product(amp1, phi1, energies, drive, dt, memo, operator)
-                @ _sampled_product(amp0, phi0, energies, drive, dt, memo, operator))
+        return _soa_matmul(_sampled_product(amp1, phi1, energies, drive, dt, memo, operator),
+                           _sampled_product(amp0, phi0, energies, drive, dt, memo, operator))
     spins = np.array_equal(energies[:, 3], energies[:, 1] + energies[:, 2])
-    exponentials, product = ((_spin_exponentials, _spin_product) if spins
-                             else (_matrix_exponentials, _matrix_product))
+    exponentials = _spin_exponentials if spins else _matrix_exponentials
     draws = _CHUNK // max(len(levels), 1)
     out = []
     for i in range(0, len(energies), draws):
@@ -258,8 +243,15 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
         compute = functools.partial(exponentials, levels, group, drive, dt)
         expm = (compute() if memo is None else
                 memo.get("level", (spins, group.tobytes(), *operator, levels.tobytes()), compute))
-        out.append(product(expm, which, phi, len(group)))
-    return np.concatenate(out)
+        u = _frame_product(expm, which, phi)
+        if spins:  # U1 x U2 as [i1, i2, j1, j2, row]
+            rows = len(group)
+            u = (u[:, None, :, None, :rows] * u[None, :, None, :, rows:]).reshape(4, 4, rows)
+        out.append(u)
+    total = np.concatenate(out, axis=-1) if len(out) > 1 else out[0]
+    if len(phi):
+        total[1:] *= np.exp(-1j * phi[-1] * _KVEC[1:, None, None])  # P(phi_{n-1})
+    return total
 
 
 def _energies(model: DeviceModel, lo_freq: float, exchange_on: bool, noise: NoiseSample) -> np.ndarray:
@@ -283,7 +275,8 @@ def dense_propagators(
     energies = _energies(model, lo_freq, exchange_on, noise)
     dt = 1.0 / waveform.sample_rate
     z = waveform.envelope
-    return _sampled_product(np.abs(z), np.angle(z), energies, drive_operator(model), dt)
+    u = _sampled_product(np.abs(z), np.angle(z), energies, drive_operator(model), dt)
+    return u.transpose(2, 0, 1).copy()  # (4, 4, r) structure-of-arrays to (r, 4, 4)
 
 
 def trace_propagators(
@@ -311,12 +304,13 @@ def trace_propagators(
     idle gap before it.  For a lone constant burst F is its power and the
     diagonals P come from its end words (reference phase, start time and
     phase code, ``end_words``); for any other cluster F is the kernel
-    product, already in the lab frame, and its end words are 0.  The factors
-    are gathered a chunk at a time (at most _CHUNK // 16 matrices, and at
-    least one cluster), scaled in place, and reduced by ``_ordered_product``;
-    the idle tail after the last cluster is applied at the end.  The pairwise
-    association makes the result differ from a cluster-by-cluster product in
-    the last bits only.
+    product, already in the lab frame, and its end words are 0.  The frames
+    telescope as in the kernel: a factor is F scaled on its columns by
+    P(start)^dagger G P(end before), and P(last end) and the idle tail scale
+    the total's rows once.  The factors are gathered _ENTRIES complex
+    entries at a time (at least one cluster) and reduced by
+    ``_soa_product``, so the result differs from a cluster-by-cluster
+    product in the last bits only.
 
     The kernel keeps its exponentials in ``memo`` per draw group, under that
     group's energy rows, the drive operator, the sample period and the level
@@ -346,15 +340,16 @@ def trace_propagators(
 
     # Sample k of a lone constant burst is sample 0 conjugated by k phase
     # steps of the tuning word, so the burst telescopes to one matrix power.
-    def power(amplitude: float, n: int, ftw: int):  # the burst's unitary at zero phase
+    def power(amplitude: float, n: int, ftw: int):  # at zero phase, (4, 4, r)
         u_bar = _expm_batch(generator_batch(np.array([amplitude]), energies, drive)[0], dt)
         undo_step = np.exp(2j * np.pi * ftw / PHASE_WORDS * _KVEC)
-        return np.linalg.matrix_power(u_bar * undo_step, n - 1) @ u_bar
+        return np.ascontiguousarray(np.moveaxis(
+            np.linalg.matrix_power(u_bar * undo_step, n - 1) @ u_bar, 0, -1))
 
     def kernel_product(t0: int, t_end: int, group) -> np.ndarray:
         if len(group) == 1:
             # Exact levels: the amplitude codes and phase words as played.
-            amp, phi = group[0].amp_values, group[0].phase_words(bits) * (2 * np.pi / PHASE_WORDS)
+            amp, phi = group[0].amp_values, group[0].phase_words(bits) * _WORD
         else:
             z = np.zeros(t_end - t0, dtype=complex)  # idealized samples, banks summed
             for seg in group:
@@ -366,56 +361,59 @@ def trace_propagators(
     heads = [group[0] for _, _, group in clusters]
     lone = [len(group) == 1 and group[0].constant for _, _, group in clusters]
     shaped = [i for i, is_lone in enumerate(lone) if not is_lone][::-1]  # kernel, last first
-    rows = {}  # (amplitude, n, ftw) -> its row of `powers`
+    rows = {}  # (amplitude, n, ftw) -> its index in `powers`
     which = np.array([rows.setdefault((float(s.amp_values[0]), s.n, s.ftw), len(rows))
                       if is_lone else -1 for s, is_lone in zip(heads, lone)])
-    total = _EYE[None].repeat(len(energies), axis=0)
-    # A kernel cluster's gathered row is replaced, so any row serves it.
-    powers = np.array([memo.get("power", physics + key, functools.partial(power, *key))
-                       for key in rows] or [total])  # (distinct, r, 4, 4)
+    total = _EYE[:, :, None].repeat(len(energies), axis=2)
+    # A kernel cluster's gathered factor is replaced, so any power serves it.
+    powers = np.stack([memo.get("power", physics + key, functools.partial(power, *key))
+                       for key in rows] or [total], axis=2)  # (4, 4, distinct, r)
     memo.counts["power_hits"] += len(heads) - len(shaped) - len(rows)  # repeats in the call
-    # +-i phi NUMBER_OP at each cluster's start and end word, (M, 1, 4) each:
-    # P(end) = exp(minus_ends) scales a factor's rows, P(start)^dagger =
-    # exp(starts) and G = exp(idle * energies) scale its columns.
-    words = end_words(heads, bits)
-    words[:, shaped] = 0
-    starts, minus_ends = words[..., None, None] * _WORD_PHASE
-    p_end = np.exp(minus_ends)[..., None]  # (M, 1, 4, 1)
+    # The frames telescope: P(start)^dagger G P(end before) scales a factor's
+    # columns by exp(i (start - end before) WORD kvec + idle step E), and
+    # P(last end) scales the total's rows.  A kernel factor's words are 0.
+    starts, ends = end_words(heads, bits)
+    starts[shaped] = ends[shaped] = 0
+    shift = starts - np.concatenate([[0], ends[:-1]])
     ends_at = [trace.start] + [t_end for _, t_end, _ in clusters]
     step = -2j * np.pi * dt  # G = exp(gap * step * energies)
-    idle = np.array([(t0 - t) * step for (t0, _, _), t in zip(clusters, ends_at)])[:, None, None]
-    chunk = max(1, _CHUNK // 16 // len(energies))  # clusters folded at once
+    idle = np.array([(t0 - t) * step for (t0, _, _), t in zip(clusters, ends_at)])
+    chunk = max(1, _ENTRIES // 16 // len(energies))  # clusters folded at once
 
     for i in range(0, len(clusters), chunk):
         part = slice(i, i + chunk)
-        factors = powers[which[part]]  # (c, r, 4, 4)
+        factors = np.take(powers, which[part], axis=2)  # (4, 4, c, r)
         while shaped and shaped[-1] < i + chunk:
             j = shaped.pop()
-            factors[j - i] = kernel_product(*clusters[j])
-        factors *= p_end[part]
-        factors *= np.exp(starts[part] + idle[part] * energies)[..., None, :]
-        product = _ordered_product(factors)
-        total = product @ total if i else product
+            factors[:, :, j - i] = kernel_product(*clusters[j])
+        factors *= np.exp(1j * _WORD * np.multiply.outer(_KVEC, shift[part])[..., None]
+                          + idle[part, None] * energies.T[:, None])  # (4, c, r)
+        product = _soa_product(factors)
+        total = _soa_matmul(product, total) if i else product
+    last = ends[-1] if len(ends) else 0
     tail = trace.end - ends_at[-1]
-    return np.exp(tail * step * energies)[:, :, None] * total if tail else total
+    total *= np.exp(-1j * _WORD * last * _KVEC[:, None] + tail * step * energies.T)[:, None]
+    return total.transpose(2, 0, 1).copy()
 
 
 # --- closed-form two-level references ---------------------------------------
 
 
 def su2_exp(c0, ax, ay, az, dt):
-    """exp(-2j pi dt (c0 I + a . sigma)) elementwise over arrays."""
+    """exp(-2j pi dt (c0 I + a . sigma)) elementwise over arrays, as
+    structure-of-arrays 2x2 matrices of shape (2, 2, ...)."""
     c0, ax, ay, az = np.broadcast_arrays(c0, ax, ay, az)
     mag = np.sqrt(ax**2 + ay**2 + az**2)
     phi = 2.0 * np.pi * dt * mag
     sinc = np.where(mag > 0, np.sin(phi) / np.where(mag > 0, mag, 1.0), 2 * np.pi * dt)
     cosv = np.cos(phi)
-    u = np.empty(np.shape(c0) + (2, 2), dtype=complex)
-    u[..., 0, 0] = cosv - 1j * sinc * az
-    u[..., 1, 1] = cosv + 1j * sinc * az
-    u[..., 0, 1] = -1j * sinc * (ax - 1j * ay)
-    u[..., 1, 0] = -1j * sinc * (ax + 1j * ay)
-    return np.exp(-2j * np.pi * dt * c0)[..., None, None] * u
+    u = np.empty((2, 2) + np.shape(c0), dtype=complex)
+    u[0, 0] = cosv - 1j * sinc * az
+    u[1, 1] = cosv + 1j * sinc * az
+    u[0, 1] = -1j * sinc * (ax - 1j * ay)
+    u[1, 0] = -1j * sinc * (ax + 1j * ay)
+    u *= np.exp(-2j * np.pi * dt * c0)
+    return u
 
 
 def two_level_evolve(envelope: np.ndarray, detuning: float, coupling: float, dt: float) -> np.ndarray:
@@ -429,7 +427,7 @@ def two_level_evolve(envelope: np.ndarray, detuning: float, coupling: float, dt:
     ax = 0.5 * coupling * np.real(z)
     ay = -0.5 * coupling * np.imag(z)
     az = np.full(len(z), -detuning / 2.0)
-    return _ordered_product(su2_exp(c0, ax, ay, az, dt))
+    return _soa_product(su2_exp(c0, ax, ay, az, dt))
 
 
 def rotation_for_phase(phi: float, angle: float) -> np.ndarray:

@@ -14,10 +14,10 @@ import numpy as np
 # Norm drift that counts as rounding: NORM_TOL at least, and ROUNDING_PER_FACTOR
 # for every per-sample unitary multiplied into a propagator.  Measured on RB
 # programs of 1 to 200 Cliffords (either qubit, exchange off and on, 8 noise
-# rows): the trace engine, its matrix powers folded pairwise, drifts by up to
-# 4.2 eps per factor; the dense engine's pairwise product by 0.74 eps on the
-# kernel's 4x4 path (exchange on) and 0.58 eps on its spin path (exchange
-# off, two 2x2 products), so one allowance covers both block structures.
+# rows), both engines reducing through one structure-of-arrays product: the
+# trace engine drifts by up to 5.3 eps per factor (at 1 Clifford, where its
+# eigh and matrix powers dominate); the dense engine by 1.0 eps with 4x4
+# exponentials (exchange on) and 0.42 eps with two 2x2 (exchange off).
 NORM_TOL = 1e-12
 ROUNDING_PER_FACTOR = 16 * np.finfo(float).eps
 

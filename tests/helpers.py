@@ -9,6 +9,17 @@ from spinctl.physics import DeviceModel, NoiseSample
 from spinctl.physics.state import renormalized
 
 
+def ordered_product(us):
+    """U[n-1] @ ... @ U[0] of a (n, ..., k, k) stack by pairwise matmul
+    reduction (index 0 acts first): the tests' reference product, written
+    apart from the structure-of-arrays reduction of ``physics.evolve``."""
+    while us.shape[0] > 1:
+        m = us.shape[0] // 2
+        head = np.matmul(us[1 : 2 * m : 2], us[0 : 2 * m : 2])
+        us = np.concatenate([head, us[2 * m :]], axis=0) if us.shape[0] % 2 else head
+    return us[0]
+
+
 def final_state(propagators, n_factors, k=0):
     """Amplitudes that the first draw's unitary makes of basis state ``k``
     (index 2*q1 + q2), norm-checked over ``n_factors`` samples."""

@@ -1,7 +1,8 @@
 """Import every spinctl module and run a small RB, two noisy dense AllXY
 pairs on an exchange-off bench (the kernel's closed-form spin path), one
 noisy RB sequence and one program of gaussian and rectangular
-gates on the trace engine, a played program through
+gates on the trace engine, a noiseless exchange-on gaussian spectroscopy
+probe on the trace engine (the kernel's 4x4 path), a played program through
 synthesize, upconvert, its spectrum, SNR, SFDR, LO rejection and two-tone
 report, a program split across triggers through image dump, load and play
 (and one image with a dangling list entry, which play must reject), and the
@@ -43,7 +44,7 @@ def main():
     from spinctl.controller.image_io import dump_image, load_image
     from spinctl.controller.memory import ListEntry
     from spinctl.controller.rf import upconvert
-    from spinctl.experiments import Bench, run_rb
+    from spinctl.experiments import Bench, run_rb, run_spectroscopy
     from spinctl.experiments.allxy import ALLXY_PAIRS, IDEAL_SIGMA_Z
     from spinctl.experiments.base import gauss_hermite
     from spinctl.experiments.cliffords import N_CLIFFORDS, recovery_index, sequence_primitives
@@ -95,6 +96,18 @@ def main():
     counts = noisy.memo.counts
     assert counts["level_hits"] + counts["level_misses"] > 0, counts
     assert counts["power_hits"] + counts["power_misses"] > 0, counts
+
+    # Exchange on, a gaussian probe is a kernel cluster of 4x4 exponentials:
+    # on the lower conditional line of qubit 2 it flips the spin more than
+    # twice as often as 2 MHz off it, and the second point reuses the
+    # first's exponentials.
+    exchange = Bench(DeviceModel(), TxConfig(), exchange_on=True)
+    line = exchange.model.f2 - exchange.model.j_on / 2
+    res = run_spectroscopy(exchange, 2, [line, line + 2e6], shots=10_000, seed=1,
+                           shape="gaussian", engine="trace")
+    on, off = res.p1_q2
+    assert on > 2 * off > 0.0, res.p1_q2
+    assert res.meta["propagator_memo"]["level_hits"] == 1, res.meta
 
     # The DAC output and its RF signal are one type, which the metrics read.
     bench = Bench(DeviceModel(), TxConfig())

@@ -238,13 +238,16 @@ def test_rabi_on_exchange_on_bench_follows_low_branch_rate():
         assert max(other) <= 0.005
 
 
-def test_spectroscopy_exchange_on_finds_both_conditional_lines():
+@pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
+def test_spectroscopy_exchange_on_finds_both_conditional_lines(shape):
+    # Gaussian is the benchmark's spectroscopy configuration: shaped probes
+    # through the trace engine's kernel and fold, the spectator prepared.
     model = DeviceModel()
     bench = exchange_bench()
     step = 0.25e6
     for prepare, line in ((False, model.f2 - model.j_on / 2), (True, model.f2 + model.j_on / 2)):
         freqs = line + 0.1e6 + step * np.arange(-6, 7)
-        res = run_spectroscopy(bench, 2, freqs, shots=2000, seed=5,
+        res = run_spectroscopy(bench, 2, freqs, shots=2000, seed=5, shape=shape,
                                prepare_other=prepare, engine="trace")
         assert abs(locate_peaks(res, 2)[0] - line) <= step
 

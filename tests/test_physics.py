@@ -31,11 +31,11 @@ import spinctl.physics.evolve as evolve
 from spinctl.compiler import GateOp, parse_program
 from spinctl.experiments import Bench, run_allxy, run_qst_trajectory, run_rabi, run_rb
 from spinctl.experiments.base import noise_axes, noise_rule
-from spinctl.physics.evolve import _expm_batch, _ordered_product
+from spinctl.physics.evolve import _expm_batch
 from spinctl.physics.hamiltonian import diagonal_energies, drive_operator, generator_batch
 from spinctl.physics.state import ROUNDING_PER_FACTOR, renormalized
 
-from helpers import final_state, rb_primitives
+from helpers import final_state, ordered_product, rb_primitives
 
 LO = 13.54e9
 FS = 1e9
@@ -290,7 +290,7 @@ def test_dense_engine_matches_plain_per_sample_product():
         delta_j=np.array([0.0, 1e3, 2e3]),
     )
     energies = diagonal_energies(*detunings(m, LO, True, noise))
-    plain = _ordered_product(_expm_batch(generator_batch(z, energies, drive_operator(m)), 1 / FS))
+    plain = ordered_product(_expm_batch(generator_batch(z, energies, drive_operator(m)), 1 / FS))
     kernel = dense_propagators(wf, m, LO, exchange_on=True, noise=noise)
     assert np.max(np.abs(kernel - plain)) < 1e-12
 
@@ -421,7 +421,7 @@ def sequential_propagators(trace, m, lo, exchange_on=False, noise=NoiseSample())
             for s in cluster:
                 z[s.t0 - start : s.t_end - start] += s.amp_values * np.exp(
                     2j * np.pi * s.phase_words(bits) / PHASE_WORDS)
-            factor = _ordered_product(_expm_batch(generator_batch(z, energies, drive), dt))
+            factor = ordered_product(_expm_batch(generator_batch(z, energies, drive), dt))
         total = factor @ total
         t = end
     return gap(trace.end - t) * total
@@ -440,11 +440,12 @@ def lone_constant_bursts(trace):
 
 @pytest.mark.parametrize("n_cliffords, rows", [(150, 8), (12, evolve._CHUNK // 16 + 2)])
 def test_fold_matches_a_sequential_product_across_chunks(n_cliffords, rows):
-    # At 8 rows a chunk folds 16 bursts, so the 150-Clifford sequence needs
-    # many chunks; at more rows than _CHUNK // 16 each chunk holds one burst.
+    # A chunk gathers _ENTRIES complex entries, 16 per burst and row: at 8
+    # rows it folds 64 bursts, so the 150-Clifford sequence (282 lone
+    # bursts) needs five chunks; at 130 rows a chunk holds three bursts.
     bench = Bench(model(), TxConfig(lo_freq=LO))
     trace = bench.run_program(bench.compile([GateOp(g, 2) for g in rb_primitives(n_cliffords, 4)]))
-    per_chunk = max(1, evolve._CHUNK // 16 // rows)
+    per_chunk = max(1, evolve._ENTRIES // 16 // rows)
     assert len(lone_constant_bursts(trace)) > 2 * per_chunk
     noise = noise_rows(rows)
     fast = trace_propagators(trace, bench.model, LO, noise=noise)
@@ -452,11 +453,14 @@ def test_fold_matches_a_sequential_product_across_chunks(n_cliffords, rows):
                        rtol=0, atol=1e-12)
 
 
-def test_fold_matches_a_sequential_product_around_kernel_clusters():
+def test_fold_matches_a_sequential_product_around_kernel_clusters(monkeypatch):
     # Runs of constant bursts, with and without idle gaps before them and
     # with a zero-amplitude pad, are cut by a gaussian burst and by two
     # overlapping constant bursts on both banks; the trace ends in a gap.
-    # 50 rows make two clusters a chunk, so every run crosses a chunk boundary.
+    # Chunks of 1600 entries hold two clusters at 50 rows, so every run
+    # crosses a chunk boundary, and each kernel cluster folds two samples a
+    # chunk, so its frame telescopes across hundreds of chunk boundaries.
+    monkeypatch.setattr(evolve, "_ENTRIES", 2 * 16 * 50)
     rng = np.random.default_rng(7)
     ftws = (offset_to_ftw(24e6), offset_to_ftw(-90e6), offset_to_ftw(19e6))
     gauss = np.exp(-0.5 * ((np.arange(200) - 99.5) / 40) ** 2)
@@ -538,20 +542,22 @@ def per_sample_product(z, m, lo, noise=NoiseSample(), exchange_on=False, dt=1 / 
     energies = np.atleast_2d(diagonal_energies(*detunings(m, lo, exchange_on, noise)))
     if len(z) == 0:
         return np.array([np.eye(4, dtype=complex)] * len(energies))
-    return _ordered_product(_expm_batch(generator_batch(np.asarray(z), energies,
-                                                        drive_operator(m)), dt))
+    return ordered_product(_expm_batch(generator_batch(np.asarray(z), energies,
+                                                       drive_operator(m)), dt))
 
 
 @pytest.fixture
 def paths(monkeypatch):
-    """Calls of each kernel path: "spins" (two 2x2) and "matrix" (one 4x4)."""
+    """Exponential sets made on each kernel path: "spins" (two 2x2) and
+    "matrix" (one 4x4)."""
     calls = {"spins": 0, "matrix": 0}
-    for name, product in (("spins", evolve._spin_product), ("matrix", evolve._matrix_product)):
-        def counting(*args, _name=name, _product=product):
+    for name, exponentials in (("spins", evolve._spin_exponentials),
+                               ("matrix", evolve._matrix_exponentials)):
+        def counting(*args, _name=name, _exponentials=exponentials):
             calls[_name] += 1
-            return _product(*args)
+            return _exponentials(*args)
 
-        monkeypatch.setattr(evolve, product.__name__, counting)
+        monkeypatch.setattr(evolve, exponentials.__name__, counting)
     return calls
 
 
@@ -646,6 +652,24 @@ def test_spin_path_over_a_long_envelope_matches_the_4x4_oracle_to_rounding(paths
     assert error < len(z) * ROUNDING_PER_FACTOR
 
 
+@pytest.mark.parametrize("entries", [1, 200, evolve._ENTRIES])
+@pytest.mark.parametrize("exchange_on", [False, True])
+def test_kernel_products_match_the_4x4_oracle_at_any_chunk_size(monkeypatch, paths, entries,
+                                                               exchange_on):
+    # One sample a chunk, a few, and the default: the telescoped frame
+    # carries each chunk's last phase into the next, so the chunk rule
+    # never shows in the product, on either block structure.
+    monkeypatch.setattr(evolve, "_ENTRIES", entries)
+    m, rng = model(), np.random.default_rng(9)
+    z = np.round((0.3 * (rng.random(700) - 0.5) + 0.2j * rng.random(700)) * 16) / 16
+    z[100:160] = 0.0  # an idle stretch: angle 0 inside the envelope
+    noise = NoiseSample(*(np.array([0.0, 30e3, -30e3]) for _ in range(2)))
+    got = dense_propagators(Waveform(z, FS), m, LO, exchange_on=exchange_on, noise=noise)
+    assert paths == dict(spins=int(not exchange_on), matrix=int(exchange_on))
+    oracle = per_sample_product(z, m, LO, noise, exchange_on=exchange_on)
+    assert np.max(np.abs(got - oracle)) < 1e-12
+
+
 @pytest.mark.parametrize("case", ["j_off", "exchange_on", "sigma_j"])
 def test_any_row_with_exchange_takes_the_4x4_path(paths, case):
     # sigma_j > 0: only the quadrature's centre node has delta_j = 0, so the
@@ -674,8 +698,9 @@ def test_any_row_with_exchange_takes_the_4x4_path(paths, case):
 
 
 def test_spin_path_transients_do_not_grow_with_the_envelope():
-    # 65 rows, the finest rule: a chunk holds 15 samples.  Only the
-    # per-sample arrays of np.unique grow with the envelope, and the spin
+    # 65 rows, the finest rule: a chunk holds 15 samples on the spin path
+    # and 7 on the 4x4 path.  Only per-sample arrays (np.unique's, and the
+    # phase steps) grow with the envelope, on either path, and the spin
     # path stays within the 4x4 path's peak on the same samples.
     m, rng = model(), np.random.default_rng(1)
     x = np.linspace(-3.0, 3.0, 65)
@@ -697,4 +722,6 @@ def test_spin_path_transients_do_not_grow_with_the_envelope():
 
     short, long = peak(2_000, separable), peak(20_000, separable)
     assert long - short <= 18_000 * 48
-    assert long <= peak(20_000, coupled)
+    coupled_short, coupled_long = peak(2_000, coupled), peak(20_000, coupled)
+    assert coupled_long - coupled_short <= 18_000 * 48
+    assert long <= coupled_long
