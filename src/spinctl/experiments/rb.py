@@ -13,6 +13,7 @@ and fitting chain against a known answer.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,12 +176,20 @@ def run_rb(
     """Benchmark one qubit.  Physics mode samples each sequence on the
     structured engine (averaged over quasi-static noise when the model is
     noisy, see ``Bench.sample``); depolarizing mode applies the analytic
-    channel instead.  An empty ``lengths`` or ``n_sequences`` < 1 is
-    rejected before anything is compiled."""
+    channel instead.  An empty ``lengths``, a negative or non-integer
+    length, ``n_sequences`` or ``repetitions`` < 1 or a qubit other than 1
+    or 2 is rejected before anything is compiled."""
     lengths = list(lengths)
     problems = ["lengths is empty: give at least one sequence length"] if not lengths else []
+    bad = [m for m in lengths if not isinstance(m, numbers.Integral) or m < 0]
+    if bad:
+        problems.append(f"lengths {bad}: each must be a whole number of Cliffords, 0 or more")
     if n_sequences < 1:
         problems.append(f"n_sequences={n_sequences}: sample at least 1 sequence per length")
+    if repetitions < 1:
+        problems.append(f"repetitions={repetitions}: take at least 1 shot per sequence")
+    if qubit not in (1, 2):
+        problems.append(f"qubit={qubit}: benchmark qubit 1 or 2")
     if problems:
         raise ConfigError(problems)
     bench.new_tally()

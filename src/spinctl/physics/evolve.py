@@ -9,12 +9,14 @@ H(a e^{i phi}) = P(phi) H(a) P(phi)^dagger, an identity, not an
 approximation.  Each distinct amplitude is exponentiated once per noise
 draw; each sample's factor is that exponential conjugated by its phase.
 
-One ordered product serves the kernel, the trace engine's fold and
-``two_level_evolve``: a pairwise reduction (``_soa_product``) over k x k
-matrices held as (k, k, n, ...) structure-of-arrays, k = 2 per spin or 4,
-gathered at most _ENTRIES complex entries at a time.  The phase frame
-telescopes: with P(phi) = exp(-i phi kvec), kvec = (0, 1) per spin or
-(0, 1, 1, 2), and phi_0 = 0,
+One fold serves both engines: ``_fold`` gathers k x k factors, k = 2 per
+spin or 4, from a (k, k, m, ...) structure-of-arrays table at most _ENTRIES
+complex entries at a time, scales their columns by their frames and
+reduces each chunk by one pairwise product (``_soa_product``, which
+``two_level_evolve`` uses too): the kernel over its samples, the trace
+engine over its clusters.  The frame telescopes: with
+P(phi) = exp(-i phi kvec), kvec = (0, 1) per spin or (0, 1, 1, 2), and
+phi_0 = 0,
 
     prod_k P(phi_k) E_k P(phi_k)^dagger = P(phi_n) G_n ... G_1,
     G_k = E_k P(phi_{k-1} - phi_k),
@@ -29,11 +31,10 @@ exponentials are then 2x2 in closed form (``su2_exp``), otherwise 4x4
 through ``eigh``; that is the only fork, and the spins' products are
 returned as their Kronecker product, so no caller knows which ran.  An
 exchange-off bench with no exchange noise (j_off = 0, sigma_j = 0) takes
-the spin exponentials on every call; a call with any row where exchange
-shows in the energies takes the 4x4 ones: on an exchange-on bench, with
-j_off > 0, or with a nonzero delta_j in any row (sigma_j > 0).  On the
-trace engine this concerns the kernel clusters; lone constant bursts are
-4x4 matrix powers on every bench.
+the spin exponentials on every call, constant-burst powers included; a
+call with any row where exchange shows in the energies takes the 4x4 ones:
+on an exchange-on bench, with j_off > 0, or with a nonzero delta_j in any
+row (sigma_j > 0).
 
 ``dense_propagators``
     Reference path: the exact ordered product over the DAC samples
@@ -42,17 +43,15 @@ trace engine this concerns the kernel clusters; lone constant bursts are
 ``trace_propagators``
     Structured path: the idealized synthesis (no phase-table or DAC
     requantization) of the trace itself; no samples are synthesized.  A lone
-    constant burst telescopes to one matrix power, which is what makes
-    randomized benchmarking tractable.  That power is computed once per
-    distinct (amplitude, n, ftw) under each physics per memo, so a sequence
-    that replays a few calibrated bursts exponentiates only those few.  Any
-    other cluster (a shaped burst, or bursts on both banks at once) goes
-    through the kernel.  A lone burst hands the kernel its amplitude-grid
-    values and phase-word angles as they are, so its levels are exactly the
-    envelope's distinct amplitude codes at any tuning word; a cluster of
-    overlapping bursts takes |z| and arg z of its summed samples, as the
-    dense engine does.  Every cluster, power or kernel product, is then
-    one factor of the same telescoped fold.
+    constant burst telescopes to one matrix power of the kernel's one-sample
+    exponential, made once per distinct (amplitude, n, ftw) under each
+    physics per memo, which is what makes randomized benchmarking
+    tractable.  Any other cluster (a shaped burst, or bursts on both banks
+    at once) goes through the kernel: a lone burst with its amplitude codes
+    and phase-word angles as played, so its levels are exactly the
+    envelope's distinct amplitude codes at any tuning word, and a cluster
+    of overlapping bursts with |z| and arg z of its summed samples, as the
+    dense engine does.
 
 ``PropagatorMemo``
     The trace engine's store of reusable products, each keyed on the physics
@@ -69,9 +68,7 @@ trace engine this concerns the kernel clusters; lone constant bursts are
     half a matrix per level and row: a product that does not fit beside
     those held empties it first, so products of physics no longer in use
     cannot crowd out the current ones, and one larger than the bound is not
-    kept.  Without a memo argument a call gets a fresh one, so repeats
-    within the call are still shared.
-    ``Bench`` owns one; the dense engine uses none.
+    kept.  ``Bench`` owns one; the dense engine uses none.
 
 The result is the only representation of an evolved program: the final
 state from basis state k is column k of a unitary, checked and rescaled by
@@ -190,21 +187,19 @@ def _spin_exponentials(levels: np.ndarray, group: np.ndarray, drive: np.ndarray,
     return su2_exp(detuning / 2, off.real, off.imag, -detuning / 2, dt)
 
 
-def _frame_product(expm: np.ndarray, which: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """G[n-1] ... G[0], G_k = E[which_k] P(phi_{k-1} - phi_k) with
-    phi_{-1} = 0, of structure-of-arrays exponentials (k, k, levels, c): the
-    kernel's product before its last P(phi_{n-1}), shape (k, k, c).  A chunk
-    gathers at most _ENTRIES complex entries (at least one sample)."""
-    k, columns = expm.shape[0], expm.shape[-1]
-    kvec = _KVEC[1:k, None, None]  # column 0 is never scaled
+def _fold(table: np.ndarray, which: np.ndarray, scale) -> np.ndarray:
+    """G[n-1] ... G[0], G_k = table[:, :, which_k] D_k, of structure-of-arrays
+    (k, k, m, c) to (k, k, c), the identity for an empty ``which``; the
+    diagonal D_k of the slice ``part`` of ``which`` is ``scale(part)``,
+    broadcastable to (k, len(part), c).  A chunk gathers at most _ENTRIES
+    complex entries (at least one factor), reduced by ``_soa_product``."""
+    k, columns = table.shape[0], table.shape[-1]
     step = max(1, _ENTRIES // (k * k * columns))
-    turns = np.exp(1j * (phi - np.concatenate(([0.0], phi[:-1]))))  # e^{i (phi_k - phi_{k-1})}
     total = _EYE[:k, :k, None].repeat(columns, axis=2)
     for start in range(0, len(which), step):
-        factors = np.take(expm, which[start : start + step], axis=2)  # (k, k, n, c)
-        scale = turns[start : start + step, None] ** kvec  # (k - 1, n, 1)
-        for row in factors:
-            row[1:] *= scale
+        part = slice(start, start + step)
+        factors = np.take(table, which[part], axis=2)  # (k, k, n, c)
+        factors *= scale(part)
         product = _soa_product(factors)
         total = _soa_matmul(product, total) if start else product
     return total
@@ -218,7 +213,8 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
 
     Sample k contributes P(phi_k) E(amp_k) P(phi_k)^dagger, with E
     exponentiated once per distinct amplitude and draw; the product is
-    P(phi_{n-1}) times ``_frame_product``.  When every row has
+    P(phi_{n-1}) times the ``_fold`` of the exponentials, each sample's
+    columns scaled by P(phi_{k-1} - phi_k), phi_{-1} = 0.  When every row has
     E(11) = E(01) + E(10) (no exchange), each spin's exponentials are 2x2
     (``_spin_exponentials``) and the spins' products are joined as a
     Kronecker product, whose frame is the 4x4 one; otherwise they are 4x4
@@ -236,6 +232,8 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
                            _sampled_product(amp0, phi0, energies, drive, dt, memo, operator))
     spins = np.array_equal(energies[:, 3], energies[:, 1] + energies[:, 2])
     exponentials = _spin_exponentials if spins else _matrix_exponentials
+    kvec = _KVEC[: 2 if spins else 4, None, None]  # P(phi) = exp(-i phi kvec)
+    turns = np.exp(1j * (phi - np.concatenate(([0.0], phi[:-1]))))  # e^{i (phi_k - phi_{k-1})}
     draws = _CHUNK // max(len(levels), 1)
     out = []
     for i in range(0, len(energies), draws):
@@ -243,7 +241,7 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
         compute = functools.partial(exponentials, levels, group, drive, dt)
         expm = (compute() if memo is None else
                 memo.get("level", (spins, group.tobytes(), *operator, levels.tobytes()), compute))
-        u = _frame_product(expm, which, phi)
+        u = _fold(expm, which, lambda part: turns[part, None] ** kvec)
         if spins:  # U1 x U2 as [i1, i2, j1, j2, row]
             rows = len(group)
             u = (u[:, None, :, None, :rows] * u[None, :, None, :, rows:]).reshape(4, 4, rows)
@@ -291,33 +289,23 @@ def trace_propagators(
     """Total unitaries of a burst trace, one per noise draw, shape (r, 4, 4).
 
     Bursts that overlap in time form one cluster, whose idealized samples
-    are summed as the DAC sums the banks.  A lone constant burst's matrix
-    power depends on the physics only through the energies (one row per
-    noise draw), the drive operator and the sample period, and on the burst
-    only through (amplitude, n, ftw): it is kept in ``memo`` under all six
-    and looked up once per call, and every later play of it in the call
-    adds one ``power_hits``, so hits plus misses count the lone constant
-    bursts played.  Whether a burst is constant is read from
-    ``BurstSegment.constant``, recorded at play time.
+    are summed as the DAC sums the banks.  Every cluster is one factor
+    P(end) F P(start)^dagger G, where G is the idle gap before it.  For a
+    lone constant burst (``BurstSegment.constant``, recorded at play time)
+    F is its power (E P(ftw step))^(n - 1) E of the kernel's one-sample
+    exponential E, and the diagonals P come from its end words (reference
+    phase, start time and phase code, ``end_words``); for any other cluster
+    F is the kernel product, already in the lab frame, and its end words
+    are 0.  One table holds each distinct (amplitude, n, ftw) power, then
+    each kernel product; ``_fold`` gathers it in time order, scaling each
+    factor's columns by P(start)^dagger G P(end before), and P(last end)
+    and the idle tail scale the total's rows once.
 
-    Every cluster is one factor P(end) F P(start)^dagger G, where G is the
-    idle gap before it.  For a lone constant burst F is its power and the
-    diagonals P come from its end words (reference phase, start time and
-    phase code, ``end_words``); for any other cluster F is the kernel
-    product, already in the lab frame, and its end words are 0.  The frames
-    telescope as in the kernel: a factor is F scaled on its columns by
-    P(start)^dagger G P(end before), and P(last end) and the idle tail scale
-    the total's rows once.  The factors are gathered _ENTRIES complex
-    entries at a time (at least one cluster) and reduced by
-    ``_soa_product``, so the result differs from a cluster-by-cluster
-    product in the last bits only.
-
-    The kernel keeps its exponentials in ``memo`` per draw group, under that
-    group's energy rows, the drive operator, the sample period and the level
-    bytes.  Any later call made under the same physics reuses both; an entry
-    made under other physics is never served, because its key differs.
-    Without ``memo`` the call makes a fresh one, so repeats within the call
-    are still shared.
+    ``memo`` keeps the powers and the kernel's exponentials under the
+    physics they were made under (``PropagatorMemo``).  A power is looked up
+    once per call and each later play of it adds one ``power_hits``, so hits
+    plus misses count the lone constant bursts played.  Without ``memo`` the
+    call makes a fresh one, so repeats within the call are still shared.
     """
     energies = _energies(model, lo_freq, exchange_on, noise)  # (r, 4)
     drive = drive_operator(model)
@@ -339,12 +327,14 @@ def trace_propagators(
             clusters.append([seg.t0, seg.t_end, [seg]])
 
     # Sample k of a lone constant burst is sample 0 conjugated by k phase
-    # steps of the tuning word, so the burst telescopes to one matrix power.
+    # steps of the tuning word, so the burst telescopes to one matrix power
+    # of the kernel's one-sample exponential E.
     def power(amplitude: float, n: int, ftw: int):  # at zero phase, (4, 4, r)
-        u_bar = _expm_batch(generator_batch(np.array([amplitude]), energies, drive)[0], dt)
+        e = _sampled_product(np.array([amplitude]), np.zeros(1), energies, drive, dt)
+        e = e.transpose(2, 0, 1)  # (r, 4, 4)
         undo_step = np.exp(2j * np.pi * ftw / PHASE_WORDS * _KVEC)
         return np.ascontiguousarray(np.moveaxis(
-            np.linalg.matrix_power(u_bar * undo_step, n - 1) @ u_bar, 0, -1))
+            np.linalg.matrix_power(e * undo_step, n - 1) @ e, 0, -1))
 
     def kernel_product(t0: int, t_end: int, group) -> np.ndarray:
         if len(group) == 1:
@@ -358,38 +348,34 @@ def trace_propagators(
             amp, phi = np.abs(z), np.angle(z)
         return _sampled_product(amp, phi, energies, drive, dt, memo, operator)
 
+    # One table: each distinct (amplitude, n, ftw) power, then each kernel
+    # cluster's product, gathered by ``which`` in time order.
     heads = [group[0] for _, _, group in clusters]
     lone = [len(group) == 1 and group[0].constant for _, _, group in clusters]
-    shaped = [i for i, is_lone in enumerate(lone) if not is_lone][::-1]  # kernel, last first
-    rows = {}  # (amplitude, n, ftw) -> its index in `powers`
+    shaped = [i for i, is_lone in enumerate(lone) if not is_lone]  # the kernel clusters
+    kernel_rows = iter(range(-len(shaped), 0))  # counted from the table's end
+    rows = {}  # (amplitude, n, ftw) -> its row in the table
     which = np.array([rows.setdefault((float(s.amp_values[0]), s.n, s.ftw), len(rows))
-                      if is_lone else -1 for s, is_lone in zip(heads, lone)])
-    total = _EYE[:, :, None].repeat(len(energies), axis=2)
-    # A kernel cluster's gathered factor is replaced, so any power serves it.
-    powers = np.stack([memo.get("power", physics + key, functools.partial(power, *key))
-                       for key in rows] or [total], axis=2)  # (4, 4, distinct, r)
+                      if is_lone else next(kernel_rows) for s, is_lone in zip(heads, lone)],
+                     dtype=int)
+    table = [memo.get("power", physics + key, functools.partial(power, *key)) for key in rows]
+    table += [kernel_product(*clusters[j]) for j in shaped]
+    table = (np.stack(table, axis=2) if table
+             else np.empty((4, 4, 0, len(energies)), dtype=complex))  # (4, 4, rows, r)
     memo.counts["power_hits"] += len(heads) - len(shaped) - len(rows)  # repeats in the call
     # The frames telescope: P(start)^dagger G P(end before) scales a factor's
-    # columns by exp(i (start - end before) WORD kvec + idle step E), and
-    # P(last end) scales the total's rows.  A kernel factor's words are 0.
+    # columns by exp(i (start - end before) WORD kvec + idle step E), which
+    # is 1 on column 0 (kvec and E(00) are 0 there), and P(last end) scales
+    # the total's rows.  A kernel factor's words are 0.
     starts, ends = end_words(heads, bits)
     starts[shaped] = ends[shaped] = 0
     shift = starts - np.concatenate([[0], ends[:-1]])
     ends_at = [trace.start] + [t_end for _, t_end, _ in clusters]
     step = -2j * np.pi * dt  # G = exp(gap * step * energies)
     idle = np.array([(t0 - t) * step for (t0, _, _), t in zip(clusters, ends_at)])
-    chunk = max(1, _ENTRIES // 16 // len(energies))  # clusters folded at once
-
-    for i in range(0, len(clusters), chunk):
-        part = slice(i, i + chunk)
-        factors = np.take(powers, which[part], axis=2)  # (4, 4, c, r)
-        while shaped and shaped[-1] < i + chunk:
-            j = shaped.pop()
-            factors[:, :, j - i] = kernel_product(*clusters[j])
-        factors *= np.exp(1j * _WORD * np.multiply.outer(_KVEC, shift[part])[..., None]
-                          + idle[part, None] * energies.T[:, None])  # (4, c, r)
-        product = _soa_product(factors)
-        total = _soa_matmul(product, total) if i else product
+    total = _fold(table, which, lambda part: np.exp(
+        1j * _WORD * np.multiply.outer(_KVEC, shift[part])[..., None]
+        + idle[part, None] * energies.T[:, None]))  # (4, c, r)
     last = ends[-1] if len(ends) else 0
     tail = trace.end - ends_at[-1]
     total *= np.exp(-1j * _WORD * last * _KVEC[:, None] + tail * step * energies.T)[:, None]
@@ -420,9 +406,12 @@ def two_level_evolve(envelope: np.ndarray, detuning: float, coupling: float, dt:
     """Exact 2x2 propagator of one driven spin over a sampled envelope.
 
     Independent reference for the factorized (J = 0) limit: same sampled
-    physics, different code path from the 4x4 engine.
+    physics, different code path from the 4x4 engine.  An empty envelope
+    gives the identity.
     """
     z = np.asarray(envelope, dtype=complex)
+    if not len(z):
+        return np.eye(2, dtype=complex)
     c0 = np.full(len(z), detuning / 2.0)
     ax = 0.5 * coupling * np.real(z)
     ay = -0.5 * coupling * np.imag(z)

@@ -1,7 +1,8 @@
 """Import every spinctl module and run a small RB, two noisy dense AllXY
 pairs on an exchange-off bench (the kernel's closed-form spin path), one
 noisy RB sequence and one program of gaussian and rectangular
-gates on the trace engine, a noiseless exchange-on gaussian spectroscopy
+gates on the trace engine, that program's trace and dense unitaries on
+wide converters (exchange off), a noiseless exchange-on gaussian spectroscopy
 probe on the trace engine (the kernel's 4x4 path), a played program through
 synthesize, upconvert, its spectrum, SNR, SFDR, LO rejection and two-tone
 report, a program split across triggers through image dump, load and play
@@ -57,7 +58,14 @@ def main():
         snr,
         two_tone_report,
     )
-    from spinctl.physics import DeviceModel, corrected_p_up, shot_rng
+    from spinctl.physics import (
+        DeviceModel,
+        NoiseSample,
+        corrected_p_up,
+        dense_propagators,
+        shot_rng,
+        trace_propagators,
+    )
 
     res = run_rb(Bench(DeviceModel(), TxConfig()), (1, 10, 30, 60), n_sequences=3,
                  repetitions=50, seed=1, depolarizing_eps=0.02)
@@ -96,6 +104,18 @@ def main():
     counts = noisy.memo.counts
     assert counts["level_hits"] + counts["level_misses"] > 0, counts
     assert counts["power_hits"] + counts["power_misses"] > 0, counts
+
+    # On converters wide enough that requantization is negligible, the same
+    # program's spin-path powers and kernel cluster, folded together, agree
+    # with the dense engine's per-sample product.
+    wide = Bench(DeviceModel(), TxConfig(dac_bits=26, amp_bits=22, pac_addr_bits=22))
+    trace = wide.run_program(wide.compile(shaped))
+    rows = NoiseSample(np.array([0.0, 30e3, -30e3]), np.array([-20e3, 0.0, 40e3]))
+    physics = dict(model=wide.model, lo_freq=wide.cfg.carrier, noise=rows)
+    fast = trace_propagators(trace, **physics)
+    dense = dense_propagators(synthesize(trace, wide.cfg), **physics)
+    assert not wide.exchange_on and fast.shape == dense.shape == (3, 4, 4), fast.shape
+    assert np.max(np.abs(fast - dense)) < 1e-6, np.max(np.abs(fast - dense))
 
     # Exchange on, a gaussian probe is a kernel cluster of 4x4 exponentials:
     # on the lower conditional line of qubit 2 it flips the spin more than

@@ -191,6 +191,14 @@ def test_rb_rejects_empty_lengths_before_compiling(monkeypatch):
     _no_compiling(monkeypatch)
     with pytest.raises(ConfigError, match="^lengths is empty"):
         run_rb(plain_bench(), [])
+    # A negative or non-integer length, in either mode.
+    for lengths, bad in (((1, -3), "[-3]"), ((2.5, 4, 2.0), "[2.5, 2.0]")):
+        for eps in (None, 0.01):
+            with pytest.raises(ConfigError, match=rf"^lengths \{bad}\: each must be a whole "):
+                run_rb(plain_bench(), lengths, depolarizing_eps=eps)
+    res = run_rb(plain_bench(), np.array([0, 3]), n_sequences=1, repetitions=10,
+                 depolarizing_eps=0.01)  # numpy integers, 0 included, are lengths
+    assert res.lengths == [0, 3]
 
 
 def test_rb_rejects_fewer_than_one_sequence_before_compiling(monkeypatch):
@@ -198,9 +206,19 @@ def test_rb_rejects_fewer_than_one_sequence_before_compiling(monkeypatch):
     for n in (0, -2):
         with pytest.raises(ConfigError, match=f"^n_sequences={n}: sample at least 1"):
             run_rb(plain_bench(), (1, 4), n_sequences=n)
+    # Fewer than one shot per sequence, or a qubit that is not there, in
+    # either mode.
+    for eps in (None, 0.01):
+        with pytest.raises(ConfigError, match="^repetitions=0: take at least 1 shot"):
+            run_rb(plain_bench(), (1, 4), repetitions=0, depolarizing_eps=eps)
+        with pytest.raises(ConfigError, match="^qubit=3: benchmark qubit 1 or 2$"):
+            run_rb(plain_bench(), (1, 4), qubit=3, depolarizing_eps=eps)
     with pytest.raises(ConfigError) as err:
         run_rb(plain_bench(), (), n_sequences=0)
     assert len(err.value.problems) == 2
+    with pytest.raises(ConfigError) as err:
+        run_rb(plain_bench(), (-1,), n_sequences=0, repetitions=0, qubit=0)
+    assert len(err.value.problems) == 4
 
 
 @pytest.mark.parametrize("f_clk, durations, got", [
