@@ -177,17 +177,23 @@ def run_rb(
     structured engine (averaged over quasi-static noise when the model is
     noisy, see ``Bench.sample``); depolarizing mode applies the analytic
     channel instead.  An empty ``lengths``, a negative or non-integer
-    length, ``n_sequences`` or ``repetitions`` < 1 or a qubit other than 1
-    or 2 is rejected before anything is compiled."""
+    length, a non-integer or < 1 ``n_sequences`` or ``repetitions``, or a
+    qubit other than 1 or 2 is rejected before anything is compiled."""
+
+    def whole(x, least: int) -> bool:
+        return isinstance(x, numbers.Integral) and x >= least
+
     lengths = list(lengths)
     problems = ["lengths is empty: give at least one sequence length"] if not lengths else []
-    bad = [m for m in lengths if not isinstance(m, numbers.Integral) or m < 0]
+    bad = [m for m in lengths if not whole(m, 0)]
     if bad:
         problems.append(f"lengths {bad}: each must be a whole number of Cliffords, 0 or more")
-    if n_sequences < 1:
-        problems.append(f"n_sequences={n_sequences}: sample at least 1 sequence per length")
-    if repetitions < 1:
-        problems.append(f"repetitions={repetitions}: take at least 1 shot per sequence")
+    if not whole(n_sequences, 1):
+        problems.append(f"n_sequences={n_sequences}: sample at least 1 sequence per length, "
+                        "a whole number")
+    if not whole(repetitions, 1):
+        problems.append(f"repetitions={repetitions}: take at least 1 shot per sequence, "
+                        "a whole number")
     if qubit not in (1, 2):
         problems.append(f"qubit={qubit}: benchmark qubit 1 or 2")
     if problems:

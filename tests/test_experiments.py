@@ -203,14 +203,15 @@ def test_rb_rejects_empty_lengths_before_compiling(monkeypatch):
 
 def test_rb_rejects_fewer_than_one_sequence_before_compiling(monkeypatch):
     _no_compiling(monkeypatch)
-    for n in (0, -2):
+    for n in (0, -2, 2.5):
         with pytest.raises(ConfigError, match=f"^n_sequences={n}: sample at least 1"):
             run_rb(plain_bench(), (1, 4), n_sequences=n)
-    # Fewer than one shot per sequence, or a qubit that is not there, in
-    # either mode.
+    # Fewer than one shot per sequence, a fraction of one, or a qubit that
+    # is not there, in either mode.
     for eps in (None, 0.01):
-        with pytest.raises(ConfigError, match="^repetitions=0: take at least 1 shot"):
-            run_rb(plain_bench(), (1, 4), repetitions=0, depolarizing_eps=eps)
+        for r in (0, 2.5):
+            with pytest.raises(ConfigError, match=f"^repetitions={r}: take at least 1 shot"):
+                run_rb(plain_bench(), (1, 4), repetitions=r, depolarizing_eps=eps)
         with pytest.raises(ConfigError, match="^qubit=3: benchmark qubit 1 or 2$"):
             run_rb(plain_bench(), (1, 4), qubit=3, depolarizing_eps=eps)
     with pytest.raises(ConfigError) as err:

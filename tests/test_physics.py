@@ -614,11 +614,55 @@ def test_runner_programs_at_j_zero_match_the_4x4_oracle_on_both_engines(monkeypa
         assert paths["matrix"] == 0 and (paths["spins"] > 0) == bool(active)
         with_clusters += kernel
         reference = sequential_propagators(trace, m, LO, noise=noise)
-        # The powers' closed-form 2x2 and the reference's eigh exponentials
-        # round apart by up to a few eps per sample.
-        bound = max(1e-12, trace.n_samples * ROUNDING_PER_FACTOR)
-        assert np.max(np.abs(fast - reference)) < bound
+        # The reference powers eigh exponentials, the engine closed-form 2x2
+        # ones, and a power carries its exponential's rounding once a
+        # sample: only samples inside lone constant bursts may round apart.
+        lone = sum(s.n for s in lone_constant_bursts(trace))
+        assert np.max(np.abs(fast - reference)) < max(1e-12, lone * ROUNDING_PER_FACTOR)
     assert with_clusters == 2  # simultaneous Rabi and the gaussian bursts
+
+
+def su2_power(m, n):
+    """m^n of 2x2 unitaries (..., 2, 2) in closed form: m = e^{i a} u with u
+    in SU(2) and cos t = Re u00, u^n = (sin(n t) u - sin((n - 1) t) I) / sin t."""
+    a = np.angle(np.linalg.det(m)) / 2
+    u = m * np.exp(-1j * a)[..., None, None]
+    t = np.arctan2(np.hypot(np.abs(u[..., 0, 1]), u[..., 0, 0].imag), u[..., 0, 0].real)
+    weights = np.sin(np.multiply.outer([n, n - 1], t)) / np.sin(t)
+    return np.exp(1j * n * a)[..., None, None] * (weights[0, ..., None, None] * u
+                                                  - weights[1, ..., None, None] * np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 251, 2000])
+def test_spin_path_power_of_a_constant_burst_matches_a_closed_form_power(paths, n):
+    # One lone constant burst on an exchange-off bench: each spin's factor is
+    # P(last) (E P(-ftw step))^(n - 1) E P(first)^dagger.  The reference
+    # takes the same closed-form exponential E (su2_exp) and raises it in
+    # closed form, so the power, its frames and the fold must hold 1e-12
+    # over 2,000 samples, where a per-sample product no longer can.
+    cfg, m = TxConfig(lo_freq=LO), model()
+    img = MemoryImage(EnvelopeMemory(cfg.amp_bits, cfg.phase_mod_bits))
+    img.envelope.write_values(np.full(n, 0.3))
+    img.add_instruction(0, 0, Instruction(0, start_addr=0, stop_addr=n - 1))
+    img.schedule(0, 0, 0)
+    _, trace = executed(img, cfg, {(0, 0): offset_to_ftw(24e6 + 3e6)})
+    (seg,) = trace.segments
+    assert seg.constant and (trace.start, trace.end) == (seg.t0, seg.t_end)
+    noise = NoiseSample(np.array([0.0, 30e3, -40e3]), np.array([5e3, 0.0, -5e3]))
+    fast = trace_propagators(trace, m, LO, noise=noise)
+    assert paths == dict(spins=1, matrix=0)
+    energies = diagonal_energies(*detunings(m, LO, False, noise))
+    words = seg.phase_words(trace.phase_mod_bits)[[0, -1]] * evolve._WORD
+    first, last = (np.array([1.0, np.exp(-1j * phi)]) for phi in words)  # P per spin
+    step = np.array([1.0, np.exp(1j * seg.ftw * evolve._WORD)])  # P(-ftw step)
+    spins = []
+    for detuning, w in ((energies[:, 2], m.drive_coupling[0]),
+                        (energies[:, 1], m.drive_coupling[1])):
+        e = np.moveaxis(evolve.su2_exp(detuning / 2, 0.5 * seg.amp_values[0] * w, 0.0,
+                                       -detuning / 2, 1 / FS), (0, 1), (-2, -1))
+        spins.append(last[:, None] * (su2_power(e * step, n - 1) @ e) * np.conj(first))
+    reference = np.einsum("rab,rcd->racbd", *spins).reshape(-1, 4, 4)
+    assert np.max(np.abs(fast - reference)) < 1e-12
 
 
 def test_spin_path_edge_cases_match_the_4x4_oracle(paths):
