@@ -33,7 +33,7 @@ from ..controller.memory import EnvelopeMemory, Instruction, MemoryImage, quanti
 from ..controller.nco import PHASE_WORDS
 from ..errors import CapacityError, ProgramError
 from .envelopes import synthesize_envelope
-from .ir import AXIS_QUARTER_TURNS, GateOp, ROTATION_GATES
+from .ir import AXIS_QUARTER_TURNS, PI_ROTATIONS, GateOp, ROTATION_GATES
 from .plan import CalibrationSet, FrequencyPlan
 
 QUARTER_TURN = PHASE_WORDS // 4
@@ -180,7 +180,7 @@ class _Compiler:
         elif op.name in ROTATION_GATES:
             axis_word = AXIS_QUARTER_TURNS[op.name] * QUARTER_TURN
             for slot in self.plan.for_qubit(op.target, op.branch):
-                self._drive(slot, axis_word, op, full_pi=op.name in ("x2", "y2"))
+                self._drive(slot, axis_word, op, full_pi=op.name in PI_ROTATIONS)
         elif op.name in ("crot_high", "crot_low"):
             slot = self.plan.slot(op.target, op.name.removeprefix("crot_"))
             if self._drive(slot, 0, op, full_pi=True):

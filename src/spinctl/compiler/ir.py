@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from ..errors import ProgramError
 
 ROTATION_GATES = {"x", "y", "x2", "y2", "mx", "my"}
+PI_ROTATIONS = {"x2", "y2"}  # the rest of ROTATION_GATES turn by pi/2
 GATES = ROTATION_GATES | {"i", "z", "crot_high", "crot_low"}
 SHAPES = {"rectangular", "gaussian"}
 BRANCHES = {"both", "high", "low"}

@@ -13,7 +13,7 @@ import numpy as np
 from ..compiler.ir import GateOp
 from ..physics import corrected_p_up, shot_rng
 from ..physics.evolve import rotation_for_phase, z_rotation
-from .base import Bench
+from .base import Bench, check_arguments
 from .cliffords import PRIMITIVE_PARAMS
 
 # Standard ordering: 5 ground pairs, 12 equator pairs, 4 excited pairs.
@@ -41,6 +41,8 @@ class AllxyResult:
 def run_allxy(bench: Bench, *, qubit: int = 2, shots: int = 10_000, seed: int = 0,
               engine: str = "dense") -> AllxyResult:
     """Run the 21 pairs; readout error is removed via the confusion inverse."""
+    check_arguments([("shots", shots, "take at least 1 shot per pair")], qubit=qubit,
+                    engine=engine)
     bench.new_tally()
     values = []
     for k, pair in enumerate(ALLXY_PAIRS):

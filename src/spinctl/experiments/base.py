@@ -27,6 +27,7 @@ point p of an experiment seeded with ``seed`` draws its readout from
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,7 @@ from ..compiler import (
     default_calibration,
 )
 from ..controller.executor import ExecutionTrace, Transmitter, TxConfig, synthesize
+from ..errors import ConfigError
 from ..physics import (
     DeviceModel,
     NoiseSample,
@@ -240,6 +242,28 @@ class Bench:
         tally["max_difference"] = max(tally["max_difference"], difference)
         tally["converged"] &= difference <= tol
         return rng.binomial(shots, np.clip(current, 0.0, 1.0))
+
+
+def whole(x, least: int) -> bool:
+    """``x`` is a whole number (numpy integers included), ``least`` or more."""
+    return isinstance(x, numbers.Integral) and x >= least
+
+
+def check_arguments(counts=(), *, qubit=None, act="measure", engine=None, problems=()):
+    """Raise one ``ConfigError`` listing every problem with a runner's
+    arguments before it does any work: its own ``problems``, each (name,
+    value, need) of ``counts`` that is not a whole number of at least 1, a
+    ``qubit`` other than 1 or 2 (``act`` says what the runner does to it)
+    and an ``engine`` not in ``ENGINES``."""
+    found = list(problems)
+    found += [f"{name}={value}: {need}, a whole number"
+              for name, value, need in counts if not whole(value, 1)]
+    if qubit is not None and qubit not in (1, 2):
+        found.append(f"qubit={qubit}: {act} qubit 1 or 2")
+    if engine is not None and engine not in ENGINES:
+        found.append(f"engine={engine!r}: choose one of {ENGINES}")
+    if found:
+        raise ConfigError(found)
 
 
 def binomial_stderr(p_hat: float, shots: int) -> float:

@@ -13,17 +13,15 @@ from functools import reduce
 
 import numpy as np
 
+from ..compiler.ir import AXIS_QUARTER_TURNS, PI_ROTATIONS
 from ..physics.evolve import rotation_for_phase
 
-# Drive-phase and rotation-angle parameterization of each primitive.
+# Drive phase and rotation angle of each primitive, read from the compiler's
+# gate set: the axis's quarter turns of phase, and pi or pi/2 of rotation.
 PRIMITIVE_PARAMS = {
     "i": (0.0, 0.0),
-    "x": (0.0, np.pi / 2),
-    "y": (np.pi / 2, np.pi / 2),
-    "mx": (np.pi, np.pi / 2),
-    "my": (3 * np.pi / 2, np.pi / 2),
-    "x2": (0.0, np.pi),
-    "y2": (np.pi / 2, np.pi),
+    **{name: (turns * np.pi / 2, np.pi if name in PI_ROTATIONS else np.pi / 2)
+       for name, turns in AXIS_QUARTER_TURNS.items()},
 }
 
 # Time-ordered primitive decompositions (first gate acts first).

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..compiler.ir import GateOp
-from ..errors import ConfigError
 from ..physics import corrected_p_up, shot_rng
 from ..physics.readout import correction_slope
-from .base import Bench, binomial_stderr
+from .base import Bench, binomial_stderr, check_arguments
 
 ORACLES = ("cnot", "z_cnot", "identity", "x2")
 
@@ -62,10 +61,11 @@ def run_dj(bench: Bench, *, shots: int = 10_000, seed: int = 0,
     Oracles whose corrected P(1) sits on the [0, 1] clip are listed in
     ``meta["clipped"]``: there the linear stderr understates the spread.
     """
-    if not bench.exchange_on:
-        raise ConfigError("Deutsch-Jozsa needs the exchange-on frequency plan of its "
-                          "controlled rotations; build the bench with "
-                          "Bench(..., exchange_on=True)")
+    flat = [] if bench.exchange_on else ["Deutsch-Jozsa needs the exchange-on frequency plan "
+                                         "of its controlled rotations; build the bench with "
+                                         "Bench(..., exchange_on=True)"]
+    check_arguments([("shots", shots, "take at least 1 shot per oracle")], engine=engine,
+                    problems=flat)
     bench.new_tally()
     p_out, err = {}, {}
     slope = correction_slope(bench.model, 2)

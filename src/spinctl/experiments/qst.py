@@ -13,7 +13,7 @@ import numpy as np
 
 from ..compiler.ir import GateOp
 from ..physics import corrected_p_up, shot_rng
-from .base import Bench
+from .base import Bench, check_arguments
 
 # Pre-measurement rotation per axis; m = 2*P(read 1) - 1 after correction.
 BASES = [("-z", None), ("+x", "y"), ("-y", "x"), ("+z", "x2")]
@@ -69,6 +69,7 @@ def measured_projection(bench: Bench, prefix_ops, basis_gate, qubit, shots, rng)
 def run_qst_trajectory(bench: Bench, times, *, qubit: int = 2, shots: int = 1000,
                        seed: int = 0) -> TomoResult:
     """Tomography of the state after an x burst of each duration in ``times``."""
+    check_arguments([("shots", shots, "take at least 1 shot per basis")], qubit=qubit)
     bench.new_tally()
     result = TomoResult(shots_per_basis=shots, seed=seed)
     for idx, t in enumerate(times):

@@ -13,9 +13,8 @@ import numpy as np
 
 from ..compiler import CompiledProgram
 from ..controller.memory import EnvelopeMemory, Instruction, MemoryImage
-from ..errors import ConfigError
 from ..physics import shot_rng
-from .base import Bench, SweepResult, binomial_stderr
+from .base import Bench, SweepResult, binomial_stderr, check_arguments
 
 
 def _rabi_image(bench: Bench, qubits, max_samples: int) -> tuple[MemoryImage, dict]:
@@ -51,10 +50,11 @@ def run_rabi(
     durations = np.asarray(durations, dtype=float)
     f_clk = bench.cfg.f_clk
     max_n = int(round(durations.max() * f_clk)) if durations.size else 0
-    if max_n < 2:
-        raise ConfigError(f"the longest Rabi duration must cover at least 2 samples "
-                          f"({2e9 / f_clk:g} ns at the {f_clk / 1e9:g} GHz clock), "
-                          f"not {max_n}")
+    short = [] if max_n >= 2 else [f"the longest Rabi duration must cover at least 2 samples "
+                                   f"({2e9 / f_clk:g} ns at the {f_clk / 1e9:g} GHz clock), "
+                                   f"not {max_n}"]
+    check_arguments([("shots", shots, "take at least 1 shot per point")], qubit=qubit,
+                    act="drive", problems=short)
     qubits = (1, 2) if simultaneous else (qubit,)
     img, starts = _rabi_image(bench, qubits, max_n)
     prog = CompiledProgram(images=[img], ftws=bench.plan.ftws(), report={})

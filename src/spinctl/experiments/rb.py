@@ -2,26 +2,23 @@
 
 Random Clifford strings plus a recovery Clifford compile to one
 instruction list per sequence (split across triggers when the list
-overflows); survival is the fraction of shots returning to |0>.  The
-survival-vs-length curve is fitted to A p^m + B and converted to an
-average gate fidelity through the primitives-per-Clifford ratio.
-
-An analytic depolarizing mode replaces the physics with exact state
-mixing of strength eps per Clifford, for validating the whole sampling
-and fitting chain against a known answer.
+overflows), played and evolved on the trace engine like any program;
+survival is the fraction of shots returning to |0>.  The curve is fitted
+to A p^m + B and converted to an average gate fidelity through the
+primitives-per-Clifford ratio.  ``tests/helpers.py`` holds the exact
+expectation of survival and p for given Clifford unitaries (Magesan,
+Gambetta and Emerson, PRL 106, 180504, 2011).
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..compiler.ir import GateOp
-from ..errors import ConfigError
 from ..physics import corrected_p_up, shot_rng
-from .base import Bench
+from .base import Bench, check_arguments, whole
 from .cliffords import AVG_PRIMITIVES, N_CLIFFORDS, recovery_index, sequence_primitives
 
 
@@ -171,33 +168,21 @@ def run_rb(
     n_sequences: int = 32,
     repetitions: int = 200,
     seed: int = 0,
-    depolarizing_eps: float | None = None,
 ) -> RbResult:
-    """Benchmark one qubit.  Physics mode samples each sequence on the
-    structured engine (averaged over quasi-static noise when the model is
-    noisy, see ``Bench.sample``); depolarizing mode applies the analytic
-    channel instead.  An empty ``lengths``, a negative or non-integer
-    length, a non-integer or < 1 ``n_sequences`` or ``repetitions``, or a
-    qubit other than 1 or 2 is rejected before anything is compiled."""
-
-    def whole(x, least: int) -> bool:
-        return isinstance(x, numbers.Integral) and x >= least
-
+    """Benchmark one qubit: every sequence is compiled, played and sampled
+    on the trace engine (averaged over quasi-static noise when the model is
+    noisy, see ``Bench.sample``).  An empty ``lengths``, a negative or
+    non-integer length, a non-integer or < 1 ``n_sequences`` or
+    ``repetitions``, or a qubit other than 1 or 2 is rejected before
+    anything is compiled."""
     lengths = list(lengths)
     problems = ["lengths is empty: give at least one sequence length"] if not lengths else []
     bad = [m for m in lengths if not whole(m, 0)]
     if bad:
         problems.append(f"lengths {bad}: each must be a whole number of Cliffords, 0 or more")
-    if not whole(n_sequences, 1):
-        problems.append(f"n_sequences={n_sequences}: sample at least 1 sequence per length, "
-                        "a whole number")
-    if not whole(repetitions, 1):
-        problems.append(f"repetitions={repetitions}: take at least 1 shot per sequence, "
-                        "a whole number")
-    if qubit not in (1, 2):
-        problems.append(f"qubit={qubit}: benchmark qubit 1 or 2")
-    if problems:
-        raise ConfigError(problems)
+    check_arguments([("n_sequences", n_sequences, "sample at least 1 sequence per length"),
+                     ("repetitions", repetitions, "take at least 1 shot per sequence")],
+                    qubit=qubit, act="benchmark", problems=problems)
     bench.new_tally()
     per_sequence = []
     split_lengths = []
@@ -206,12 +191,6 @@ def run_rb(
         for si in range(n_sequences):
             rng = shot_rng(seed, li, si)
             indices = rng.integers(0, N_CLIFFORDS, size=m).tolist()
-            if depolarizing_eps is not None:
-                # Exact mixing: survival = 1/2 + 1/2 (1-eps)^(m+1) incl. recovery.
-                p_surv = 0.5 + 0.5 * (1.0 - depolarizing_eps) ** (m + 1)
-                hits = rng.binomial(repetitions, p_surv)
-                seq_surv[si] = hits / repetitions
-                continue
             indices.append(recovery_index(indices))
             ops = [GateOp(g, qubit) for g in sequence_primitives(indices)]
             prog = bench.compile(ops)

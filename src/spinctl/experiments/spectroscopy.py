@@ -12,7 +12,7 @@ import numpy as np
 from ..compiler.ir import GateOp
 from ..controller.nco import offset_to_ftw
 from ..physics import shot_rng
-from .base import Bench, SweepResult, binomial_stderr
+from .base import Bench, SweepResult, binomial_stderr, check_arguments
 
 
 def run_spectroscopy(
@@ -31,6 +31,8 @@ def run_spectroscopy(
     ``prepare_other`` flips the spectator qubit first, selecting the other
     conditional branch when exchange is on.
     """
+    check_arguments([("shots", shots, "take at least 1 shot per point")], qubit=qubit,
+                    act="probe", engine=engine)
     frequencies = np.asarray(frequencies, dtype=float)
     nyq = bench.cfg.f_clk / 2
     if np.any(np.abs(frequencies - bench.cfg.carrier) >= nyq):
@@ -56,15 +58,8 @@ def run_spectroscopy(
     return result
 
 
-def locate_peaks(result: SweepResult, qubit: int, n_peaks: int = 1, min_separation_hz: float = 1e6):
-    """Frequencies of the strongest response maxima, greedily separated."""
-    p = np.asarray(result.p1_q1 if qubit == 1 else result.p1_q2)
-    x = np.asarray(result.x)
-    order = np.argsort(p)[::-1]
-    peaks = []
-    for idx in order:
-        if all(abs(x[idx] - f) >= min_separation_hz for f in peaks):
-            peaks.append(float(x[idx]))
-        if len(peaks) == n_peaks:
-            break
-    return sorted(peaks)
+def locate_peaks(result: SweepResult, qubit: int) -> list[float]:
+    """Frequency of the strongest response, as a one-element list; of equal
+    maxima, the one ``np.argsort`` puts last."""
+    p = result.p1_q1 if qubit == 1 else result.p1_q2
+    return [float(result.x[np.argsort(p)[-1]])]

@@ -14,8 +14,9 @@ transition conditional on the other: qubit k responds at dk - J/2 when
 its neighbor is |0> and at dk + J/2 when it is |1>.
 
 The shared microwave gate drives both spins: the drive term is
-(1/2) conj(z(t)) (W1 S1 + W2 S2) + h.c., where Sk raises spin k and Wk is
-that spin's coupling in Hz per unit full scale.  With this sign choice a
+(1/2) conj(z(t)) (W1 S1 + W2 S2) + h.c., where Sk raises spin k in the
+basis {|00>, |01>, |10>, |11>} (index 2*q1 + q2) and Wk is that spin's
+coupling in Hz per unit full scale.  With this sign choice a
 positive-frequency envelope is resonant with a spin above the LO, matching
 the upper-sideband output of the mixer.
 """
@@ -25,12 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from .device import DeviceModel, NoiseSample, ZERO_NOISE
-
-# Raising operators in the basis {|00>, |01>, |10>, |11>} (index 2*q1 + q2).
-S1 = np.zeros((4, 4), dtype=complex)
-S1[2, 0] = S1[3, 1] = 1.0
-S2 = np.zeros((4, 4), dtype=complex)
-S2[1, 0] = S2[3, 2] = 1.0
 
 # Total excitation number; generates phase-frame rotations of the drive.
 NUMBER_OP = np.diag([0.0, 1.0, 1.0, 2.0])

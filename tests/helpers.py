@@ -1,10 +1,22 @@
 """Shared construction helpers and reference oracles for metric, physics,
-readout and acceptance tests."""
+readout, randomized-benchmarking and acceptance tests."""
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 
+from spinctl.compiler.plan import hold_factor
 from spinctl.controller.nco import quantize_unit
-from spinctl.experiments.cliffords import N_CLIFFORDS, recovery_index, sequence_primitives
+from spinctl.experiments.cliffords import (
+    DECOMPOSITIONS,
+    IDENTITY_INDEX,
+    INVERSE_TABLE,
+    MULT_TABLE,
+    N_CLIFFORDS,
+    PRIMITIVE_PARAMS,
+    UNITARIES,
+    recovery_index,
+    sequence_primitives,
+)
 from spinctl.physics import DeviceModel, NoiseSample
 from spinctl.physics.state import renormalized
 
@@ -39,6 +51,87 @@ def rb_primitives(n_cliffords, seed):
     """Primitive gate names of a random RB sequence plus its recovery Clifford."""
     indices = np.random.default_rng(seed).integers(0, N_CLIFFORDS, size=n_cliffords).tolist()
     return sequence_primitives(indices + [recovery_index(indices)])
+
+
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def rb_cliffords(bench, qubit, detunings=(0.0,)):
+    """The 24 Cliffords as the bench implements them on ``qubit``, one set
+    per quasi-static detuning (Hz): shape (len(detunings), 24, 2, 2).
+
+    Each primitive is exp(-i T (pi f_R (cos phi sx - sin phi sy) + pi delta sz))
+    in the frame of its drive, with phi its drive phase, T its calibrated
+    pi/2 or pi duration (``i`` idles for a pi duration) and f_R the Rabi
+    rate its calibrated amplitude reaches, the hold factor included.
+    """
+    slot = bench.plan.for_qubit(qubit)[0]
+    cal = bench.cal.for_slot(slot)
+    f_r = (bench.model.drive_coupling[qubit - 1] * cal.amplitude
+           * hold_factor(slot.offset_hz, bench.cfg.f_clk))
+    delta = np.asarray(detunings, dtype=float)[:, None, None]
+    gates = {}
+    for name, (phi, angle) in PRIMITIVE_PARAMS.items():
+        t = (cal.half_pi_samples if angle == np.pi / 2 else cal.pi_samples) / bench.cfg.f_clk
+        rabi = f_r if angle else 0.0
+        h = np.pi * (rabi * (np.cos(phi) * PAULIS[1] - np.sin(phi) * PAULIS[2]) + delta * PAULIS[3])
+        # h is traceless with h @ h = (pi |a|)^2 I, |a| = hypot(f_R, delta).
+        w = np.pi * np.hypot(rabi, delta) * t
+        gates[name] = np.cos(w) * PAULIS[0] - 1j * t * np.sinc(w / np.pi) * h
+    out = []
+    for names in DECOMPOSITIONS:
+        u = np.broadcast_to(PAULIS[0], gates["i"].shape)
+        for name in names:  # the first acts first
+            u = gates[name] @ u
+        out.append(u)
+    return np.stack(out, axis=1)
+
+
+def quasi_static_rule(sigma, n):
+    """Detunings and weights of an n-node Gauss-Hermite rule for a Gaussian
+    offset of spread ``sigma`` (numpy's rule, apart from spinctl's)."""
+    x, w = hermegauss(n)
+    return sigma * x, w / w.sum()
+
+
+def rb_survival(cliffords, lengths, weights=(1.0,)):
+    """Exact mean survival over uniform random RB sequences of each length,
+    with the recovery Clifford, for implemented Cliffords ``cliffords`` of
+    shape (r, 24, 2, 2), averaged over the r sets with ``weights``.
+
+    One vectorized density matrix per ideal composite element: a length
+    step sends the state of element g through each noisy Clifford c, with
+    probability 1/24, to element MULT_TABLE[g, c]; survival reads <0|.|0>
+    after each element's implemented recovery INVERSE_TABLE[g].
+    """
+    u = np.asarray(cliffords)
+    r = u.shape[0]
+    sup = np.einsum("rcij,rckl->rcikjl", u, u.conj()).reshape(r, N_CLIFFORDS, 4, 4)
+    source = MULT_TABLE[:, INVERSE_TABLE]  # g' = MULT[g, c] comes from g = MULT[g', c^-1]
+    recover = sup[:, INVERSE_TABLE, 0, :]  # row <0|.|0> after each element's recovery
+    state = np.zeros((r, N_CLIFFORDS, 4), dtype=complex)
+    state[:, IDENTITY_INDEX, 0] = 1.0  # |0><0| at the identity, length 0
+    out = {}
+    for m in range(max(lengths) + 1):
+        out[m] = np.asarray(weights) @ np.einsum("rgj,rgj->r", recover, state).real
+        state = np.einsum("rcij,rgcj->rgi", sup, state[:, source]) / N_CLIFFORDS
+    return np.array([out[m] for m in lengths])
+
+
+def pauli_transfer(u):
+    """Pauli transfer matrices R_ij = tr(P_i U P_j U^dagger) / 2 of (..., 2, 2) unitaries."""
+    return np.einsum("aij,...jk,bkl,...il->...ab", PAULIS, u, PAULIS, u.conj()).real / 2
+
+
+def rb_decay(cliffords):
+    """RB decay p of 24 implemented Cliffords (24, 2, 2): the second
+    eigenvalue, by modulus, of (1/24) sum_c R(U~_c) x R(C_c); the first is 1."""
+    twirl = np.mean([np.kron(a, b) for a, b in zip(pauli_transfer(cliffords),
+                                                    pauli_transfer(UNITARIES))], axis=0)
+    ev = np.linalg.eigvals(twirl)
+    ev = ev[np.argsort(-np.abs(ev))]
+    assert abs(ev[0] - 1.0) < 1e-9, ev[:2]
+    return float(ev[1].real)
 
 
 def dithered_quantize(x, bits, rng):

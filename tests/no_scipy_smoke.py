@@ -1,6 +1,6 @@
-"""Import every spinctl module and run a small RB, two noisy dense AllXY
-pairs on an exchange-off bench (the kernel's closed-form spin path), one
-noisy RB sequence and one program of gaussian and rectangular
+"""Import every spinctl module and run a small over-rotated RB, two noisy
+dense AllXY pairs on an exchange-off bench (the kernel's closed-form spin
+path), one noisy RB sequence and one program of gaussian and rectangular
 gates on the trace engine, that program's trace and dense unitaries on
 wide converters (exchange off), a noiseless exchange-on gaussian spectroscopy
 probe on the trace engine (the kernel's 4x4 path), a played program through
@@ -40,6 +40,7 @@ def main():
     for module in pkgutil.walk_packages(spinctl.__path__, "spinctl."):
         importlib.import_module(module.name)
 
+    from spinctl.compiler import default_calibration
     from spinctl.compiler.ir import GateOp
     from spinctl.controller.executor import Transmitter, TxConfig, Waveform, synthesize
     from spinctl.controller.image_io import dump_image, load_image
@@ -67,8 +68,16 @@ def main():
         trace_propagators,
     )
 
-    res = run_rb(Bench(DeviceModel(), TxConfig()), (1, 10, 30, 60), n_sequences=3,
-                 repetitions=50, seed=1, depolarizing_eps=0.02)
+    # Every rotation at 0.9 of its angle (calibrated against a 1/0.9 stronger
+    # coupling): compiled, played and evolved like any RB, p near 0.976.
+    # With 3 sequences at 4 lengths the free-floor fit left (0.9, 1] for 24
+    # of 200 seeds; these sizes kept p in [0.93, 0.995] over 400.
+    model = DeviceModel()
+    strong = DeviceModel(drive_coupling=tuple(c / 0.9 for c in model.drive_coupling))
+    nominal = Bench(model, TxConfig())
+    over = Bench(model, TxConfig(), plan=nominal.plan,
+                 cal=default_calibration(strong, nominal.plan, amp_bits=nominal.cfg.amp_bits))
+    res = run_rb(over, (1, 5, 10, 20, 40, 60, 100), n_sequences=20, repetitions=100, seed=1)
     assert 0.9 < res.p <= 1.0 and np.isfinite(res.p_stderr), res
 
     assert gauss_hermite.cache_info().currsize == 0  # rules are made on first use

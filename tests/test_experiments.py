@@ -1,7 +1,10 @@
 """Experiment runners against analytic oracles, plus fixed-seed golden outputs."""
 
+import itertools
 import json
+import re
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -27,17 +30,25 @@ from spinctl.experiments import (
 )
 from spinctl.experiments.allxy import allxy_oracle
 from spinctl.experiments.base import binomial_stderr
+from spinctl.experiments.cliffords import (
+    DECOMPOSITIONS,
+    N_CLIFFORDS,
+    PRIMITIVE_PARAMS,
+    UNITARIES,
+    recovery_index,
+)
 from spinctl.experiments.rabi import _rabi_image
 from spinctl.physics import (
     DeviceModel,
     ReadoutFidelity,
     dense_propagators,
     rabi_probability,
+    rotation_for_phase,
     shot_rng,
     trace_propagators,
 )
 
-from helpers import final_state
+from helpers import final_state, quasi_static_rule, rb_cliffords, rb_decay, rb_survival
 
 
 def plain_bench(**model_kw):
@@ -46,6 +57,16 @@ def plain_bench(**model_kw):
 
 def exchange_bench():
     return Bench(DeviceModel(), TxConfig(), exchange_on=True)
+
+
+def over_rotated_bench(scale=0.9):
+    """Calibrated against a model whose coupling is 1/scale too strong, so
+    every rotation turns by scale of its intended angle."""
+    model = DeviceModel()
+    strong = DeviceModel(drive_coupling=tuple(c / scale for c in model.drive_coupling))
+    nominal = Bench(model, TxConfig())
+    return Bench(model, TxConfig(), plan=nominal.plan,
+                 cal=default_calibration(strong, nominal.plan, amp_bits=nominal.cfg.amp_bits))
 
 
 def rabi_rate(bench, qubit, branch="main"):
@@ -88,17 +109,8 @@ def test_allxy_on_qubit_1_undoes_mapping_and_confusion():
 
 
 def test_allxy_amplitude_miscalibration_follows_oracle():
-    # Calibrating against a model whose coupling is 1/0.9 too strong leaves
-    # every rotation at 0.9 of its intended angle.
     scale = 0.9
-    model = DeviceModel()
-    strong = DeviceModel(drive_coupling=tuple(c / scale for c in model.drive_coupling))
-    nominal = Bench(model, TxConfig())
-    bench = Bench(
-        model, TxConfig(), plan=nominal.plan,
-        cal=default_calibration(strong, nominal.plan, amp_bits=nominal.cfg.amp_bits),
-    )
-    res = run_allxy(bench, shots=100_000, seed=1, engine="trace")
+    res = run_allxy(over_rotated_bench(scale), shots=100_000, seed=1, engine="trace")
     oracle = allxy_oracle(amplitude_scale=scale)
     np.testing.assert_allclose(allxy_oracle(), IDEAL_SIGMA_Z, atol=1e-12)
     assert np.max(np.abs(oracle - IDEAL_SIGMA_Z)) > 0.4  # the shape is visible
@@ -143,14 +155,64 @@ def test_dj_flags_estimates_on_the_clip():
     assert run_dj(bench, shots=400, seed=3).meta["clipped"] == []
 
 
-def test_rb_depolarizing_mode_recovers_eps():
-    eps = 0.01
-    res = run_rb(plain_bench(), (1, 10, 30, 60, 100), n_sequences=10,
-                 repetitions=200, seed=2, depolarizing_eps=eps)
-    assert abs((1.0 - res.p) - eps) < 2.0 * res.p_stderr
-    assert abs(res.fidelity_clifford - (1.0 - eps / 2.0)) < 2.0 * (res.p_stderr / 2.0)
-    gate_eps = eps / (2.0 * 45 / 24)  # 45 primitives over the 24 Cliffords
-    assert abs(res.fidelity_gate - (1.0 - gate_eps)) < 2.0 * res.fidelity_gate_stderr
+def survival_z(res, expected):
+    """Per length: (mean survival - expected) / (SD across sequences / sqrt(n))."""
+    return np.array([(np.mean(s) - e) / (np.std(s, ddof=1) / np.sqrt(len(s)))
+                     for s, e in zip(res.per_sequence, expected)])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_over_rotated_rb_follows_the_exact_expectation(seed):
+    # Every rotation at 0.9 of its angle, noiseless: each length's mean
+    # survival sits on the exact average over uniform random sequences.
+    bench = over_rotated_bench()
+    lengths = (1, 3, 6, 12, 25, 50, 100)
+    res = run_rb(bench, lengths, n_sequences=100, repetitions=10**6, seed=seed)
+    cliffords = rb_cliffords(bench, 2)
+    assert np.max(np.abs(survival_z(res, rb_survival(cliffords, lengths)))) <= 4.0
+    # p_stderr understates the spread of p under coherent errors (ROADMAP
+    # item 9), hence 4 of them: seed 1 lands 3.0 away.
+    p = rb_decay(cliffords[0])
+    assert p == pytest.approx(0.9761, abs=1e-4)
+    assert abs(res.p - p) < min(0.02, 4.0 * res.p_stderr)
+    assert abs(res.fidelity_clifford - (1.0 - (1.0 - p) / 2.0)) < 4.0 * (res.p_stderr / 2.0)
+    gate_eps = (1.0 - p) / (2.0 * 45 / 24)  # 45 primitives over the 24 Cliffords
+    assert abs(res.fidelity_gate - (1.0 - gate_eps)) < 4.0 * res.fidelity_gate_stderr
+    assert res.fidelity_gate_stderr == pytest.approx(res.p_stderr / (2.0 * 45 / 24), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_noisy_rb_follows_the_exact_quasi_static_average(seed):
+    # rb_noisy's bench: the expectation is the Gauss-Hermite average of the
+    # exact survival at each detuning.
+    sigma = 50e3
+    bench = plain_bench(sigma_detune=sigma)
+    lengths = (1, 5, 10, 25, 50, 100)
+    res = run_rb(bench, lengths, n_sequences=60, repetitions=1000, seed=seed)
+    detunings, weights = quasi_static_rule(sigma, 41)
+    expected = rb_survival(rb_cliffords(bench, 2, detunings), lengths, weights)
+    assert np.max(np.abs(survival_z(res, expected))) <= 4.0
+
+
+def test_rb_oracle_matches_every_short_sequence_and_the_over_rotated_decay():
+    # Every rotation at 0.9 of its angle: the recursion equals the average
+    # over all 24^m sequences of length m, and p is ROADMAP item 3's 0.97576.
+    def rotation(name):
+        phase, angle = PRIMITIVE_PARAMS[name]
+        return rotation_for_phase(phase, 0.9 * angle)
+
+    over = np.stack([reduce(lambda u, g: rotation(g) @ u, names, np.eye(2))
+                     for names in DECOMPOSITIONS])
+    for m in (0, 1, 2):
+        survival = []
+        for indices in itertools.product(range(N_CLIFFORDS), repeat=m):
+            u = reduce(lambda u, k: over[k] @ u, [*indices, recovery_index(indices)], np.eye(2))
+            survival.append(abs(u[0, 0]) ** 2)
+        assert rb_survival(over[None], [m])[0] == pytest.approx(np.mean(survival), abs=1e-12)
+    assert rb_decay(over) == pytest.approx(0.97576, abs=1e-5)
+    ideal = rb_survival(UNITARIES[None], (1, 7, 40))
+    np.testing.assert_allclose(ideal, 1.0, atol=1e-12)
+    assert rb_decay(UNITARIES) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noiseless_rb_decays_with_p_at_one():
@@ -168,8 +230,8 @@ def test_rb_fit_pinned_at_bound_is_flagged_not_warned():
         warnings.simplefilter("error")
         res = run_rb(plain_bench(sigma_detune=300e3), (1, 8, 24), n_sequences=3,
                      repetitions=20, seed=13)
-        free = run_rb(plain_bench(), (1, 10, 30, 60, 100), n_sequences=10,
-                      repetitions=200, seed=2, depolarizing_eps=0.01)
+        free = run_rb(over_rotated_bench(), (1, 10, 30, 60, 100), n_sequences=10,
+                      repetitions=200, seed=2)
     assert res.p_at_bound and res.p == pytest.approx(1.0)
     assert not free.p_at_bound and np.isfinite(free.p_stderr)
 
@@ -182,22 +244,23 @@ def test_rb_reports_the_lengths_that_split_across_triggers():
 
 
 def _no_compiling(monkeypatch):
-    def compile_program(*args, **kwargs):
-        raise AssertionError("compiled before the arguments were checked")
-    monkeypatch.setattr(compiler, "compile_program", compile_program)
+    def fail(*args, **kwargs):
+        raise AssertionError("compiled or played before the arguments were checked")
+    monkeypatch.setattr(compiler, "compile_program", fail)
+    monkeypatch.setattr(Bench, "run_program", fail)
 
 
 def test_rb_rejects_empty_lengths_before_compiling(monkeypatch):
-    _no_compiling(monkeypatch)
-    with pytest.raises(ConfigError, match="^lengths is empty"):
-        run_rb(plain_bench(), [])
-    # A negative or non-integer length, in either mode.
-    for lengths, bad in (((1, -3), "[-3]"), ((2.5, 4, 2.0), "[2.5, 2.0]")):
-        for eps in (None, 0.01):
+    with monkeypatch.context() as patch:
+        _no_compiling(patch)
+        with pytest.raises(ConfigError, match="^lengths is empty"):
+            run_rb(plain_bench(), [])
+        # A negative or non-integer length.
+        for lengths, bad in (((1, -3), "[-3]"), ((2.5, 4, 2.0), "[2.5, 2.0]")):
             with pytest.raises(ConfigError, match=rf"^lengths \{bad}\: each must be a whole "):
-                run_rb(plain_bench(), lengths, depolarizing_eps=eps)
-    res = run_rb(plain_bench(), np.array([0, 3]), n_sequences=1, repetitions=10,
-                 depolarizing_eps=0.01)  # numpy integers, 0 included, are lengths
+                run_rb(plain_bench(), lengths)
+    res = run_rb(plain_bench(), np.array([0, 3]), n_sequences=1,
+                 repetitions=10)  # numpy integers, 0 included, are lengths
     assert res.lengths == [0, 3]
 
 
@@ -207,19 +270,47 @@ def test_rb_rejects_fewer_than_one_sequence_before_compiling(monkeypatch):
         with pytest.raises(ConfigError, match=f"^n_sequences={n}: sample at least 1"):
             run_rb(plain_bench(), (1, 4), n_sequences=n)
     # Fewer than one shot per sequence, a fraction of one, or a qubit that
-    # is not there, in either mode.
-    for eps in (None, 0.01):
-        for r in (0, 2.5):
-            with pytest.raises(ConfigError, match=f"^repetitions={r}: take at least 1 shot"):
-                run_rb(plain_bench(), (1, 4), repetitions=r, depolarizing_eps=eps)
-        with pytest.raises(ConfigError, match="^qubit=3: benchmark qubit 1 or 2$"):
-            run_rb(plain_bench(), (1, 4), qubit=3, depolarizing_eps=eps)
+    # is not there.
+    for r in (0, 2.5):
+        with pytest.raises(ConfigError, match=f"^repetitions={r}: take at least 1 shot"):
+            run_rb(plain_bench(), (1, 4), repetitions=r)
+    with pytest.raises(ConfigError, match="^qubit=3: benchmark qubit 1 or 2$"):
+        run_rb(plain_bench(), (1, 4), qubit=3)
     with pytest.raises(ConfigError) as err:
         run_rb(plain_bench(), (), n_sequences=0)
     assert len(err.value.problems) == 2
     with pytest.raises(ConfigError) as err:
         run_rb(plain_bench(), (-1,), n_sequences=0, repetitions=0, qubit=0)
     assert len(err.value.problems) == 4
+
+
+ENGINES_NAMED = re.escape("engine='fast': choose one of ('dense', 'trace')")
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: run_allxy(plain_bench(), qubit=3), "^qubit=3: measure qubit 1 or 2$"),
+    (lambda: run_allxy(plain_bench(), shots=0), "^shots=0: take at least 1 shot per pair"),
+    (lambda: run_allxy(plain_bench(), engine="fast"), f"^{ENGINES_NAMED}$"),
+    (lambda: run_qst_trajectory(plain_bench(), [1e-7], qubit=3), "^qubit=3: measure qubit"),
+    (lambda: run_qst_trajectory(plain_bench(), [1e-7], shots=0), "^shots=0: take at least 1"),
+    (lambda: run_rabi(plain_bench(), [1e-7], qubit=3), "^qubit=3: drive qubit 1 or 2$"),
+    (lambda: run_rabi(plain_bench(), [1e-7], qubit=3, simultaneous=True, shots=10),
+     "^qubit=3: drive qubit"),
+    (lambda: run_rabi(plain_bench(), [1e-7], shots=0), "^shots=0: take at least 1 shot per point"),
+    (lambda: run_spectroscopy(plain_bench(), 3, [13.45e9]), "^qubit=3: probe qubit 1 or 2$"),
+    (lambda: run_spectroscopy(plain_bench(), 2, [13.45e9], shots=0), "^shots=0: take at least"),
+    (lambda: run_spectroscopy(plain_bench(), 2, [13.45e9], engine="fast"), f"^{ENGINES_NAMED}$"),
+    (lambda: run_dj(exchange_bench(), shots=0), "^shots=0: take at least 1 shot per oracle"),
+    (lambda: run_dj(exchange_bench(), engine="fast"), f"^{ENGINES_NAMED}$"),
+    (lambda: run_dj(plain_bench(), shots=2.5, engine="fast"),
+     rf"exchange_on=True\); shots=2\.5: .*; {ENGINES_NAMED}$"),
+], ids=["allxy-qubit", "allxy-shots", "allxy-engine", "qst-qubit", "qst-shots", "rabi-qubit",
+        "rabi-simultaneous-qubit", "rabi-shots", "spectroscopy-qubit", "spectroscopy-shots",
+        "spectroscopy-engine", "dj-shots", "dj-engine", "dj-all"])
+def test_runners_reject_bad_arguments_before_compiling(monkeypatch, run, message):
+    _no_compiling(monkeypatch)
+    with pytest.raises(ConfigError, match=message):
+        run()
 
 
 @pytest.mark.parametrize("f_clk, durations, got", [
