@@ -184,6 +184,16 @@ class ExecutionTrace:
     def n_samples(self) -> int:
         return self.end - self.start
 
+    def retuned(self, ftws: np.ndarray) -> ExecutionTrace:
+        """This play under the tuning words ``ftws`` (banks x NCOs, as
+        ``Transmitter.ftws``): a burst's word is the only part of a play that
+        depends on them, so the bursts keep their sample arrays."""
+        words = ftws.tolist()
+        segments = [BurstSegment(s.bank, s.nco, s.t0, s.n, words[s.bank][s.nco], s.ref_word,
+                                 s.amp_values, s.phase_codes, s.constant) for s in self.segments]
+        return ExecutionTrace(segments, self.start, self.end, self.phase_mod_bits,
+                              self.sample_rate)
+
 
 def synthesize(trace: ExecutionTrace, cfg: TxConfig) -> Waveform:
     """DAC output of a played trace: PAC lookup and DAC quantization of each

@@ -44,11 +44,10 @@ def run_allxy(bench: Bench, *, qubit: int = 2, shots: int = 10_000, seed: int = 
     check_arguments([("shots", shots, "take at least 1 shot per pair")], qubit=qubit,
                     engine=engine)
     bench.new_tally()
-    values = []
-    for k, pair in enumerate(ALLXY_PAIRS):
-        prog = bench.compile([GateOp(g, qubit) for g in pair])
-        (hits,) = bench.sample(prog, (qubit,), shots, shot_rng(seed, k), engine=engine)
-        values.append(2.0 * corrected_p_up(hits / shots, bench.model, qubit) - 1.0)
+    programs = (bench.compile([GateOp(g, qubit) for g in pair]) for pair in ALLXY_PAIRS)
+    rngs = [shot_rng(seed, k) for k in range(len(ALLXY_PAIRS))]
+    counts = bench.sample(programs, (qubit,), shots, rngs, engine=engine)
+    values = [2.0 * corrected_p_up(hits / shots, bench.model, qubit) - 1.0 for (hits,) in counts]
     return AllxyResult(pairs=list(ALLXY_PAIRS), sigma_z=values, shots=shots, seed=seed,
                        meta=bench.tallies())
 

@@ -2,26 +2,36 @@
 
 Every experiment goes compiler -> transmitter -> physics -> readout and
 differs only in the programs it builds and the statistics it extracts.
-``Bench.sample`` is that path: one play of a compiled program into a burst
-trace, one batched propagator stack on the chosen engine, vectorized
-readout.  DAC samples are synthesized only for the dense engine.  Every
-trace-engine call goes through the bench's one ``PropagatorMemo``, keyed
-on the physics, so a sweep that only retunes an NCO reuses every
-exponential and each quadrature rule reuses those of earlier points.
+``Bench.sample`` is that path, for a batch of programs: one play of each
+compiled program into a burst trace, one propagator stack per batch and
+quadrature step on the chosen engine, vectorized readout, counts per
+program.  One program is a batch of one.  A runner passes every program it
+has built at once: spectroscopy its whole sweep, RB the sequences of one
+length, AllXY its 21 pairs, Deutsch-Jozsa its oracles; Rabi, which rewrites
+one image in place, passes one program per call.  The trace engine evolves
+a batch in one ``evolve_trace`` call, so the physics is built once for it;
+the dense engine synthesizes DAC samples and evolves each program's
+waveform on its own.  Every trace-engine call goes through the bench's one
+``PropagatorMemo``, keyed on the physics, so the points of a sweep that
+only retunes an NCO share one exponential set, and each quadrature rule
+reuses those of earlier batches.
 
 Quasi-static noise is averaged, not sampled.  Readout is affine in the
 populations and ``sample`` returns per-qubit counts only, so each count is
 Binomial(shots, E_noise[P(read 1)]).  That expectation is a Gaussian
 integral over the noise offsets with spread, which a Gauss-Hermite rule
 evaluates: one propagator row per node, whatever the shot count.  The rule
-is refined along ``NODE_LADDER`` until two successive rules agree well
-inside the binomial standard error of the shots.  Each runner zeroes
-``Bench.quadrature`` and the memo's counts (``Bench.new_tally``) and copies
-both into its result's meta, so they describe that run alone.
+is refined along ``NODE_LADDER``, for the programs of a batch whose last
+two rules still disagree, until they agree well inside the binomial
+standard error of the shots.  Each runner zeroes ``Bench.quadrature`` and
+the memo's counts (``Bench.new_tally``) and copies both into its result's
+meta, so they describe that run alone; both count as if each program had
+been sampled on its own.
 
 Randomness follows the substream contract in ``spinctl.physics.device``:
 point p of an experiment seeded with ``seed`` draws its readout from
-``shot_rng(seed, p)``, one binomial per qubit read.
+``shot_rng(seed, p)``, one binomial per qubit read, whatever batch the
+point is sampled in.
 """
 
 from __future__ import annotations
@@ -48,8 +58,8 @@ from ..physics import (
     ZERO_NOISE,
     PropagatorMemo,
     dense_propagators,
+    evolve_trace,
     readout_probabilities,
-    trace_propagators,
 )
 from ..physics.state import renormalized
 
@@ -181,20 +191,29 @@ class Bench:
         """Copies of both tallies since ``new_tally``, for a result's meta."""
         return {"quadrature": dict(self.quadrature), "propagator_memo": dict(self.memo.counts)}
 
-    def sample(self, prog: CompiledProgram, qubits, shots: int, rng: np.random.Generator,
-               *, engine: str = "dense") -> np.ndarray:
-        """Counts of shots reading 1 per qubit in ``qubits``, starting from |00>:
-        one binomial draw per qubit, in the order of ``qubits``.
+    def sample(self, programs, qubits, shots: int, rngs, *, engine: str = "dense") -> np.ndarray:
+        """Counts of shots reading 1 per program in ``programs`` and qubit in
+        ``qubits``, each program starting from |00>, shape (len(programs),
+        len(qubits)): one binomial draw per qubit, in the order of
+        ``qubits``, from the program's own generator in ``rngs``.
 
-        Either engine plays any program, both banks at once included.  A
-        noiseless model evolves once.  A noisy one averages P(read 1) over
-        the quasi-static offsets with a Gauss-Hermite rule over
-        ``noise_axes``: rules of 3 and 5 nodes per axis in one propagator
-        batch (one pass over the trace), then each next rule of
-        ``NODE_LADDER`` on its own, until the last two agree within
+        ``programs`` is a list, or any iterable that makes them: each is
+        played as it comes and only its trace is kept.  Each program plays
+        on a fresh transmitter, except that one with the image list of the
+        program before it retunes that program's trace, as a sweep that
+        rewrites only tuning words allows.  Either engine plays any
+        program, both banks at once included.  The trace engine evolves the
+        whole batch in one ``evolve_trace`` call per quadrature step, the
+        dense engine each program's waveform on its own.  A noiseless model
+        evolves once.  A noisy one averages P(read 1) over the quasi-static
+        offsets with a Gauss-Hermite rule over ``noise_axes``: rules of 3
+        and 5 nodes per axis in one propagator batch (one pass over the
+        traces), then each next rule of ``NODE_LADDER``, for the programs
+        still refining only, until a program's last two rules agree within
         AGREEMENT * 0.5 / sqrt(shots) on every qubit read, a rule's rows
-        reach ``shots``, or the ladder ends.  The finer rule is kept and the
-        call is added to ``quadrature``.
+        reach ``shots``, or the ladder ends.  The finer rule is kept and
+        each program counts as one call in ``quadrature``.  An empty batch
+        plays and evolves nothing.
         """
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
@@ -203,45 +222,68 @@ class Bench:
         bad = [q for q in qubits if q not in (1, 2)]
         if bad or len(qubits) == 0:
             raise ValueError(f"read qubit 1, 2 or both, not {repr(bad[0]) if bad else 'none'}")
-        trace = self.run_program(prog)
-        waveform = synthesize(trace, self.cfg) if engine == "dense" else None
+        # The trace engine keeps each program's trace, the dense engine only
+        # the DAC samples synthesized from it.  A program with the image list
+        # of the one before differs from it at most in tuning words, so it
+        # retunes that trace instead of playing.
+        played, n_samples, last = [], [], None  # last: the program before and its trace
+        for prog in programs:
+            if last is not None and prog.images is last[0].images:
+                trace = last[1].retuned(Transmitter(self.cfg, prog.ftws).ftws)
+            else:
+                trace = self.run_program(prog)
+            last = prog, trace
+            played.append(trace if engine == "trace" else synthesize(trace, self.cfg))
+            n_samples.append(trace.n_samples)
+        if len(rngs) != len(played):
+            raise ValueError(f"{len(played)} programs need as many generators, not {len(rngs)}")
+        if not played:
+            return np.zeros((0, len(qubits)), dtype=int)
         read = np.subtract(qubits, 1)
+        n_samples = np.array(n_samples)
 
-        def p_read1(noise):  # (len(qubits), rows)
+        def p_read1(batch, noise):  # (len(batch), len(qubits), rows)
             physics = dict(model=self.model, lo_freq=self.cfg.carrier,
                            exchange_on=self.exchange_on, noise=noise)
             if engine == "trace":
-                props = trace_propagators(trace, **physics, memo=self.memo)
+                props = evolve_trace([played[i] for i in batch], **physics, memo=self.memo)
             else:
-                props = dense_propagators(waveform, **physics)
-            amps = renormalized(props[:, :, 0], trace.n_samples)  # each unitary applied to |00>
-            return np.stack(readout_probabilities(amps, self.model))[read]
+                props = np.stack([dense_propagators(played[i], **physics) for i in batch])
+            amps = renormalized(props[..., 0], n_samples[batch, None])  # unitaries on |00>
+            return np.stack(readout_probabilities(amps, self.model), axis=1)[:, read]
 
+        everyone = np.arange(len(played))
         axes = noise_axes(self.model, self.exchange_on)
         if not axes:
-            return rng.binomial(shots, p_read1(ZERO_NOISE)[:, 0])
+            p = p_read1(everyone, ZERO_NOISE)[..., 0]
+            return np.array([rng.binomial(shots, p_k) for rng, p_k in zip(rngs, p)])
         (coarse, w_coarse), (fine, w_fine) = (noise_rule(axes, n) for n in NODE_LADDER[:2])
         both = NoiseSample(*(np.concatenate(pair) for pair in zip(coarse, fine)))
-        p = p_read1(both)
-        previous, current = p[:, : len(w_coarse)] @ w_coarse, p[:, len(w_coarse) :] @ w_fine
-        rows, level = len(p[0]), 1
+        p = p_read1(everyone, both)
+        previous, current = p[..., : len(w_coarse)] @ w_coarse, p[..., len(w_coarse) :] @ w_fine
+        rows = np.full(len(played), p.shape[-1])
+        difference = np.empty(len(played))
+        refining, level = everyone, 1
         tol = AGREEMENT * 0.5 / shots**0.5
         while True:
-            difference = float(np.max(np.abs(current - previous)))
-            if difference <= tol or len(w_fine) >= shots or level == len(NODE_LADDER) - 1:
+            difference[refining] = np.max(np.abs(current[refining] - previous[refining]), axis=1)
+            refining = refining[difference[refining] > tol]
+            if not len(refining) or len(w_fine) >= shots or level == len(NODE_LADDER) - 1:
                 break
             level += 1
             fine, w_fine = noise_rule(axes, NODE_LADDER[level])
-            previous, current = current, p_read1(fine) @ w_fine
-            rows += len(w_fine)
+            previous[refining], current[refining] = (current[refining],
+                                                     p_read1(refining, fine) @ w_fine)
+            rows[refining] += len(w_fine)
         tally = self.quadrature
-        tally["calls"] += 1
+        tally["calls"] += len(played)
         tally["dims"] = max(tally["dims"], len(axes))
         tally["nodes"] = max(tally["nodes"], NODE_LADDER[level])
-        tally["rows"] += rows
-        tally["max_difference"] = max(tally["max_difference"], difference)
-        tally["converged"] &= difference <= tol
-        return rng.binomial(shots, np.clip(current, 0.0, 1.0))
+        tally["rows"] += int(rows.sum())
+        tally["max_difference"] = max(tally["max_difference"], float(difference.max()))
+        tally["converged"] &= bool(np.all(difference <= tol))
+        return np.array([rng.binomial(shots, np.clip(p_k, 0.0, 1.0))
+                         for rng, p_k in zip(rngs, current)])
 
 
 def whole(x, least: int) -> bool:

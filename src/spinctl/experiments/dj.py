@@ -69,9 +69,10 @@ def run_dj(bench: Bench, *, shots: int = 10_000, seed: int = 0,
     bench.new_tally()
     p_out, err = {}, {}
     slope = correction_slope(bench.model, 2)
-    for k, oracle in enumerate(ORACLES):
-        prog = bench.compile(dj_program(oracle))
-        (hits,) = bench.sample(prog, (2,), shots, shot_rng(seed, k), engine=engine)
+    programs = (bench.compile(dj_program(oracle)) for oracle in ORACLES)
+    rngs = [shot_rng(seed, k) for k in range(len(ORACLES))]
+    counts = bench.sample(programs, (2,), shots, rngs, engine=engine)
+    for oracle, (hits,) in zip(ORACLES, counts):
         p_out[oracle] = corrected_p_up(hits / shots, bench.model, 2)
         err[oracle] = slope * binomial_stderr(hits / shots, shots)
     clipped = [oracle for oracle in ORACLES if p_out[oracle] in (0.0, 1.0)]

@@ -62,7 +62,7 @@ def measured_projection(bench: Bench, prefix_ops, basis_gate, qubit, shots, rng)
     ops = list(prefix_ops)
     if basis_gate is not None:
         ops.append(GateOp(basis_gate, qubit))
-    (hits,) = bench.sample(bench.compile(ops), (qubit,), shots, rng)
+    ((hits,),) = bench.sample([bench.compile(ops)], (qubit,), shots, [rng])
     return 2.0 * corrected_p_up(hits / shots, bench.model, qubit) - 1.0
 
 

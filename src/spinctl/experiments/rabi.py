@@ -69,7 +69,7 @@ def run_rabi(
         # An instruction plays at least one sample; n <= 0 plays the idle program.
         for (bank, nco), start in starts.items():
             img.tables[bank][nco][0].stop_addr = start + max(n, 1) - 1
-        counts = bench.sample(prog if n > 0 else idle, (1, 2), shots, shot_rng(seed, k))
+        (counts,) = bench.sample([prog if n > 0 else idle], (1, 2), shots, [shot_rng(seed, k)])
         p1, p2 = counts / shots
         result.add(t, p1, p2, binomial_stderr(p1 if qubit == 1 else p2, shots))
     result.meta.update(bench.tallies())

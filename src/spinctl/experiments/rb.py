@@ -171,7 +171,7 @@ def run_rb(
 ) -> RbResult:
     """Benchmark one qubit: every sequence is compiled, played and sampled
     on the trace engine (averaged over quasi-static noise when the model is
-    noisy, see ``Bench.sample``).  An empty ``lengths``, a negative or
+    noisy, see ``Bench.sample``), the sequences of one length as one batch.  An empty ``lengths``, a negative or
     non-integer length, a non-integer or < 1 ``n_sequences`` or
     ``repetitions``, or a qubit other than 1 or 2 is rejected before
     anything is compiled."""
@@ -186,19 +186,21 @@ def run_rb(
     bench.new_tally()
     per_sequence = []
     split_lengths = []
-    for li, m in enumerate(lengths):
-        seq_surv = np.empty(n_sequences)
-        for si in range(n_sequences):
-            rng = shot_rng(seed, li, si)
+
+    def programs(m, rngs):  # one compiled sequence at a time, as Bench.sample plays them
+        for rng in rngs:
             indices = rng.integers(0, N_CLIFFORDS, size=m).tolist()
             indices.append(recovery_index(indices))
-            ops = [GateOp(g, qubit) for g in sequence_primitives(indices)]
-            prog = bench.compile(ops)
+            prog = bench.compile([GateOp(g, qubit) for g in sequence_primitives(indices)])
             if prog.report["split"] and m not in split_lengths:
                 split_lengths.append(m)
-            (hits,) = bench.sample(prog, (qubit,), repetitions, rng, engine="trace")
-            seq_surv[si] = (repetitions - hits) / repetitions  # shots reading 0
-        per_sequence.append(seq_surv)
+            yield prog
+
+    for li, m in enumerate(lengths):
+        # One generator per sequence draws its Cliffords, then its shots.
+        rngs = [shot_rng(seed, li, si) for si in range(n_sequences)]
+        (hits,) = bench.sample(programs(m, rngs), (qubit,), repetitions, rngs, engine="trace").T
+        per_sequence.append((repetitions - hits) / repetitions)  # shots reading 0
     survival = [1.0 - corrected_p_up(1.0 - np.mean(s), bench.model, qubit) for s in per_sequence]
     (a, b, p), (ea, eb, ep), p_at_bound = _fit_decay(lengths, survival)
     return RbResult(

@@ -1,15 +1,17 @@
 """Qubit spectroscopy: flip probability versus probe NCO frequency.
 
 The probe image (an optional preparation plus a calibrated near-pi burst)
-is compiled once; the sweep only rewrites the probe NCO's tuning word,
-exactly how the modeled hardware scans a resonance.
+is compiled once; each point only rewrites the probe NCO's tuning word,
+exactly how the modeled hardware scans a resonance, and the whole sweep is
+one batch of programs sampled at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..compiler.ir import GateOp
+from ..compiler import CompiledProgram
+from ..compiler.ir import SHAPES, GateOp
 from ..controller.nco import offset_to_ftw
 from ..physics import shot_rng
 from .base import Bench, SweepResult, binomial_stderr, check_arguments
@@ -26,17 +28,24 @@ def run_spectroscopy(
     prepare_other: bool = False,
     engine: str = "dense",
 ) -> SweepResult:
-    """Sweep a probe tone across ``frequencies`` (absolute Hz).
+    """Sweep a probe tone across ``frequencies`` (absolute Hz); every point
+    is one program of the batch ``Bench.sample`` evolves at once.
 
     ``prepare_other`` flips the spectator qubit first, selecting the other
-    conditional branch when exchange is on.
+    conditional branch when exchange is on.  An unknown ``shape`` or a
+    frequency at or beyond Nyquist around the carrier is rejected before
+    anything is compiled.
     """
-    check_arguments([("shots", shots, "take at least 1 shot per point")], qubit=qubit,
-                    act="probe", engine=engine)
     frequencies = np.asarray(frequencies, dtype=float)
-    nyq = bench.cfg.f_clk / 2
-    if np.any(np.abs(frequencies - bench.cfg.carrier) >= nyq):
-        raise ValueError("sweep extends beyond the Nyquist range around the carrier")
+    carrier, nyq = bench.cfg.carrier, bench.cfg.f_clk / 2
+    problems = ([f"shape={shape!r}: choose one of {sorted(SHAPES)}"]
+                if shape is not None and shape not in SHAPES else [])
+    beyond = frequencies[np.abs(frequencies - carrier) >= nyq]
+    if len(beyond):
+        problems.append(f"frequencies {beyond.tolist()} Hz: each under the Nyquist limit, "
+                        f"{nyq / 1e6:g} MHz either side of the {carrier / 1e9:g} GHz carrier")
+    check_arguments([("shots", shots, "take at least 1 shot per point")], qubit=qubit,
+                    act="probe", engine=engine, problems=problems)
 
     other = 2 if qubit == 1 else 1
     probe_slot = bench.plan.for_qubit(qubit)[0]
@@ -45,14 +54,16 @@ def run_spectroscopy(
     ops = [GateOp("x2", other)] if prepare_other else []
     ops.append(GateOp("x2", qubit, shape=shape, branch=branch))
     prog = bench.compile(ops)
+    # Each point rewrites only the probe NCO's tuning word.
+    probe = (probe_slot.bank, probe_slot.nco)
+    programs = (CompiledProgram(prog.images, {**prog.ftws, probe: offset_to_ftw(
+        f - carrier, bench.cfg.f_clk)}, prog.report) for f in frequencies)
 
     result = SweepResult(x_name="frequency_hz", meta={"qubit": qubit, "shape": shape})
     bench.new_tally()
-    for k, f in enumerate(frequencies):
-        prog.ftws[(probe_slot.bank, probe_slot.nco)] = offset_to_ftw(
-            f - bench.cfg.carrier, bench.cfg.f_clk
-        )
-        p1, p2 = bench.sample(prog, (1, 2), shots, shot_rng(seed, k), engine=engine) / shots
+    rngs = [shot_rng(seed, k) for k in range(len(frequencies))]
+    counts = bench.sample(programs, (1, 2), shots, rngs, engine=engine)
+    for f, (p1, p2) in zip(frequencies, counts / shots):
         result.add(f, p1, p2, binomial_stderr(p1 if qubit == 1 else p2, shots))
     result.meta.update(bench.tallies())
     return result

@@ -9,9 +9,9 @@ from .hamiltonian import detunings, transition_frequencies
 from .evolve import (
     PropagatorMemo,
     dense_propagators,
+    evolve_trace,
     rabi_probability,
     rotation_for_phase,
-    trace_propagators,
     two_level_evolve,
 )
 from .readout import born_probabilities, corrected_p_up, readout_probabilities
@@ -26,9 +26,9 @@ __all__ = [
     "transition_frequencies",
     "PropagatorMemo",
     "dense_propagators",
+    "evolve_trace",
     "rabi_probability",
     "rotation_for_phase",
-    "trace_propagators",
     "two_level_evolve",
     "born_probabilities",
     "corrected_p_up",

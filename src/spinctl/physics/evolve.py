@@ -2,11 +2,11 @@
 
 Both engines start from the transmitter's ``ExecutionTrace``, share one
 per-sample kernel, and return one total unitary per quasi-static noise
-draw, shape (r, 4, 4).  The caller picks one; neither falls back to the
-other.  The kernel factors the phase out: the drive changes the excitation
-number by exactly one, so with the diagonal P(phi) = exp(-i phi NUMBER_OP),
-H(a e^{i phi}) = P(phi) H(a) P(phi)^dagger, an identity, not an
-approximation.  Each distinct amplitude is exponentiated once per noise
+draw, shape (r, 4, 4) per trace.  The caller picks one; neither falls back
+to the other.  The kernel factors the phase out: the drive changes the
+excitation number by exactly one, so with the diagonal
+P(phi) = exp(-i phi NUMBER_OP), H(a e^{i phi}) = P(phi) H(a) P(phi)^dagger,
+an identity, not an approximation.  Each distinct amplitude is exponentiated once per noise
 draw; each sample's factor is that exponential conjugated by its phase.
 
 One fold serves both engines: ``_fold`` gathers k x k factors, k = 2 per
@@ -40,18 +40,25 @@ row (sigma_j > 0).
     Reference path: the exact ordered product over the DAC samples
     synthesized from the trace.
 
-``trace_propagators``
-    Structured path: the idealized synthesis (no phase-table or DAC
-    requantization) of the trace itself; no samples are synthesized.  A lone
-    constant burst telescopes to one matrix power of the kernel's one-sample
-    exponential, made once per distinct (amplitude, n, ftw) under each
-    physics per memo, which is what makes randomized benchmarking
-    tractable.  Any other cluster (a shaped burst, or bursts on both banks
-    at once) goes through the kernel: a lone burst with its amplitude codes
-    and phase-word angles as played, so its levels are exactly the
-    envelope's distinct amplitude codes at any tuning word, and a cluster
-    of overlapping bursts with |z| and arg z of its summed samples, as the
-    dense engine does.
+``evolve_trace``
+    Structured path, for a batch of traces at once, shape (P, r, 4, 4):
+    the idealized synthesis (no phase-table or DAC requantization) of each
+    trace itself; no samples are synthesized.  A lone constant burst
+    telescopes to one matrix power of the kernel's one-sample exponential,
+    made once per distinct (amplitude, n, ftw) under each physics per memo,
+    which is what makes randomized benchmarking tractable.  Any other
+    cluster (a shaped burst, or bursts on both banks at once) goes through
+    the kernel: a lone burst with its amplitude codes and phase-word angles
+    as played, so its levels are exactly the envelope's distinct amplitude
+    codes at any tuning word, and a cluster of overlapping bursts with |z|
+    and arg z of its summed samples, as the dense engine does.  Kernel
+    clusters with the same amplitude samples, such as the points of a
+    sweep that rewrites only a tuning word, share one exponential set and
+    one fold with a column per cluster and row.  The batch's powers,
+    kernel products and the identity make one table, which one fold
+    gathers with a column per (trace, row), each trace's clusters padded
+    with the identity to the longest.  The energies, the drive, the key
+    bytes and the frames are built once per batch.
 
 ``PropagatorMemo``
     The trace engine's store of reusable products, each keyed on the physics
@@ -61,14 +68,16 @@ row (sigma_j > 0).
     amplitude, n, ftw).  A product made under other physics is never served,
     because its key differs.  A noiseless sweep that rewrites only tuning
     words (spectroscopy) therefore exponentiates its envelope once.  A noisy
-    point brings the same rows as the one before (the nodes of each rule of
+    batch brings the same rows as the one before (the nodes of each rule of
     ``Bench.sample``'s quadrature), so its entries carry over too, draw
-    group by draw group.  The memo holds at most ``PropagatorMemo.bound``
-    (8 _CHUNK) 4x4 matrices' worth of bytes, a spin-path level set counting
-    half a matrix per level and row: a product that does not fit beside
-    those held empties it first, so products of physics no longer in use
-    cannot crowd out the current ones, and one larger than the bound is not
-    kept.  ``Bench`` owns one; the dense engine uses none.
+    group by draw group.  A lookup made for several traces of a batch
+    counts as one per trace (``PropagatorMemo.get``'s ``uses``).  The memo
+    holds at most ``PropagatorMemo.bound`` (8 _CHUNK) 4x4 matrices' worth
+    of bytes, a spin-path level set counting half a matrix per level and
+    row: a product that does not fit beside those held empties it first,
+    so products of physics no longer in use cannot crowd out the current
+    ones, and one larger than the bound is not kept.  ``Bench`` owns one;
+    the dense engine uses none.
 
 The result is the only representation of an evolved program: the final
 state from basis state k is column k of a unitary, checked and rescaled by
@@ -80,6 +89,7 @@ others are independent references for tests.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -144,23 +154,30 @@ class PropagatorMemo:
         self.counts = dict.fromkeys(("level_hits", "level_misses", "power_hits", "power_misses"), 0)
         self.held, self._tables = 0, {"level": {}, "power": {}}
 
-    def get(self, kind: str, key, compute) -> np.ndarray:
+    def get(self, kind: str, key, compute, uses: int = 1) -> np.ndarray:
         """The ``kind`` ("level" or "power") product stored under ``key``,
         made by ``compute()`` on a miss and kept if it fits the bound; one
-        that does not fit beside what is held empties the memo first."""
+        that does not fit beside what is held empties the memo first.
+
+        The lookup counts as ``uses`` lookups, as if that many calls had
+        made it in turn: after a miss the rest hit when the product was
+        kept and miss too when it was not.
+        """
         value = self._tables[kind].get(key)
         if value is not None:
-            self.counts[kind + "_hits"] += 1
+            self.counts[kind + "_hits"] += uses
             return value
-        self.counts[kind + "_misses"] += 1
         value = compute()
         size = -(-value.nbytes // _EYE.nbytes)  # in 4x4 matrices, rounded up
-        if size <= self.bound:
+        kept = size <= self.bound
+        if kept:
             if self.held + size > self.bound:
                 self._tables, self.held = {"level": {}, "power": {}}, 0
             value.flags.writeable = False  # shared by every later hit
             self._tables[kind][key] = value
             self.held += size
+        self.counts[kind + "_misses"] += 1 if kept else uses
+        self.counts[kind + "_hits"] += uses - 1 if kept else 0
         return value
 
 
@@ -188,17 +205,20 @@ def _spin_exponentials(levels: np.ndarray, group: np.ndarray, drive: np.ndarray,
 
 
 def _fold(table: np.ndarray, which: np.ndarray, scale) -> np.ndarray:
-    """G[n-1] ... G[0], G_k = table[:, :, which_k] D_k, of structure-of-arrays
-    (k, k, m, c) to (k, k, c), the identity for an empty ``which``; the
-    diagonal D_k of the slice ``part`` of ``which`` is ``scale(part)``,
-    broadcastable to (k, len(part), c).  A chunk gathers at most _ENTRIES
-    complex entries (at least one factor), reduced by ``_soa_product``."""
-    k, columns = table.shape[0], table.shape[-1]
-    step = max(1, _ENTRIES // (k * k * columns))
-    total = _EYE[:k, :k, None].repeat(columns, axis=2)
+    """G[n-1] ... G[0], G_k = table[:, :, which[k]] D_k, of structure-of-arrays
+    (k, k, m, *c) gathered by ``which`` of shape (n, *b), to (k, k, *b, *c),
+    the identity for n = 0; the diagonal D_k of the slice ``part`` of
+    ``which`` is ``scale(part)``, broadcastable to (k, len(part), *b, *c).
+    A chunk gathers at most _ENTRIES complex entries (at least one factor),
+    reduced by ``_soa_product``."""
+    k, tail = table.shape[0], which.shape[1:] + table.shape[3:]
+    if not len(which):
+        eye = _EYE[:k, :k].reshape(k, k, *(1,) * len(tail))
+        return np.broadcast_to(eye, (k, k, *tail)).copy()
+    step = max(1, _ENTRIES // (k * k * math.prod(tail)))
     for start in range(0, len(which), step):
         part = slice(start, start + step)
-        factors = np.take(table, which[part], axis=2)  # (k, k, n, c)
+        factors = np.take(table, which[part], axis=2)  # (k, k, n, *b, *c)
         factors *= scale(part)
         product = _soa_product(factors)
         total = _soa_matmul(product, total) if start else product
@@ -209,12 +229,15 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
                      dt: float, memo: PropagatorMemo | None = None, operator=None) -> np.ndarray:
     """Ordered product of the per-sample propagators of the envelope
     ``amp * exp(1j * phi)``, one per row of ``energies``, as
-    structure-of-arrays unitaries of shape (4, 4, r).
+    structure-of-arrays unitaries of shape (4, 4, *g, r) for ``phi`` of
+    shape (n, *g): one product per column of ``phi``, each with the same
+    amplitudes.
 
     Sample k contributes P(phi_k) E(amp_k) P(phi_k)^dagger, with E
     exponentiated once per distinct amplitude and draw; the product is
     P(phi_{n-1}) times the ``_fold`` of the exponentials, each sample's
-    columns scaled by P(phi_{k-1} - phi_k), phi_{-1} = 0.  When every row has
+    columns scaled by P(phi_{k-1} - phi_k), phi_{-1} = 0, which each chunk
+    of the fold builds from its own slice of ``phi``.  When every row has
     E(11) = E(01) + E(10) (no exchange), each spin's exponentials are 2x2
     (``_spin_exponentials``) and the spins' products are joined as a
     Kronecker product, whose frame is the 4x4 one; otherwise they are 4x4
@@ -223,32 +246,43 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
     amplitudes, and an envelope with more than _CHUNK of them is split in
     halves.  Each group's exponentials come from ``memo``, keyed on the
     block structure, the group's rows, ``operator`` (the drive and dt key
-    part) and the level bytes.
+    part) and the level bytes, and counted as one lookup per column.
     """
     levels, which = np.unique(amp, return_inverse=True)
     if len(levels) > _CHUNK:
         (amp0, amp1), (phi0, phi1) = np.array_split(amp, 2), np.array_split(phi, 2)
         return _soa_matmul(_sampled_product(amp1, phi1, energies, drive, dt, memo, operator),
                            _sampled_product(amp0, phi0, energies, drive, dt, memo, operator))
+    columns = phi.shape[1:]
     spins = np.array_equal(energies[:, 3], energies[:, 1] + energies[:, 2])
     exponentials = _spin_exponentials if spins else _matrix_exponentials
-    kvec = _KVEC[: 2 if spins else 4, None, None]  # P(phi) = exp(-i phi kvec)
-    turns = np.exp(1j * (phi - np.concatenate(([0.0], phi[:-1]))))  # e^{i (phi_k - phi_{k-1})}
+    which = np.broadcast_to(which.reshape(-1, *(1,) * len(columns)), phi.shape)
+
+    def turns(part):  # P(phi_{k-1} - phi_k) over the slice, (k, samples, *columns, 1)
+        window = phi[max(part.start - 1, 0) : part.stop]
+        steps = window[1:] - window[:-1]
+        if not part.start:  # phi_{-1} = 0
+            steps = np.concatenate((window[:1], steps))
+        t = np.exp(1j * steps)[..., None]  # e^{i (phi_k - phi_{k-1})}, to the powers kvec
+        return np.stack([np.ones_like(t), t] if spins else [np.ones_like(t), t, t, t * t])
+
     draws = _CHUNK // max(len(levels), 1)
     out = []
     for i in range(0, len(energies), draws):
         group = energies[i : i + draws]
         compute = functools.partial(exponentials, levels, group, drive, dt)
         expm = (compute() if memo is None else
-                memo.get("level", (spins, group.tobytes(), *operator, levels.tobytes()), compute))
-        u = _fold(expm, which, lambda part: turns[part, None] ** kvec)
-        if spins:  # U1 x U2 as [i1, i2, j1, j2, row]
+                memo.get("level", (spins, group.tobytes(), *operator, levels.tobytes()), compute,
+                         uses=math.prod(columns)))
+        u = _fold(expm, which, turns)
+        if spins:  # U1 x U2 as [i1, i2, j1, j2, *columns, row]
             rows = len(group)
-            u = (u[:, None, :, None, :rows] * u[None, :, None, :, rows:]).reshape(4, 4, rows)
+            u = (u[:, None, :, None, ..., :rows] * u[None, :, None, :, ..., rows:]).reshape(
+                4, 4, *columns, rows)
         out.append(u)
     total = np.concatenate(out, axis=-1) if len(out) > 1 else out[0]
-    if len(phi):
-        total[1:] *= np.exp(-1j * phi[-1] * _KVEC[1:, None, None])  # P(phi_{n-1})
+    if len(phi):  # P(phi_{n-1})
+        total[1:] *= np.exp(-1j * np.multiply.outer(_KVEC[1:], phi[-1]))[:, None, ..., None]
     return total
 
 
@@ -277,8 +311,39 @@ def dense_propagators(
     return u.transpose(2, 0, 1).copy()  # (4, 4, r) structure-of-arrays to (r, 4, 4)
 
 
-def trace_propagators(
-    trace: ExecutionTrace,
+def _clusters(trace: ExecutionTrace) -> list:
+    """[t0, t_end, bursts] of each run of bursts that overlap in time, in
+    time order.  Zero-amplitude bursts (idle pads) are inert: left out as
+    gaps."""
+    clusters = []
+    active = (s for s in trace.segments
+              if (s.amp_values[0] if s.constant else s.amp_values.any()))
+    for seg in sorted(active, key=lambda s: s.t0):
+        if clusters and seg.t0 < clusters[-1][1]:
+            clusters[-1][1] = max(clusters[-1][1], seg.t_end)
+            clusters[-1][2].append(seg)
+        else:
+            clusters.append([seg.t0, seg.t_end, [seg]])
+    return clusters
+
+
+def _kernel_samples(t0: int, t_end: int, group, bits: int):
+    """Amplitudes of a cluster the kernel evolves, and a function that makes
+    its phases: a lone burst's amplitude codes and phase-word angles as
+    played, so its levels are exact, or |z| and arg z of overlapping bursts'
+    idealized samples summed."""
+    if len(group) == 1:
+        seg = group[0]
+        return seg.amp_values, lambda: seg.phase_words(bits) * _WORD
+    z = np.zeros(t_end - t0, dtype=complex)
+    for seg in group:
+        phase = seg.phase_words(bits) * (2j * np.pi / PHASE_WORDS)
+        z[seg.t0 - t0 : seg.t_end - t0] += seg.amp_values * np.exp(phase)
+    return np.abs(z), functools.partial(np.angle, z)
+
+
+def evolve_trace(
+    traces: list[ExecutionTrace],
     model: DeviceModel,
     lo_freq: float,
     *,
@@ -286,7 +351,8 @@ def trace_propagators(
     noise: NoiseSample = ZERO_NOISE,
     memo: PropagatorMemo | None = None,
 ) -> np.ndarray:
-    """Total unitaries of a burst trace, one per noise draw, shape (r, 4, 4).
+    """Total unitaries of each burst trace in ``traces``, one per noise draw,
+    shape (len(traces), r, 4, 4).
 
     Bursts that overlap in time form one cluster, whose idealized samples
     are summed as the DAC sums the banks.  Every cluster is one factor
@@ -296,35 +362,82 @@ def trace_propagators(
     exponential E, and the diagonals P come from its end words (reference
     phase, start time and phase code, ``end_words``); for any other cluster
     F is the kernel product, already in the lab frame, and its end words
-    are 0.  One table holds each distinct (amplitude, n, ftw) power, then
-    each kernel product; ``_fold`` gathers it in time order, scaling each
-    factor's columns by P(start)^dagger G P(end before), and P(last end)
-    and the idle tail scale the total's rows once.
+    are 0.  Kernel clusters with the same amplitude samples, as a sweep
+    that rewrites only tuning words plays them, share one exponential set
+    and one fold with a column per (cluster, row).
+
+    One table serves the batch: each distinct (amplitude, n, ftw) power,
+    each kernel product and the identity.  ``_fold`` gathers it in time
+    order with a column per (trace, row), scaling each factor's columns by
+    P(start)^dagger G P(end before); a trace with fewer clusters than the
+    longest is padded with the identity.  P(last end) and the idle tail
+    scale the total's rows once.  The energies, the drive, the key bytes and
+    the frames are made once per batch.
 
     ``memo`` keeps the powers and the kernel's exponentials under the
-    physics they were made under (``PropagatorMemo``).  A power is looked up
-    once per call and each later play of it adds one ``power_hits``, so hits
-    plus misses count the lone constant bursts played.  Without ``memo`` the
-    call makes a fresh one, so repeats within the call are still shared.
+    physics they were made under (``PropagatorMemo``).  Its counts are those
+    of one call per trace: each trace that plays a power adds one lookup and
+    each later play of it within the trace one ``power_hits``, so hits plus
+    misses count the lone constant bursts played; each kernel cluster adds
+    the lookups of its exponential set.  Without ``memo`` the call makes a
+    fresh one, so repeats within the batch are still shared.
     """
     energies = _energies(model, lo_freq, exchange_on, noise)  # (r, 4)
+    if not len(traces):
+        return np.empty((0, len(energies), 4, 4), dtype=complex)
+    formats = {(trace.sample_rate, trace.phase_mod_bits) for trace in traces}
+    if len(formats) > 1:
+        raise ValueError(f"one batch plays at one sample rate and phase resolution, "
+                         f"not {sorted(formats)}")
+    ((rate, bits),) = formats
     drive = drive_operator(model)
-    dt = 1.0 / trace.sample_rate
+    dt = 1.0 / rate
     memo = PropagatorMemo() if memo is None else memo
     operator = (drive.tobytes(), dt)  # the physics every key holds beside its energy rows
     physics = (energies.tobytes(), *operator)  # the power keys' common part
-    bits = trace.phase_mod_bits
 
-    # Zero-amplitude bursts (idle pads) are inert: treat them as gaps.
-    clusters = []  # [t0, t_end, segments]
-    active = (s for s in trace.segments
-              if (s.amp_values[0] if s.constant else s.amp_values.any()))
-    for seg in sorted(active, key=lambda s: s.t0):
-        if clusters and seg.t0 < clusters[-1][1]:
-            clusters[-1][1] = max(clusters[-1][1], seg.t_end)
-            clusters[-1][2].append(seg)
-        else:
-            clusters.append([seg.t0, seg.t_end, [seg]])
+    # Per trace and cluster: its table row (-1, the identity, for a kernel
+    # cluster until its product is made), the gap before it and its frame
+    # shift, P(start)^dagger P(end before), in phase words.  A lone constant
+    # burst's start and end words come from ``end_words``; a kernel
+    # factor's are 0.
+    powers = {}  # (amplitude, n, ftw) -> [its row, traces playing it]
+    kernels = {}  # amplitude bytes -> (amplitudes, [(cluster, trace)], [phase makers])
+    columns, lone = [], 0  # per trace; lone constant bursts played
+    for p, trace in enumerate(traces):
+        found = _clusters(trace)
+        rows, gaps, words = [-1] * len(found), [], np.zeros((2, len(found)), dtype=np.int64)
+        end, played, heads = trace.start, set(), {}  # heads: cluster -> its lone burst
+        for i, (t0, t_end, group) in enumerate(found):
+            gaps.append(t0 - end)
+            end = t_end
+            if len(group) == 1 and group[0].constant:
+                seg = heads[i] = group[0]
+                key = (float(seg.amp_values[0]), seg.n, seg.ftw)
+                row = powers.setdefault(key, [len(powers), 0])
+                row[1] += key not in played
+                played.add(key)
+                rows[i] = row[0]
+            else:
+                amp, phases = _kernel_samples(t0, t_end, group, bits)
+                entry = kernels.setdefault(amp.tobytes(), (amp, [], []))
+                entry[1].append((i, p))
+                entry[2].append(phases)
+        if heads:
+            words[:, list(heads)] = end_words(heads.values(), bits)
+        lone += len(heads)
+        starts, ends = words
+        shift = starts - np.concatenate(([0], ends[:-1]))
+        columns.append((rows, gaps, shift, ends[-1] if len(ends) else 0, trace.end - end))
+
+    # The same, padded to the longest trace (at least one row, so a batch of
+    # empty traces folds one pad): a pad is the identity, with no gap and no
+    # shift.
+    shape = (max(1, *(len(rows) for rows, *_ in columns)), len(traces))
+    which, (gaps, shift) = np.full(shape, -1), np.zeros((2, *shape), dtype=np.int64)
+    for p, (rows, gap, words, _, _) in enumerate(columns):
+        which[: len(rows), p], gaps[: len(rows), p], shift[: len(rows), p] = rows, gap, words
+    last, tails = np.array([column[3:] for column in columns], dtype=np.int64).T
 
     # Sample k of a lone constant burst is sample 0 conjugated by k phase
     # steps of the tuning word, so the burst telescopes to one matrix power
@@ -336,50 +449,32 @@ def trace_propagators(
         return np.ascontiguousarray(np.moveaxis(
             np.linalg.matrix_power(e * undo_step, n - 1) @ e, 0, -1))
 
-    def kernel_product(t0: int, t_end: int, group) -> np.ndarray:
-        if len(group) == 1:
-            # Exact levels: the amplitude codes and phase words as played.
-            amp, phi = group[0].amp_values, group[0].phase_words(bits) * _WORD
-        else:
-            z = np.zeros(t_end - t0, dtype=complex)  # idealized samples, banks summed
-            for seg in group:
-                phase = seg.phase_words(bits) * (2j * np.pi / PHASE_WORDS)
-                z[seg.t0 - t0 : seg.t_end - t0] += seg.amp_values * np.exp(phase)
-            amp, phi = np.abs(z), np.angle(z)
-        return _sampled_product(amp, phi, energies, drive, dt, memo, operator)
+    table = [memo.get("power", physics + key, functools.partial(power, *key), uses=traces_playing)
+             for key, (_, traces_playing) in powers.items()]
+    memo.counts["power_hits"] += lone - sum(uses for _, uses in powers.values())
+    for amp, places, phases in kernels.values():
+        phi = np.empty((len(amp), len(places)))  # a column per cluster
+        for j, make in enumerate(phases):
+            phi[:, j] = make()
+        products = _sampled_product(amp, phi, energies, drive, dt, memo,
+                                    operator)  # (4, 4, clusters, r)
+        which[tuple(zip(*places))] = np.arange(len(table), len(table) + len(places))
+        table += list(np.moveaxis(products, 2, 0))
+    table.append(_EYE[:, :, None].repeat(len(energies), axis=2))
+    table = np.stack(table, axis=2)  # (4, 4, rows, r)
 
-    # One table: each distinct (amplitude, n, ftw) power, then each kernel
-    # cluster's product, gathered by ``which`` in time order.
-    heads = [group[0] for _, _, group in clusters]
-    lone = [len(group) == 1 and group[0].constant for _, _, group in clusters]
-    shaped = [i for i, is_lone in enumerate(lone) if not is_lone]  # the kernel clusters
-    kernel_rows = iter(range(-len(shaped), 0))  # counted from the table's end
-    rows = {}  # (amplitude, n, ftw) -> its row in the table
-    which = np.array([rows.setdefault((float(s.amp_values[0]), s.n, s.ftw), len(rows))
-                      if is_lone else next(kernel_rows) for s, is_lone in zip(heads, lone)],
-                     dtype=int)
-    table = [memo.get("power", physics + key, functools.partial(power, *key)) for key in rows]
-    table += [kernel_product(*clusters[j]) for j in shaped]
-    table = (np.stack(table, axis=2) if table
-             else np.empty((4, 4, 0, len(energies)), dtype=complex))  # (4, 4, rows, r)
-    memo.counts["power_hits"] += len(heads) - len(shaped) - len(rows)  # repeats in the call
     # The frames telescope: P(start)^dagger G P(end before) scales a factor's
-    # columns by exp(i (start - end before) WORD kvec + idle step E), which
-    # is 1 on column 0 (kvec and E(00) are 0 there), and P(last end) scales
-    # the total's rows.  A kernel factor's words are 0.
-    starts, ends = end_words(heads, bits)
-    starts[shaped] = ends[shaped] = 0
-    shift = starts - np.concatenate([[0], ends[:-1]])
-    ends_at = [trace.start] + [t_end for _, t_end, _ in clusters]
+    # columns by exp(i shift WORD kvec + idle step E), which is 1 on column 0
+    # (kvec and E(00) are 0 there), and P(last end) scales the total's rows.
     step = -2j * np.pi * dt  # G = exp(gap * step * energies)
-    idle = np.array([(t0 - t) * step for (t0, _, _), t in zip(clusters, ends_at)])
+    idle = gaps * step
+    kvec = _KVEC[:, None, None, None]  # over (4, clusters, traces, r)
     total = _fold(table, which, lambda part: np.exp(
-        1j * _WORD * np.multiply.outer(_KVEC, shift[part])[..., None]
-        + idle[part, None] * energies.T[:, None]))  # (4, c, r)
-    last = ends[-1] if len(ends) else 0
-    tail = trace.end - ends_at[-1]
-    total *= np.exp(-1j * _WORD * last * _KVEC[:, None] + tail * step * energies.T)[:, None]
-    return total.transpose(2, 0, 1).copy()
+        1j * _WORD * kvec * shift[part, :, None]
+        + idle[part, :, None] * energies.T[:, None, None]))  # (4, 4, traces, r)
+    total *= np.exp(-1j * _WORD * kvec[:, 0] * last[:, None]
+                    + (tails * step)[:, None] * energies.T[:, None])[:, None]
+    return total.transpose(2, 3, 0, 1).copy()
 
 
 # --- closed-form two-level references ---------------------------------------

@@ -23,18 +23,20 @@ NORM_TOL = 1e-12
 ROUNDING_PER_FACTOR = 16 * np.finfo(float).eps
 
 
-def renormalized(amplitudes: np.ndarray, n_factors: int) -> np.ndarray:
+def renormalized(amplitudes: np.ndarray, n_factors) -> np.ndarray:
     """Amplitudes of shape (..., 4) rescaled to unit norm, after a drift check.
 
     ``n_factors`` is the number of per-sample unitaries in the propagator
-    (the program length in samples, for either engine).  Drift within the
+    (the program length in samples, for either engine), one for all states
+    or one per state, broadcastable to shape (...).  Drift within the
     rounding allowance is removed; more means a wrong propagator and raises.
     """
-    norms = np.linalg.norm(amplitudes, axis=-1, keepdims=True)
-    tol = max(NORM_TOL, n_factors * ROUNDING_PER_FACTOR)
-    drift = float(np.max(np.abs(norms - 1.0), initial=0.0))
-    if drift >= tol:
-        raise ValueError(
-            f"state norm drifted by {drift:.3g} over {n_factors} factors, beyond {tol:.3g}"
-        )
-    return amplitudes / norms
+    norms = np.linalg.norm(amplitudes, axis=-1)
+    n_factors = np.broadcast_to(n_factors, norms.shape)
+    tol = np.maximum(NORM_TOL, n_factors * ROUNDING_PER_FACTOR)
+    drift = np.abs(norms - 1.0)
+    if np.any(drift >= tol):
+        worst = np.argmax(drift / tol)
+        raise ValueError(f"state norm drifted by {drift.flat[worst]:.3g} over "
+                         f"{n_factors.flat[worst]} factors, beyond {tol.flat[worst]:.3g}")
+    return amplitudes / norms[..., None]

@@ -2,7 +2,6 @@
 readout, randomized-benchmarking and acceptance tests."""
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from spinctl.compiler.plan import hold_factor
 from spinctl.controller.nco import quantize_unit
@@ -17,7 +16,7 @@ from spinctl.experiments.cliffords import (
     recovery_index,
     sequence_primitives,
 )
-from spinctl.physics import DeviceModel, NoiseSample
+from spinctl.physics import DeviceModel, NoiseSample, evolve_trace
 from spinctl.physics.state import renormalized
 
 
@@ -30,6 +29,11 @@ def ordered_product(us):
         head = np.matmul(us[1 : 2 * m : 2], us[0 : 2 * m : 2])
         us = np.concatenate([head, us[2 * m :]], axis=0) if us.shape[0] % 2 else head
     return us[0]
+
+
+def evolve_one(trace, *args, **kwargs):
+    """One trace's unitaries, shape (r, 4, 4): a batch of one through ``evolve_trace``."""
+    return evolve_trace([trace], *args, **kwargs)[0]
 
 
 def final_state(propagators, n_factors, k=0):
@@ -90,6 +94,10 @@ def rb_cliffords(bench, qubit, detunings=(0.0,)):
 def quasi_static_rule(sigma, n):
     """Detunings and weights of an n-node Gauss-Hermite rule for a Gaussian
     offset of spread ``sigma`` (numpy's rule, apart from spinctl's)."""
+    # Imported here: the numpy-only smoke script imports this module and
+    # checks that numpy.polynomial stays unloaded.
+    from numpy.polynomial.hermite_e import hermegauss
+
     x, w = hermegauss(n)
     return sigma * x, w / w.sum()
 

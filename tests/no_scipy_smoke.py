@@ -3,7 +3,9 @@ dense AllXY pairs on an exchange-off bench (the kernel's closed-form spin
 path), one noisy RB sequence and one program of gaussian and rectangular
 gates on the trace engine, that program's trace and dense unitaries on
 wide converters (exchange off), a noiseless exchange-on gaussian spectroscopy
-probe on the trace engine (the kernel's 4x4 path), a played program through
+probe on the trace engine (the kernel's 4x4 path), a 16-point gaussian
+sweep evolved as one batch and checked point by point against batches of
+one, a played program through
 synthesize, upconvert, its spectrum, SNR, SFDR, LO rejection and two-tone
 report, a program split across triggers through image dump, load and play
 (and one image with a dangling list entry, which play must reject), and the
@@ -46,6 +48,7 @@ def main():
     from spinctl.controller.image_io import dump_image, load_image
     from spinctl.controller.memory import ListEntry
     from spinctl.controller.rf import upconvert
+    import spinctl.experiments.base as base
     from spinctl.experiments import Bench, run_rb, run_spectroscopy
     from spinctl.experiments.allxy import ALLXY_PAIRS, IDEAL_SIGMA_Z
     from spinctl.experiments.base import gauss_hermite
@@ -64,9 +67,11 @@ def main():
         NoiseSample,
         corrected_p_up,
         dense_propagators,
+        evolve_trace,
         shot_rng,
-        trace_propagators,
     )
+
+    from helpers import evolve_one
 
     # Every rotation at 0.9 of its angle (calibrated against a 1/0.9 stronger
     # coupling): compiled, played and evolved like any RB, p near 0.976.
@@ -83,14 +88,14 @@ def main():
     assert gauss_hermite.cache_info().currsize == 0  # rules are made on first use
     noisy = Bench(DeviceModel(sigma_detune=50e3), TxConfig())
     prog = noisy.compile([GateOp("x", 2), GateOp("x", 2)])
-    (hits,) = noisy.sample(prog, (2,), 10_000, shot_rng(0, 5), engine="dense")
+    ((hits,),) = noisy.sample([prog], (2,), 10_000, [shot_rng(0, 5)], engine="dense")
     assert hits > 9_900 and noisy.quadrature["calls"] == 1, (hits, noisy.quadrature)
 
     # Exchange off, the dense kernel evolves each spin as a 2x2 in closed
     # form.  An equator pair puts qubit 2 at <sigma_z> = 0.
     k = ALLXY_PAIRS.index(("x", "y"))
     prog = noisy.compile([GateOp(g, 2) for g in ALLXY_PAIRS[k]])
-    (hits,) = noisy.sample(prog, (2,), 10_000, shot_rng(0, k), engine="dense")
+    ((hits,),) = noisy.sample([prog], (2,), 10_000, [shot_rng(0, k)], engine="dense")
     sigma_z = 2.0 * corrected_p_up(hits / 10_000, noisy.model, 2) - 1.0
     assert not noisy.exchange_on and abs(sigma_z - IDEAL_SIGMA_Z[k]) <= 0.05, sigma_z
 
@@ -98,7 +103,8 @@ def main():
     indices = np.random.default_rng(4).integers(0, N_CLIFFORDS, size=25).tolist()
     ops = [GateOp(g, 2) for g in sequence_primitives(indices + [recovery_index(indices)])]
     noisy.new_tally()
-    (hits,) = noisy.sample(noisy.compile(ops), (2,), 1_000, shot_rng(0, 6), engine="trace")
+    ((hits,),) = noisy.sample([noisy.compile(ops)], (2,), 1_000, [shot_rng(0, 6)],
+                              engine="trace")
     assert hits < 100, hits  # the sequence returns qubit 2 to |0>
     assert noisy.memo.counts["power_hits"] > 0, noisy.memo.counts
     assert noisy.quadrature["calls"] == 1 and noisy.quadrature["converged"], noisy.quadrature
@@ -108,7 +114,8 @@ def main():
     shaped = [GateOp("x2", 2), GateOp("x", 2, shape="gaussian"), GateOp("z", 2, angle=np.pi),
               GateOp("x", 2, shape="gaussian"), GateOp("x2", 2)]
     noisy.new_tally()
-    (hits,) = noisy.sample(noisy.compile(shaped), (2,), 1_000, shot_rng(0, 7), engine="trace")
+    ((hits,),) = noisy.sample([noisy.compile(shaped)], (2,), 1_000, [shot_rng(0, 7)],
+                              engine="trace")
     assert hits < 100, hits  # qubit 2 returns to |0>
     counts = noisy.memo.counts
     assert counts["level_hits"] + counts["level_misses"] > 0, counts
@@ -121,7 +128,7 @@ def main():
     trace = wide.run_program(wide.compile(shaped))
     rows = NoiseSample(np.array([0.0, 30e3, -30e3]), np.array([-20e3, 0.0, 40e3]))
     physics = dict(model=wide.model, lo_freq=wide.cfg.carrier, noise=rows)
-    fast = trace_propagators(trace, **physics)
+    fast = evolve_one(trace, **physics)
     dense = dense_propagators(synthesize(trace, wide.cfg), **physics)
     assert not wide.exchange_on and fast.shape == dense.shape == (3, 4, 4), fast.shape
     assert np.max(np.abs(fast - dense)) < 1e-6, np.max(np.abs(fast - dense))
@@ -137,6 +144,26 @@ def main():
     on, off = res.p1_q2
     assert on > 2 * off > 0.0, res.p1_q2
     assert res.meta["propagator_memo"]["level_hits"] == 1, res.meta
+
+    # A 16-point sweep is one batch of programs, evolved in one call; every
+    # point matches a batch of its own.
+    batches = []
+
+    def recording(traces, *args, **kwargs):
+        batches.append((traces, args, kwargs, evolve_trace(traces, *args, **kwargs)))
+        return batches[-1][-1]
+
+    base.evolve_trace = recording
+    try:
+        run_spectroscopy(exchange, 2, line + 0.25e6 * np.arange(-8, 8), shots=100, seed=2,
+                         shape="gaussian", engine="trace")
+    finally:
+        base.evolve_trace = evolve_trace
+    ((traces, args, kwargs, props),) = batches
+    assert len(traces) == len(props) == 16, len(traces)
+    for trace, u in zip(traces, props):
+        gap = np.max(np.abs(u - evolve_trace([trace], *args, **kwargs)[0]))
+        assert gap < 1e-12, gap
 
     # The DAC output and its RF signal are one type, which the metrics read.
     bench = Bench(DeviceModel(), TxConfig())

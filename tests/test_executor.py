@@ -211,6 +211,33 @@ def test_set_ftws_checks_every_entry_before_storing(key, ftw):
     assert np.count_nonzero(tx.ftws) == 1 and tx.ftws[0, 1] == 77
 
 
+def test_retuned_trace_is_the_play_under_the_new_tuning_words():
+    # Two banks, a phase update and a shaped block; only NCO (0, 2) and
+    # (1, 4) are retuned, and NCO (1, 9) keeps its word.
+    cfg = TxConfig()
+    img = make_image(cfg, n_env=40, amp=0.25)
+    img.envelope.write_codes(np.arange(1, 31), np.arange(30) % 7)
+    for bank, nco, start, stop in ((0, 2, 0, 39), (1, 4, 40, 69), (1, 9, 0, 19)):
+        img.add_instruction(bank, nco, Instruction(nco, start_addr=start, stop_addr=stop))
+        img.schedule(bank, nco, len(img.tables[bank][nco]) - 1)
+    img.add_instruction(0, 2, Instruction(2, phase_update=12345))
+    img.schedule(0, 2, 1)
+    img.schedule(0, 2, 0)
+    before = {(0, 2): 987_654, (1, 4): 55, (1, 9): 3_000_001}
+    after = {**before, (0, 2): 1_234_567, (1, 4): PHASE_WORDS - 1}
+    trace = Transmitter(cfg, before).play([img])
+    retuned = trace.retuned(Transmitter(cfg, after).ftws)
+    played = Transmitter(cfg, after).play([img])
+    assert (retuned.start, retuned.end) == (played.start, played.end)
+    assert len({s.ref_word for s in played.segments}) == 2  # the update took effect
+    assert [s.ftw for s in retuned.segments] == [after[s.bank, s.nco] for s in played.segments]
+    for a, b, old in zip(retuned.segments, played.segments, trace.segments):
+        assert (a.bank, a.nco, a.t0, a.n, a.ftw, a.ref_word, a.constant) == (
+            b.bank, b.nco, b.t0, b.n, b.ftw, b.ref_word, b.constant)
+        assert np.array_equal(a.phase_words(10), b.phase_words(10))
+        assert a.amp_values is old.amp_values  # the samples are shared, not copied
+
+
 def test_play_records_constancy_once_per_envelope_block():
     cfg = TxConfig()
     img = make_image(cfg, n_env=40, amp=0.25)  # block 0..39: constant

@@ -45,10 +45,10 @@ from spinctl.physics import (
     rabi_probability,
     rotation_for_phase,
     shot_rng,
-    trace_propagators,
 )
 
-from helpers import final_state, quasi_static_rule, rb_cliffords, rb_decay, rb_survival
+from helpers import (evolve_one, final_state, quasi_static_rule, rb_cliffords, rb_decay,
+                     rb_survival)
 
 
 def plain_bench(**model_kw):
@@ -300,13 +300,19 @@ ENGINES_NAMED = re.escape("engine='fast': choose one of ('dense', 'trace')")
     (lambda: run_spectroscopy(plain_bench(), 3, [13.45e9]), "^qubit=3: probe qubit 1 or 2$"),
     (lambda: run_spectroscopy(plain_bench(), 2, [13.45e9], shots=0), "^shots=0: take at least"),
     (lambda: run_spectroscopy(plain_bench(), 2, [13.45e9], engine="fast"), f"^{ENGINES_NAMED}$"),
+    (lambda: run_spectroscopy(plain_bench(), 2, [13.45e9], shape="square"),
+     r"^shape='square': choose one of \['gaussian', 'rectangular'\]$"),
+    (lambda: run_spectroscopy(plain_bench(), 2, [13.45e9, 15e9]),
+     r"^frequencies \[15000000000\.0\] Hz: each under the Nyquist limit, 500 MHz either side "
+     r"of the 13\.54 GHz carrier$"),
     (lambda: run_dj(exchange_bench(), shots=0), "^shots=0: take at least 1 shot per oracle"),
     (lambda: run_dj(exchange_bench(), engine="fast"), f"^{ENGINES_NAMED}$"),
     (lambda: run_dj(plain_bench(), shots=2.5, engine="fast"),
      rf"exchange_on=True\); shots=2\.5: .*; {ENGINES_NAMED}$"),
 ], ids=["allxy-qubit", "allxy-shots", "allxy-engine", "qst-qubit", "qst-shots", "rabi-qubit",
         "rabi-simultaneous-qubit", "rabi-shots", "spectroscopy-qubit", "spectroscopy-shots",
-        "spectroscopy-engine", "dj-shots", "dj-engine", "dj-all"])
+        "spectroscopy-engine", "spectroscopy-shape", "spectroscopy-nyquist", "dj-shots",
+        "dj-engine", "dj-all"])
 def test_runners_reject_bad_arguments_before_compiling(monkeypatch, run, message):
     _no_compiling(monkeypatch)
     with pytest.raises(ConfigError, match=message):
@@ -397,9 +403,9 @@ def test_long_program_runs_on_both_engines_and_they_agree():
     wf = synthesize(trace, bench.cfg)
     args = (bench.model, bench.cfg.lo_freq)
     dense = final_state(dense_propagators(wf, *args), len(wf))
-    fast = final_state(trace_propagators(trace, *args), trace.n_samples)
+    fast = final_state(evolve_one(trace, *args), trace.n_samples)
     assert abs(np.vdot(dense, fast)) ** 2 > 0.999
-    (hits,) = bench.sample(prog, (2,), 1000, shot_rng(0, 0))
+    ((hits,),) = bench.sample([prog], (2,), 1000, [shot_rng(0, 0)])
     assert hits < 50  # twenty full turns end near |00>
 
 
@@ -413,7 +419,7 @@ def test_noisy_ramsey_decays_as_gaussian_average():
     shots = 4000
     for k, tau in enumerate((1e-6, 2e-6)):
         prog = bench.compile([GateOp("x", 2), GateOp("i", 2, duration=tau), GateOp("x", 2)])
-        (hits,) = bench.sample(prog, (2,), shots, shot_rng(1, k), engine="trace")
+        ((hits,),) = bench.sample([prog], (2,), shots, [shot_rng(1, k)], engine="trace")
         tau_eff = tau + 4.0 * t_p / np.pi
         oracle = 0.5 * (1.0 + np.exp(-0.5 * (2.0 * np.pi * sigma * tau_eff) ** 2))
         assert hits / shots == pytest.approx(oracle, abs=0.03)
@@ -423,8 +429,8 @@ def test_noisy_sampling_agrees_across_engines():
     # Both engines see the same noise draws and readout uniforms of the point.
     bench = plain_bench(sigma_detune=300e3)
     prog = bench.compile([GateOp("y2", 2), GateOp("x", 2)])
-    dense = bench.sample(prog, (1, 2), 100, shot_rng(3, 0), engine="dense")
-    fast = bench.sample(prog, (1, 2), 100, shot_rng(3, 0), engine="trace")
+    (dense,) = bench.sample([prog], (1, 2), 100, [shot_rng(3, 0)], engine="dense")
+    (fast,) = bench.sample([prog], (1, 2), 100, [shot_rng(3, 0)], engine="trace")
     assert np.all(np.abs(dense - fast) <= 3)
 
 
@@ -435,9 +441,9 @@ def test_trace_engine_never_synthesizes_samples(monkeypatch):
     monkeypatch.setattr(executor, "pac_convert", no_synthesis)
     bench = plain_bench(sigma_detune=300e3)
     prog = bench.compile([GateOp("y2", 2), GateOp("x", 2, shape="gaussian")])
-    bench.sample(prog, (1, 2), 10, shot_rng(0, 0), engine="trace")
+    bench.sample([prog], (1, 2), 10, [shot_rng(0, 0)], engine="trace")
     with pytest.raises(AssertionError, match="synthesized"):
-        bench.sample(prog, (1, 2), 10, shot_rng(0, 0), engine="dense")
+        bench.sample([prog], (1, 2), 10, [shot_rng(0, 0)], engine="dense")
 
 
 def test_simultaneous_rabi_agrees_across_engines():
@@ -452,7 +458,7 @@ def test_simultaneous_rabi_agrees_across_engines():
         assert len({seg.bank for seg in trace.segments}) == 2
         physics = dict(model=bench.model, lo_freq=bench.cfg.lo_freq, exchange_on=exchange_on)
         dense = dense_propagators(synthesize(trace, bench.cfg), **physics)
-        fast = trace_propagators(trace, **physics)
+        fast = evolve_one(trace, **physics)
         for k in range(4):
             overlap = np.vdot(final_state(dense, 300, k), final_state(fast, 300, k))
             assert abs(overlap) ** 2 > 0.999
@@ -462,9 +468,9 @@ def test_sample_rejects_unknown_engine_and_empty_shot_count():
     bench = plain_bench()
     prog = bench.compile([GateOp("x", 2)])
     with pytest.raises(ValueError, match="engine"):
-        bench.sample(prog, (2,), 10, shot_rng(0, 0), engine="fast")
+        bench.sample([prog], (2,), 10, [shot_rng(0, 0)], engine="fast")
     with pytest.raises(ValueError, match="shots"):
-        bench.sample(prog, (2,), 0, shot_rng(0, 0))
+        bench.sample([prog], (2,), 0, [shot_rng(0, 0)])
 
 
 @pytest.mark.parametrize("qubits, named", [((), "none"), ((3,), "3"), ((2, 0), "0")])
@@ -472,7 +478,7 @@ def test_sample_rejects_qubits_the_device_does_not_have(qubits, named):
     bench = plain_bench()
     prog = bench.compile([GateOp("x", 2)])
     with pytest.raises(ValueError, match=f"1, 2 or both, not {named}$"):
-        bench.sample(prog, qubits, 10, shot_rng(0, 0))
+        bench.sample([prog], qubits, 10, [shot_rng(0, 0)])
 
 
 # --- golden outputs -------------------------------------------------------------

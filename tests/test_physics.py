@@ -23,7 +23,6 @@ from spinctl.physics import (
     dense_propagators,
     detunings,
     rabi_probability,
-    trace_propagators,
     transition_frequencies,
     two_level_evolve,
 )
@@ -35,7 +34,7 @@ from spinctl.physics.evolve import _expm_batch
 from spinctl.physics.hamiltonian import diagonal_energies, drive_operator, generator_batch
 from spinctl.physics.state import ROUNDING_PER_FACTOR, renormalized
 
-from helpers import final_state, ordered_product, rb_primitives
+from helpers import evolve_one, final_state, ordered_product, rb_primitives
 
 LO = 13.54e9
 FS = 1e9
@@ -234,7 +233,7 @@ def test_trace_engine_matches_dense_engine():
     img = burst_image(cfg, 0.5, 250, gap=137, phase_update=1 << 20)
     wf, trace = executed(img, cfg, {(0, 0): ftw})
     dense = dense_final(wf, m, LO)
-    fast = final_state(trace_propagators(trace, m, LO), trace.n_samples)
+    fast = final_state(evolve_one(trace, m, LO), trace.n_samples)
     assert np.max(np.abs(dense - fast)) < 1e-6
 
 
@@ -247,7 +246,7 @@ def test_trace_engine_matches_dense_with_noise_and_exchange():
     wf, trace = executed(img, cfg, {(0, 0): ftw})
     physics = dict(exchange_on=True, noise=noise)
     dense = dense_final(wf, m, LO, k=1, **physics)  # from |01>
-    fast = final_state(trace_propagators(trace, m, LO, **physics), trace.n_samples, k=1)
+    fast = final_state(evolve_one(trace, m, LO, **physics), trace.n_samples, k=1)
     assert np.max(np.abs(dense - fast)) < 1e-6
 
 
@@ -258,10 +257,10 @@ def test_trace_engine_batches_noise_draws():
     img = burst_image(cfg, 0.5, 300)
     _, trace = executed(img, cfg, {(0, 0): ftw})
     deltas = np.array([0.0, 20e3, -40e3])
-    batch = trace_propagators(trace, m, LO, noise=NoiseSample(delta_f1=deltas))
+    batch = evolve_one(trace, m, LO, noise=NoiseSample(delta_f1=deltas))
     assert batch.shape == (3, 4, 4)
     for u, d in zip(batch, deltas):
-        single = trace_propagators(trace, m, LO, noise=NoiseSample(delta_f1=d))[0]
+        single = evolve_one(trace, m, LO, noise=NoiseSample(delta_f1=d))[0]
         assert np.max(np.abs(u - single)) < 1e-12
 
 
@@ -319,7 +318,7 @@ def test_trace_engine_matches_dense_on_overlapping_banks():
     ftws = {(0, 0): offset_to_ftw(24e6 - 5e6), (1, 0): offset_to_ftw(-90e6 - 5e6)}
     wf, trace = executed(img, cfg, ftws)
     assert trace.segments[0].t_end > trace.segments[2].t0  # the banks overlap
-    fast = trace_propagators(trace, m, LO, exchange_on=True)
+    fast = evolve_one(trace, m, LO, exchange_on=True)
     for k in range(4):
         dense = dense_final(wf, m, LO, k=k, exchange_on=True)
         assert np.max(np.abs(dense - final_state(fast, trace.n_samples, k))) < 1e-6
@@ -348,7 +347,7 @@ def test_trace_engine_matches_dense_on_a_recurring_burst(exchange_on):
     assert len(x_bursts) == 5  # x, y, x, mx, x: four frames, the last x shares one
     assert len({s.ref_word for s in x_bursts}) == 4
     physics = dict(exchange_on=exchange_on, noise=THREE_DRAWS)
-    fast = trace_propagators(trace, m, LO, **physics)
+    fast = evolve_one(trace, m, LO, **physics)
     dense = dense_propagators(synthesize(trace, cfg), m, LO, **physics)
     assert fast.shape == dense.shape == (3, 4, 4)
     assert np.max(np.abs(dense - fast)) < 1e-6
@@ -366,7 +365,7 @@ def test_trace_engine_powers_each_distinct_constant_burst_once(paths, noise, pat
     bursts = [s for s in trace.segments if np.any(s.amp_values)]
     assert all(np.all(s.amp_values == s.amp_values[0]) for s in bursts)  # all constant
     distinct = {(float(s.amp_values[0]), s.n, s.ftw) for s in bursts}
-    trace_propagators(trace, bench.model, LO, noise=noise)
+    evolve_one(trace, bench.model, LO, noise=noise)
     assert 1 < len(distinct) < len(bursts)
     assert paths == {"spins": 0, "matrix": 0, path: len(distinct)}
 
@@ -382,8 +381,8 @@ def test_trace_engine_result_does_not_depend_on_the_constant_flag():
     unflagged = dataclasses.replace(
         trace, segments=[dataclasses.replace(s, constant=False) for s in trace.segments])
     physics = dict(exchange_on=True, noise=THREE_DRAWS)
-    fast = trace_propagators(trace, m, LO, **physics)
-    assert np.max(np.abs(trace_propagators(unflagged, m, LO, **physics) - fast)) < 1e-9
+    fast = evolve_one(trace, m, LO, **physics)
+    assert np.max(np.abs(evolve_one(unflagged, m, LO, **physics) - fast)) < 1e-9
 
 
 # --- the trace engine's fold of burst clusters ---------------------------------
@@ -453,7 +452,7 @@ def test_fold_matches_a_sequential_product_across_chunks(n_cliffords, rows):
     per_chunk = max(1, evolve._ENTRIES // 16 // rows)
     assert len(lone_constant_bursts(trace)) > 2 * per_chunk
     noise = noise_rows(rows)
-    fast = trace_propagators(trace, bench.model, LO, noise=noise)
+    fast = evolve_one(trace, bench.model, LO, noise=noise)
     assert np.allclose(fast, sequential_propagators(trace, bench.model, LO, noise=noise),
                        rtol=0, atol=1e-12)
 
@@ -495,7 +494,7 @@ def test_fold_matches_a_sequential_product_around_kernel_clusters(monkeypatch):
             else:
                 ends.append(s.t_end)
         assert len(lone_constant_bursts(trace)) == n_lone and len(ends) - n_lone == n_kernel
-        fast = trace_propagators(trace, m, LO, exchange_on=True, noise=noise)
+        fast = evolve_one(trace, m, LO, exchange_on=True, noise=noise)
         reference = sequential_propagators(trace, m, LO, exchange_on=True, noise=noise)
         assert np.allclose(fast, reference, rtol=0, atol=1e-12)
 
@@ -592,9 +591,9 @@ def test_runner_programs_at_j_zero_match_the_4x4_oracle_on_both_engines(monkeypa
     run_allxy(bench, shots=10)
     run_rb(bench, (1, 3), n_sequences=1, repetitions=10)
     run_qst_trajectory(bench, [0.2e-6], shots=10)
-    bench.sample(bench.compile(parse_program(
-        "x2 q2\nx q2 shape=gaussian\nz q2 angle=pi/3\ny q1 shape=gaussian\n")), (1, 2), 10,
-        np.random.default_rng(0))
+    bench.sample([bench.compile(parse_program(
+        "x2 q2\nx q2 shape=gaussian\nz q2 angle=pi/3\ny q1 shape=gaussian\n"))], (1, 2), 10,
+        [np.random.default_rng(0)])
     assert len(traces) == 2 + 1 + 21 + 2 + 4 + 1
     assert traces[0].n_samples == 0  # Rabi at t = 0 plays nothing
     noise = NoiseSample(*(np.concatenate(pair) for pair in zip(rule_rows(bench, 3),
@@ -608,7 +607,7 @@ def test_runner_programs_at_j_zero_match_the_4x4_oracle_on_both_engines(monkeypa
         assert paths["spins"] >= (wf.envelope.size > 0)  # more if the levels split
         assert np.max(np.abs(dense - per_sample_product(wf.envelope, m, LO, noise))) < 1e-12
         paths.update(spins=0)
-        fast = trace_propagators(trace, m, LO, noise=noise)
+        fast = evolve_one(trace, m, LO, noise=noise)
         active = [s for s in trace.segments if np.any(s.amp_values)]
         kernel = len(lone_constant_bursts(trace)) < len(active)
         assert paths["matrix"] == 0 and (paths["spins"] > 0) == bool(active)
@@ -649,7 +648,7 @@ def test_spin_path_power_of_a_constant_burst_matches_a_closed_form_power(paths, 
     (seg,) = trace.segments
     assert seg.constant and (trace.start, trace.end) == (seg.t0, seg.t_end)
     noise = NoiseSample(np.array([0.0, 30e3, -40e3]), np.array([5e3, 0.0, -5e3]))
-    fast = trace_propagators(trace, m, LO, noise=noise)
+    fast = evolve_one(trace, m, LO, noise=noise)
     assert paths == dict(spins=1, matrix=0)
     energies = diagonal_energies(*detunings(m, LO, False, noise))
     words = seg.phase_words(trace.phase_mod_bits)[[0, -1]] * evolve._WORD
@@ -733,7 +732,7 @@ def test_any_row_with_exchange_takes_the_4x4_path(paths, case):
     prog = bench.compile([GateOp("x", 2, shape="gaussian"), GateOp("y2", 1)])
     for engine in ("dense", "trace"):
         paths.update(spins=0, matrix=0)
-        bench.sample(prog, (1, 2), 100, np.random.default_rng(0), engine=engine)
+        bench.sample([prog], (1, 2), 100, [np.random.default_rng(0)], engine=engine)
         assert paths["spins"] == 0 and paths["matrix"] > 0
     if case == "sigma_j":
         # The centre node's rows alone (delta_j = sigma_j x 0, zero to

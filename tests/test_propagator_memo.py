@@ -15,8 +15,10 @@ from spinctl.controller.nco import PHASE_WORDS, offset_to_ftw
 from spinctl.experiments import (Bench, run_allxy, run_dj, run_qst_trajectory, run_rabi, run_rb,
                                  run_spectroscopy)
 from spinctl.experiments.cliffords import N_CLIFFORDS, recovery_index, sequence_primitives
-from spinctl.physics import DeviceModel, NoiseSample, PropagatorMemo, trace_propagators
+from spinctl.physics import DeviceModel, NoiseSample, PropagatorMemo, evolve_trace
 from spinctl.physics.evolve import _sampled_product
+
+from helpers import evolve_one
 
 SPEC_STEP = 0.25e6
 
@@ -46,15 +48,15 @@ def sweep_freqs(n, seed=3):
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every trace_propagators call Bench.sample makes: (args, kwargs, result)."""
+    """Every evolve_trace batch Bench.sample evolves: (args, kwargs, result)."""
     calls = []
 
     def recording(*args, **kwargs):
-        props = trace_propagators(*args, **kwargs)
+        props = evolve_trace(*args, **kwargs)
         calls.append((args, kwargs, props))
         return props
 
-    monkeypatch.setattr(base, "trace_propagators", recording)
+    monkeypatch.setattr(base, "evolve_trace", recording)
     return calls
 
 
@@ -75,7 +77,7 @@ def test_lone_shaped_burst_hands_the_kernel_its_exact_amplitude_levels(monkeypat
         trace = bench.run_program(prog)
         (seg,) = [s for s in trace.segments if np.any(s.amp_values)]
         seen.clear()
-        trace_propagators(trace, bench.model, bench.cfg.lo_freq, exchange_on=True)
+        evolve_one(trace, bench.model, bench.cfg.lo_freq, exchange_on=True)
         (levels,) = seen
         assert np.array_equal(levels, np.unique(seg.amp_values))
         level_bytes.append(levels.tobytes())
@@ -108,16 +110,19 @@ def test_sweep_through_one_bench_matches_memo_free_calls_bit_for_bit(recorded, s
         run_spectroscopy(bench, 2, sweep_freqs(6), shots=shots, seed=3, shape="gaussian",
                          prepare_other=prepare, engine="trace")
         nodes.append(bench.quadrature["nodes"])
-    # One call per point unless a point refines its rule past the first
+    # One batch per sweep unless a point refines its rule past the first
     # batch: at 12 shots the batch's finer rule has 25 rows, which reach the
-    # shots, so only the 1 MHz case climbs, one more call per finer rule.
+    # shots, so only the 1 MHz case climbs, one more batch per finer rule.
     climbed = sigma_detune == 1e6
     assert (max(nodes) > 5) == climbed
-    assert len(recorded) > 12 if climbed else len(recorded) == 12
-    for args, kwargs, props in recorded:
+    assert len(recorded) > 2 if climbed else len(recorded) == 2
+    points = 0
+    for (traces, *rest), kwargs, props in recorded:
         assert kwargs["memo"] is bench.memo
-        fresh = trace_propagators(*args, **{k: v for k, v in kwargs.items() if k != "memo"})
-        assert np.array_equal(props, fresh)
+        points += len(traces)
+        fresh = evolve_trace(traces, *rest, **{k: v for k, v in kwargs.items() if k != "memo"})
+        assert np.array_equal(props, fresh)  # every program of the batch
+    assert points >= 12 and (points > 12) == climbed
 
 
 def test_spectroscopy_sweep_exponentiates_each_level_once(monkeypatch):
@@ -205,11 +210,11 @@ def test_every_lone_constant_burst_counts_one_power_lookup():
     assert len(played) > 2 * len(distinct)
     memo = PropagatorMemo()
     for noise in (NoiseSample(), NoiseSample(delta_f2=np.array([-30e3, 0.0, 30e3]))):
-        trace_propagators(trace, bench.model, bench.cfg.carrier, noise=noise, memo=memo)
+        evolve_one(trace, bench.model, bench.cfg.carrier, noise=noise, memo=memo)
     counts = memo.counts
     assert counts["power_hits"] + counts["power_misses"] == 2 * len(played)
     assert counts["power_misses"] == 2 * len(distinct)  # new energies, new keys
-    trace_propagators(trace, bench.model, bench.cfg.carrier, memo=memo)
+    evolve_one(trace, bench.model, bench.cfg.carrier, memo=memo)
     assert counts["power_misses"] == 2 * len(distinct)
     assert counts["power_hits"] + counts["power_misses"] == 3 * len(played)
 
@@ -218,8 +223,8 @@ def test_noisy_sweep_hits_the_memo_across_points_and_stays_within_the_bound(monk
     held = []
     get = PropagatorMemo.get
 
-    def tracking(self, kind, key, compute):
-        value = get(self, kind, key, compute)
+    def tracking(self, kind, key, compute, uses=1):
+        value = get(self, kind, key, compute, uses)
         held.append(self.held)
         return value
 
@@ -251,7 +256,8 @@ def test_a_full_memo_keeps_nothing_more_and_changes_no_result(monkeypatch, recor
                            prepare_other=True, engine="trace")
     assert small.memo.held == 2  # both powers fit; the 186 levels do not
     assert res.meta["propagator_memo"]["level_misses"] == 3
-    assert len(recorded) == len(roomy) == 3
+    assert len(recorded) == len(roomy) == 1  # one batch of three points
+    assert roomy[0].shape[0] == 3
     assert all(np.array_equal(a, b) for a, (_, _, b) in zip(roomy, recorded))
 
 
@@ -275,7 +281,7 @@ def test_a_memo_full_of_other_physics_empties_for_the_current_one(monkeypatch):
 def test_memo_serves_no_entry_made_under_other_physics(change, recorded):
     bench = exchange_bench()
     prog, _ = probe(bench, prepare_other=True)
-    bench.sample(prog, (1, 2), 100, np.random.default_rng(0), engine="trace")
+    bench.sample([prog], (1, 2), 100, [np.random.default_rng(0)], engine="trace")
     if change == "model":
         bench.model = dataclasses.replace(bench.model, f2=bench.model.f2 + 0.3e6)
     elif change == "drive":
@@ -284,7 +290,7 @@ def test_memo_serves_no_entry_made_under_other_physics(change, recorded):
         bench.cfg.lo_freq += 0.4e6
     fresh = Bench(bench.model, bench.cfg, exchange_on=True, plan=bench.plan, cal=bench.cal)
     for b in (bench, fresh):
-        b.sample(prog, (1, 2), 100, np.random.default_rng(0), engine="trace")
+        b.sample([prog], (1, 2), 100, [np.random.default_rng(0)], engine="trace")
     first, changed, reference = (props for _, _, props in recorded)
     assert np.array_equal(changed, reference)
     assert not np.allclose(changed, first)
@@ -293,7 +299,7 @@ def test_memo_serves_no_entry_made_under_other_physics(change, recorded):
 def test_memo_is_not_part_of_bench_construction_equality_or_repr():
     a, b = exchange_bench(), exchange_bench()
     prog, _ = probe(a)
-    a.sample(prog, (2,), 10, np.random.default_rng(0), engine="trace")
+    a.sample([prog], (2,), 10, [np.random.default_rng(0)], engine="trace")
     assert a.memo.held > 0 and b.memo.held == 0
     assert a == b
     assert "memo" not in repr(a)

@@ -20,12 +20,11 @@ from spinctl.physics import (
     NoiseSample,
     readout_probabilities,
     shot_rng,
-    trace_propagators,
     two_level_evolve,
 )
 from spinctl.physics.state import renormalized
 
-from helpers import rb_primitives, sample_noise_batch
+from helpers import evolve_one, rb_primitives, sample_noise_batch
 
 # Shots that only set the quadrature's agreement target, 0.1 * 0.5 / sqrt(shots).
 MANY_SHOTS = 10**6
@@ -42,14 +41,14 @@ class Expectation:
 
 def averaged(bench, prog, qubits, engine, shots=MANY_SHOTS):
     rng = Expectation()
-    bench.sample(prog, qubits, shots, rng, engine=engine)
+    bench.sample([prog], qubits, shots, [rng], engine=engine)
     return rng.p
 
 
 def p_read1(bench, trace, noise):
     """P(read 1) of both qubits per noise row on the trace engine, (2, rows)."""
-    props = trace_propagators(trace, bench.model, bench.cfg.carrier,
-                              exchange_on=bench.exchange_on, noise=noise)
+    props = evolve_one(trace, bench.model, bench.cfg.carrier,
+                       exchange_on=bench.exchange_on, noise=noise)
     return np.stack(readout_probabilities(renormalized(props[:, :, 0], trace.n_samples),
                                           bench.model))
 
@@ -222,7 +221,7 @@ def test_noisy_dense_allxy_at_default_shots_needs_few_rows():
 def test_noiseless_sampling_tallies_nothing():
     bench = Bench(DeviceModel(), TxConfig())
     prog = bench.compile([GateOp("x", 2)])
-    bench.sample(prog, (1, 2), 100, shot_rng(0, 0))
+    bench.sample([prog], (1, 2), 100, [shot_rng(0, 0)])
     assert bench.quadrature == dict(calls=0, dims=0, nodes=0, rows=0, max_difference=0.0,
                                     converged=True)
 
