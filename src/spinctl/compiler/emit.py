@@ -29,7 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..controller.memory import EnvelopeMemory, Instruction, MemoryImage, quantize_codes
+from ..controller.memory import (
+    EnvelopeMemory,
+    Instruction,
+    MemoryImage,
+    list_entry,
+    quantize_codes,
+)
 from ..controller.nco import PHASE_WORDS
 from ..errors import CapacityError, ProgramError
 from .envelopes import synthesize_envelope
@@ -67,7 +73,11 @@ class _Compiler:
         self.frames = {1: 0, 2: 0}
         self.applied_ref = {(s.bank, s.nco): 0 for s in plan.slots}
         self.cursors = [0, 0]
-        self.codes = {}  # (shape, n, amplitude) -> quantized envelope codes
+        # Lookups remembered across the gates of one compile; only ones that
+        # succeed are kept, so a failing one raises again at its next gate.
+        self.slots = {}  # (qubit, branch) -> plan.for_qubit's slots
+        self.cals = {}  # slot -> its calibration
+        self.codes = {}  # (shape, n, amplitude) -> (quantized envelope codes, their bytes)
         self.images: list[MemoryImage] = []
         self._open_image()
 
@@ -75,7 +85,7 @@ class _Compiler:
         self.image = MemoryImage(EnvelopeMemory(self.amp_bits, self.phase_mod_bits))
         self.env_blocks = {}  # code bytes -> (start, stop)
         self.zero_block = None  # (start, length)
-        self.table_slots = {}  # (bank, nco, start, stop, phase) -> table slot
+        self.table_slots = {}  # (bank, nco, start, stop, phase) -> its list entry
 
     def _finalize_image(self):
         self.images.append(self.image)
@@ -98,13 +108,28 @@ class _Compiler:
 
     # -- primitive emissions ------------------------------------------------
 
+    def _for_qubit(self, qubit: int, branch: str = "both") -> list:
+        slots = self.slots.get((qubit, branch))
+        if slots is None:
+            slots = self.slots[qubit, branch] = self.plan.for_qubit(qubit, branch)
+        return slots
+
+    def _cal_for(self, slot):
+        entry = self.cals.get(slot)
+        if entry is None:
+            entry = self.cals[slot] = self.cal.for_slot(slot)
+        return entry
+
     def _schedule(self, bank: int, nco: int, start=None, stop=None, phase=None):
-        """Play one table instruction, stored once per image and NCO."""
+        """Play one table instruction, stored once per image and NCO; its
+        list entry is checked when the slot is made."""
         key = (bank, nco, start, stop, phase)
-        if key not in self.table_slots:
+        entry = self.table_slots.get(key)
+        if entry is None:
             instr = Instruction(nco, start_addr=start, stop_addr=stop, phase_update=phase)
-            self.table_slots[key] = self.image.add_instruction(bank, nco, instr)
-        self.image.schedule(bank, nco, self.table_slots[key])
+            slot = self.image.add_instruction(bank, nco, instr)
+            entry = self.table_slots[key] = list_entry(bank, nco, slot)
+        self.image.schedule_entry(entry)
 
     def _phase(self, slot, delta: int):
         delta %= PHASE_WORDS
@@ -116,7 +141,7 @@ class _Compiler:
 
     def _virtual_z(self, qubit: int, word: int):
         self.frames[qubit] = (self.frames[qubit] + word) % PHASE_WORDS
-        for slot in self.plan.for_qubit(qubit):
+        for slot in self._for_qubit(qubit):
             self._phase(slot, word)
 
     def _zeros(self, bank: int, nco: int, n: int):
@@ -142,7 +167,7 @@ class _Compiler:
     def _drive(self, slot, axis_word: int, op: GateOp, *, full_pi: bool) -> bool:
         """One burst on a slot along (frame + axis); False when the gate's
         duration rounds to no samples and nothing is emitted."""
-        cal_entry = self.cal.for_slot(slot)
+        cal_entry = self._cal_for(slot)
         n = self._samples(op, cal_entry, full_pi=full_pi)
         if n <= 0:
             return False
@@ -156,10 +181,11 @@ class _Compiler:
         self._phase(slot, self.frames[slot.qubit] + axis_word - self.applied_ref[key])
         self._pad_to_timeline(slot.bank)
         spec = (op.shape or "rectangular", n, cal_entry.amplitude)
-        if spec not in self.codes:
-            self.codes[spec] = quantize_codes(synthesize_envelope(*spec), self.amp_bits)
-        codes = self.codes[spec]
-        block = codes.tobytes()
+        envelope = self.codes.get(spec)
+        if envelope is None:
+            codes = quantize_codes(synthesize_envelope(*spec), self.amp_bits)
+            envelope = self.codes[spec] = (codes, codes.tobytes())
+        codes, block = envelope
         if block not in self.env_blocks:
             self.env_blocks[block] = self.image.envelope.write_codes(codes)
         self._schedule(slot.bank, slot.nco, *self.env_blocks[block])
@@ -172,17 +198,17 @@ class _Compiler:
         if op.name == "z":
             self._virtual_z(op.target, angle_to_word(op.angle))
         elif op.name == "i":
-            slot = self.plan.for_qubit(op.target, op.branch)[0]
-            n = self._samples(op, self.cal.for_slot(slot), full_pi=True)
+            slot = self._for_qubit(op.target, op.branch)[0]
+            n = self._samples(op, self._cal_for(slot), full_pi=True)
             if n > 0:
                 self._pad_to_timeline(slot.bank)
                 self._zeros(slot.bank, slot.nco, n)
         elif op.name in ROTATION_GATES:
             axis_word = AXIS_QUARTER_TURNS[op.name] * QUARTER_TURN
-            for slot in self.plan.for_qubit(op.target, op.branch):
+            for slot in self._for_qubit(op.target, op.branch):
                 self._drive(slot, axis_word, op, full_pi=op.name in PI_ROTATIONS)
         elif op.name in ("crot_high", "crot_low"):
-            slot = self.plan.slot(op.target, op.name.removeprefix("crot_"))
+            slot = self._for_qubit(op.target, op.name.removeprefix("crot_"))[0]
             if self._drive(slot, 0, op, full_pi=True):
                 control = 2 if op.target == 1 else 1
                 self._virtual_z(control, angle_to_word(self.cal.crot_corrections[op.name]))

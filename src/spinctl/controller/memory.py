@@ -172,6 +172,19 @@ class ListEntry(NamedTuple):
     slot: int
 
 
+def list_entry(bank: int, nco: int, slot: int) -> ListEntry:
+    """A reference to table slot ``slot`` of ``bank``/``nco``, checked
+    against the ranges.  Whether the slot holds an instruction is checked
+    when the image is played."""
+    if not 0 <= bank < N_BANKS:
+        raise ValueError(f"bank {bank} outside 0..{N_BANKS - 1}")
+    if not 0 <= nco < N_NCOS:
+        raise ValueError(f"nco {nco} outside 0..{N_NCOS - 1}")
+    if not 0 <= slot < TABLE_CAPACITY:
+        raise ValueError(f"slot {slot} outside 0..{TABLE_CAPACITY - 1}")
+    return ListEntry(bank, nco, slot)
+
+
 def _empty_tables():
     return [[[] for _ in range(N_NCOS)] for _ in range(N_BANKS)]
 
@@ -199,19 +212,16 @@ class MemoryImage:
         return len(table) - 1
 
     def schedule(self, bank: int, nco: int, slot: int):
-        """Append a table reference to the instruction list.  Whether the
-        slot holds an instruction is checked when the image is played."""
+        """Append a reference to a table slot to the instruction list."""
+        self.schedule_entry(list_entry(bank, nco, slot))
+
+    def schedule_entry(self, entry: ListEntry):
+        """Append a ``list_entry`` to the instruction list, within its capacity."""
         if len(self.instruction_list) + 1 > LIST_CAPACITY:
             raise CapacityError(
                 "instruction list", LIST_CAPACITY, len(self.instruction_list) + 1
             )
-        if not 0 <= bank < N_BANKS:
-            raise ValueError(f"bank {bank} outside 0..{N_BANKS - 1}")
-        if not 0 <= nco < N_NCOS:
-            raise ValueError(f"nco {nco} outside 0..{N_NCOS - 1}")
-        if not 0 <= slot < TABLE_CAPACITY:
-            raise ValueError(f"slot {slot} outside 0..{TABLE_CAPACITY - 1}")
-        self.instruction_list.append(ListEntry(bank, nco, slot))
+        self.instruction_list.append(entry)
 
     def occupancy(self) -> dict:
         return {

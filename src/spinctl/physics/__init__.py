@@ -10,9 +10,7 @@ from .evolve import (
     PropagatorMemo,
     dense_propagators,
     evolve_trace,
-    rabi_probability,
     rotation_for_phase,
-    two_level_evolve,
 )
 from .readout import born_probabilities, corrected_p_up, readout_probabilities
 
@@ -27,9 +25,7 @@ __all__ = [
     "PropagatorMemo",
     "dense_propagators",
     "evolve_trace",
-    "rabi_probability",
     "rotation_for_phase",
-    "two_level_evolve",
     "born_probabilities",
     "corrected_p_up",
     "readout_probabilities",

@@ -12,9 +12,9 @@ draw; each sample's factor is that exponential conjugated by its phase.
 One fold serves both engines: ``_fold`` gathers k x k factors, k = 2 per
 spin or 4, from a (k, k, m, ...) structure-of-arrays table at most _ENTRIES
 complex entries at a time, scales their columns by their frames and
-reduces each chunk by one pairwise product (``_soa_product``, which
-``two_level_evolve`` uses too): the kernel over its samples, the trace
-engine over its clusters.  The frame telescopes: with
+reduces each chunk by one pairwise product (``_soa_product``): the kernel
+over its samples, the trace engine over its clusters.  The frame
+telescopes: with
 P(phi) = exp(-i phi kvec), kvec = (0, 1) per spin or (0, 1, 1, 2), and
 phi_0 = 0,
 
@@ -24,17 +24,22 @@ phi_0 = 0,
 one column scaling per factor and one row scaling at the end.  Operands
 keep this layout inside an engine, memo entries included.
 
-The kernel reads the block structure from the energies it is given, by one
-rule: when every row has E(11) = E(01) + E(10) exactly, which is J = 0 for
-that row, the generator is H1 x I + I x H2 and U = U1 x U2.  Each spin's
-exponentials are then 2x2 in closed form (``su2_exp``), otherwise 4x4
-through ``eigh``; that is the only fork, and the spins' products are
-returned as their Kronecker product, so no caller knows which ran.  An
-exchange-off bench with no exchange noise (j_off = 0, sigma_j = 0) takes
-the spin exponentials on every call, constant-burst powers included; a
-call with any row where exchange shows in the energies takes the 4x4 ones:
-on an exchange-on bench, with j_off > 0, or with a nonzero delta_j in any
-row (sigma_j > 0).
+Each call reads the block structure from the energies it is given, by one
+rule (``_separable``): when every row has E(11) = E(01) + E(10) exactly,
+which is J = 0 for that row, the generator is H1 x I + I x H2 and
+U = U1 x U2.  Each spin's exponentials are then 2x2 in closed form
+(``su2_exp``), otherwise 4x4 through ``eigh``; that choice of exponential
+is the only fork.  Everything after it runs in the chosen structure: the
+kernel's products, the trace engine's powers, its table and its fold are
+2x2 blocks with a column per spin and row, k = 2 and the frame's kvec
+(0, 1) with energies 0 and E(10) or E(01) per spin (E(00) = 0), or 4x4
+blocks, k = 4, kvec (0, 1, 1, 2) and the diagonal E.  Each engine joins
+the spins once, at the end, as their Kronecker product (``_joined``), so
+no caller knows which ran.  An exchange-off bench with no exchange noise
+(j_off = 0, sigma_j = 0) runs as two spins on every call; a call with any
+row where exchange shows in the energies runs 4x4: on an exchange-on
+bench, with j_off > 0, or with a nonzero delta_j in any row
+(sigma_j > 0).
 
 ``dense_propagators``
     Reference path: the exact ordered product over the DAC samples
@@ -43,22 +48,25 @@ row (sigma_j > 0).
 ``evolve_trace``
     Structured path, for a batch of traces at once, shape (P, r, 4, 4):
     the idealized synthesis (no phase-table or DAC requantization) of each
-    trace itself; no samples are synthesized.  A lone constant burst
-    telescopes to one matrix power of the kernel's one-sample exponential,
-    made once per distinct (amplitude, n, ftw) under each physics per memo,
-    which is what makes randomized benchmarking tractable.  Any other
-    cluster (a shaped burst, or bursts on both banks at once) goes through
-    the kernel: a lone burst with its amplitude codes and phase-word angles
-    as played, so its levels are exactly the envelope's distinct amplitude
-    codes at any tuning word, and a cluster of overlapping bursts with |z|
-    and arg z of its summed samples, as the dense engine does.  Kernel
+    trace itself; no samples are synthesized.  The whole batch runs in one
+    block structure, two 2x2 spins or 4x4, and is joined once at the end.
+    A lone constant burst telescopes to one matrix power of the kernel's
+    one-sample exponential, a (2r, 2, 2) or (r, 4, 4) stack, made once per
+    distinct (amplitude, n, ftw) under each physics per memo, which is what
+    makes randomized benchmarking tractable.  Any other cluster (a shaped
+    burst, or bursts on both banks at once) goes through the kernel: a
+    lone burst with its amplitude codes and phase-word angles as played,
+    so its levels are exactly the envelope's distinct amplitude codes at
+    any tuning word, and a cluster of overlapping bursts with |z| and
+    arg z of its summed samples, as the dense engine does.  Kernel
     clusters with the same amplitude samples, such as the points of a
     sweep that rewrites only a tuning word, share one exponential set and
     one fold with a column per cluster and row.  The batch's powers,
     kernel products and the identity make one table, which one fold
-    gathers with a column per (trace, row), each trace's clusters padded
-    with the identity to the longest.  The energies, the drive, the key
-    bytes and the frames are built once per batch.
+    gathers with a column per (trace, row), per spin on the spin path,
+    each trace's clusters padded with the identity to the longest.  The
+    energies, the drive, the key bytes and the frames are built once per
+    batch.
 
 ``PropagatorMemo``
     The trace engine's store of reusable products, each keyed on the physics
@@ -74,16 +82,18 @@ row (sigma_j > 0).
     counts as one per trace (``PropagatorMemo.get``'s ``uses``).  The memo
     holds at most ``PropagatorMemo.bound`` (8 _CHUNK) 4x4 matrices' worth
     of bytes, a spin-path level set counting half a matrix per level and
-    row: a product that does not fit beside those held empties it first,
-    so products of physics no longer in use cannot crowd out the current
-    ones, and one larger than the bound is not kept.  ``Bench`` owns one;
+    row and a spin-path power half a matrix per row: a product that does
+    not fit beside those held empties it first, so products of physics no
+    longer in use cannot crowd out the current ones, and one larger than
+    the bound is not kept.  ``Bench`` owns one;
     the dense engine uses none.
 
 The result is the only representation of an evolved program: the final
 state from basis state k is column k of a unitary, checked and rescaled by
 the norm policy of ``state.renormalized``.  Of the closed-form two-level
-functions at the end, ``su2_exp`` is the spin path's exponential; the
-others are independent references for tests.
+functions at the end, ``su2_exp`` is the spin path's exponential;
+``rotation_for_phase`` and ``z_rotation`` are the ideal gates the
+experiments' oracles are built from.
 """
 
 from __future__ import annotations
@@ -144,8 +154,8 @@ class PropagatorMemo:
     ``counts`` tallies hits and misses, separately for level sets and for
     powers, since the memo was made or ``Bench.new_tally`` last zeroed them;
     ``held`` is the memory kept now, at most ``bound``, in 4x4 complex
-    matrices: a 4x4 stack counts its matrices, and a level set of the spin
-    path, two 2x2 per level and row, half a matrix per level and row.
+    matrices: a 4x4 stack counts its matrices, and a product of the spin
+    path, two 2x2 per level and row or per row, half a matrix for each.
     """
 
     bound = 8 * _CHUNK  # 4x4 complex matrices' bytes held at most
@@ -225,28 +235,58 @@ def _fold(table: np.ndarray, which: np.ndarray, scale) -> np.ndarray:
     return total
 
 
+def _separable(energies: np.ndarray) -> bool:
+    """Whether every row has E(11) = E(01) + E(10) exactly, which is J = 0
+    for that row: the generator is then H1 x I + I x H2 and U = U1 x U2."""
+    return np.array_equal(energies[:, 3], energies[:, 1] + energies[:, 2])
+
+
+def _frame_energies(energies: np.ndarray, spins: bool) -> np.ndarray:
+    """Energies of each block's basis states, shape (k, R), in the column
+    layout of its products: the diagonal E under each row for 4x4 blocks;
+    for 2x2 spin blocks 0 and E(10), spin 1 under each row, then 0 and
+    E(01), spin 2 under each row (E(00) = 0)."""
+    if not spins:
+        return energies.T
+    excited = np.concatenate([energies[:, 2], energies[:, 1]])
+    return np.stack([np.zeros_like(excited), excited])
+
+
+def _joined(u: np.ndarray) -> np.ndarray:
+    """Structure-of-arrays unitaries (k, k, ..., R) in either block
+    structure as 4x4 ones (4, 4, ..., r): 4x4 blocks as they are, 2x2 spin
+    blocks (columns spin 1 under each row, then spin 2) as U1 x U2, whose
+    frame is the 4x4 one."""
+    if len(u) == 4:
+        return u
+    rows = u.shape[-1] // 2  # U1 x U2 as [i1, i2, j1, j2, ..., row]
+    return (u[:, None, :, None, ..., :rows] * u[None, :, None, :, ..., rows:]).reshape(
+        4, 4, *u.shape[2:-1], rows)
+
+
 def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, drive: np.ndarray,
                      dt: float, memo: PropagatorMemo | None = None, operator=None) -> np.ndarray:
     """Ordered product of the per-sample propagators of the envelope
     ``amp * exp(1j * phi)``, one per row of ``energies``, as
-    structure-of-arrays unitaries of shape (4, 4, *g, r) for ``phi`` of
-    shape (n, *g): one product per column of ``phi``, each with the same
+    structure-of-arrays blocks of shape (k, k, *g, R) for ``phi`` of shape
+    (n, *g): one product per column of ``phi``, each with the same
     amplitudes.
 
     Sample k contributes P(phi_k) E(amp_k) P(phi_k)^dagger, with E
     exponentiated once per distinct amplitude and draw; the product is
     P(phi_{n-1}) times the ``_fold`` of the exponentials, each sample's
     columns scaled by P(phi_{k-1} - phi_k), phi_{-1} = 0, which each chunk
-    of the fold builds from its own slice of ``phi``.  When every row has
-    E(11) = E(01) + E(10) (no exchange), each spin's exponentials are 2x2
-    (``_spin_exponentials``) and the spins' products are joined as a
-    Kronecker product, whose frame is the 4x4 one; otherwise they are 4x4
-    (``_matrix_exponentials``).  At most _CHUNK exponentials are held at
-    once: the draws are taken in groups that fit beside the distinct
-    amplitudes, and an envelope with more than _CHUNK of them is split in
-    halves.  Each group's exponentials come from ``memo``, keyed on the
-    block structure, the group's rows, ``operator`` (the drive and dt key
-    part) and the level bytes, and counted as one lookup per column.
+    of the fold builds from its own slice of ``phi``.  When ``_separable``
+    holds, each spin's exponentials are 2x2 (``_spin_exponentials``) and
+    so are the products, k = 2 and R = 2r in that layout, which
+    ``_joined`` turns into 4x4 ones; otherwise they are 4x4
+    (``_matrix_exponentials``), k = 4 and R = r.  At most _CHUNK
+    exponentials are held at once: the draws are taken in groups that fit
+    beside the distinct amplitudes, and an envelope with more than _CHUNK
+    of them is split in halves.  Each group's exponentials come from
+    ``memo``, keyed on the block structure, the group's rows, ``operator``
+    (the drive and dt key part) and the level bytes, and counted as one
+    lookup per column.
     """
     levels, which = np.unique(amp, return_inverse=True)
     if len(levels) > _CHUNK:
@@ -254,7 +294,7 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
         return _soa_matmul(_sampled_product(amp1, phi1, energies, drive, dt, memo, operator),
                            _sampled_product(amp0, phi0, energies, drive, dt, memo, operator))
     columns = phi.shape[1:]
-    spins = np.array_equal(energies[:, 3], energies[:, 1] + energies[:, 2])
+    spins = _separable(energies)
     exponentials = _spin_exponentials if spins else _matrix_exponentials
     which = np.broadcast_to(which.reshape(-1, *(1,) * len(columns)), phi.shape)
 
@@ -274,15 +314,13 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
         expm = (compute() if memo is None else
                 memo.get("level", (spins, group.tobytes(), *operator, levels.tobytes()), compute,
                          uses=math.prod(columns)))
-        u = _fold(expm, which, turns)
-        if spins:  # U1 x U2 as [i1, i2, j1, j2, *columns, row]
-            rows = len(group)
-            u = (u[:, None, :, None, ..., :rows] * u[None, :, None, :, ..., rows:]).reshape(
-                4, 4, *columns, rows)
-        out.append(u)
+        u = _fold(expm, which, turns)  # (k, k, *columns, blocks x group rows)
+        out.append(u.reshape(*u.shape[:-1], -1, len(group)))
     total = np.concatenate(out, axis=-1) if len(out) > 1 else out[0]
+    total = total.reshape(*total.shape[:-2], -1)  # blocks, then rows
     if len(phi):  # P(phi_{n-1})
-        total[1:] *= np.exp(-1j * np.multiply.outer(_KVEC[1:], phi[-1]))[:, None, ..., None]
+        kvec = _KVEC[1 : len(total)]
+        total[1:] *= np.exp(-1j * np.multiply.outer(kvec, phi[-1]))[:, None, ..., None]
     return total
 
 
@@ -307,7 +345,7 @@ def dense_propagators(
     energies = _energies(model, lo_freq, exchange_on, noise)
     dt = 1.0 / waveform.sample_rate
     z = waveform.envelope
-    u = _sampled_product(np.abs(z), np.angle(z), energies, drive_operator(model), dt)
+    u = _joined(_sampled_product(np.abs(z), np.angle(z), energies, drive_operator(model), dt))
     return u.transpose(2, 0, 1).copy()  # (4, 4, r) structure-of-arrays to (r, 4, 4)
 
 
@@ -367,12 +405,15 @@ def evolve_trace(
     and one fold with a column per (cluster, row).
 
     One table serves the batch: each distinct (amplitude, n, ftw) power,
-    each kernel product and the identity.  ``_fold`` gathers it in time
-    order with a column per (trace, row), scaling each factor's columns by
-    P(start)^dagger G P(end before); a trace with fewer clusters than the
-    longest is padded with the identity.  P(last end) and the idle tail
-    scale the total's rows once.  The energies, the drive, the key bytes and
-    the frames are made once per batch.
+    each kernel product and the identity, as 2x2 spin blocks with a column
+    per spin and row when ``_separable`` holds for the energies, as the
+    kernel's products are, and as 4x4 blocks otherwise.  ``_fold`` gathers
+    it in time order with a column per (trace, spin and row), scaling each
+    factor's columns by P(start)^dagger G P(end before); a trace with fewer
+    clusters than the longest is padded with the identity.  P(last end) and
+    the idle tail scale the total's rows once, and ``_joined`` makes the
+    4x4 unitaries of spin blocks.  The energies, the drive, the key bytes
+    and the frames are made once per batch.
 
     ``memo`` keeps the powers and the kernel's exponentials under the
     physics they were made under (``PropagatorMemo``).  Its counts are those
@@ -393,6 +434,8 @@ def evolve_trace(
     drive = drive_operator(model)
     dt = 1.0 / rate
     memo = PropagatorMemo() if memo is None else memo
+    frame = _frame_energies(energies, _separable(energies))  # (k, R), as the kernel's blocks
+    k = len(frame)
     operator = (drive.tobytes(), dt)  # the physics every key holds beside its energy rows
     physics = (energies.tobytes(), *operator)  # the power keys' common part
 
@@ -442,10 +485,10 @@ def evolve_trace(
     # Sample k of a lone constant burst is sample 0 conjugated by k phase
     # steps of the tuning word, so the burst telescopes to one matrix power
     # of the kernel's one-sample exponential E.
-    def power(amplitude: float, n: int, ftw: int):  # at zero phase, (4, 4, r)
+    def power(amplitude: float, n: int, ftw: int):  # at zero phase, (k, k, R)
         e = _sampled_product(np.array([amplitude]), np.zeros(1), energies, drive, dt)
-        e = e.transpose(2, 0, 1)  # (r, 4, 4)
-        undo_step = np.exp(2j * np.pi * ftw / PHASE_WORDS * _KVEC)
+        e = e.transpose(2, 0, 1)  # (R, k, k)
+        undo_step = np.exp(2j * np.pi * ftw / PHASE_WORDS * _KVEC[:k])
         return np.ascontiguousarray(np.moveaxis(
             np.linalg.matrix_power(e * undo_step, n - 1) @ e, 0, -1))
 
@@ -457,27 +500,28 @@ def evolve_trace(
         for j, make in enumerate(phases):
             phi[:, j] = make()
         products = _sampled_product(amp, phi, energies, drive, dt, memo,
-                                    operator)  # (4, 4, clusters, r)
+                                    operator)  # (k, k, clusters, R)
         which[tuple(zip(*places))] = np.arange(len(table), len(table) + len(places))
         table += list(np.moveaxis(products, 2, 0))
-    table.append(_EYE[:, :, None].repeat(len(energies), axis=2))
-    table = np.stack(table, axis=2)  # (4, 4, rows, r)
+    table.append(_EYE[:k, :k, None].repeat(frame.shape[1], axis=2))
+    table = np.stack(table, axis=2)  # (k, k, rows, R)
 
     # The frames telescope: P(start)^dagger G P(end before) scales a factor's
     # columns by exp(i shift WORD kvec + idle step E), which is 1 on column 0
-    # (kvec and E(00) are 0 there), and P(last end) scales the total's rows.
+    # (kvec and E(00) are 0 there), and P(last end) scales the total's rows;
+    # E is the frame energy of each column's block.
     step = -2j * np.pi * dt  # G = exp(gap * step * energies)
     idle = gaps * step
-    kvec = _KVEC[:, None, None, None]  # over (4, clusters, traces, r)
+    kvec = _KVEC[:k, None, None, None]  # over (k, clusters, traces, R)
     total = _fold(table, which, lambda part: np.exp(
         1j * _WORD * kvec * shift[part, :, None]
-        + idle[part, :, None] * energies.T[:, None, None]))  # (4, 4, traces, r)
+        + idle[part, :, None] * frame[:, None, None]))  # (k, k, traces, R)
     total *= np.exp(-1j * _WORD * kvec[:, 0] * last[:, None]
-                    + (tails * step)[:, None] * energies.T[:, None])[:, None]
-    return total.transpose(2, 3, 0, 1).copy()
+                    + (tails * step)[:, None] * frame[:, None])[:, None]
+    return _joined(total).transpose(2, 3, 0, 1).copy()
 
 
-# --- closed-form two-level references ---------------------------------------
+# --- closed-form two-level functions ----------------------------------------
 
 
 def su2_exp(c0, ax, ay, az, dt):
@@ -495,23 +539,6 @@ def su2_exp(c0, ax, ay, az, dt):
     u[1, 0] = -1j * sinc * (ax + 1j * ay)
     u *= np.exp(-2j * np.pi * dt * c0)
     return u
-
-
-def two_level_evolve(envelope: np.ndarray, detuning: float, coupling: float, dt: float) -> np.ndarray:
-    """Exact 2x2 propagator of one driven spin over a sampled envelope.
-
-    Independent reference for the factorized (J = 0) limit: same sampled
-    physics, different code path from the 4x4 engine.  An empty envelope
-    gives the identity.
-    """
-    z = np.asarray(envelope, dtype=complex)
-    if not len(z):
-        return np.eye(2, dtype=complex)
-    c0 = np.full(len(z), detuning / 2.0)
-    ax = 0.5 * coupling * np.real(z)
-    ay = -0.5 * coupling * np.imag(z)
-    az = np.full(len(z), -detuning / 2.0)
-    return _soa_product(su2_exp(c0, ax, ay, az, dt))
 
 
 def rotation_for_phase(phi: float, angle: float) -> np.ndarray:
@@ -532,12 +559,3 @@ def z_rotation(theta: float) -> np.ndarray:
     ``theta`` turns every later burst U(phi) into U(phi + theta), which is
     the same as inserting diag(1, e^{i theta}) once at the update point."""
     return np.diag([1.0, np.exp(1j * theta)]).astype(complex)
-
-
-def rabi_probability(t, f_rabi: float, detuning: float = 0.0):
-    """Generalized Rabi formula: P(flip) for a resonant or detuned drive."""
-    t = np.asarray(t, dtype=float)
-    f_gen = np.hypot(f_rabi, detuning)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weight = np.where(f_gen > 0, (f_rabi / np.where(f_gen > 0, f_gen, 1.0)) ** 2, 0.0)
-    return weight * np.sin(np.pi * f_gen * t) ** 2

@@ -16,9 +16,9 @@ import numpy as np
 # programs of 1 to 200 Cliffords (either qubit, exchange off and on, 8 noise
 # rows, every column), both engines folding through one structure-of-arrays
 # product: the trace engine drifts by up to 4.2 eps per factor with 4x4
-# exponentials (exchange on) and 1.1 eps with two 2x2, its constant-burst
-# powers included (exchange off); the dense engine by 0.97 eps (exchange
-# on) and 0.54 eps (exchange off).
+# exponentials (exchange on) and 1.0 eps folding two 2x2 spins, its
+# constant-burst powers included, joined once at the end (exchange off); the
+# dense engine by 0.97 eps (exchange on) and 0.54 eps (exchange off).
 NORM_TOL = 1e-12
 ROUNDING_PER_FACTOR = 16 * np.finfo(float).eps
 

@@ -31,6 +31,38 @@ def ordered_product(us):
     return us[0]
 
 
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def two_level_evolve(envelope, detuning, coupling, dt):
+    """Exact 2x2 propagator of one driven spin over a sampled envelope: the
+    reference for the factorized (J = 0) limit, with the spin's generator
+    H = (detuning / 2) I + a . sigma, a = (coupling Re z, -coupling Im z,
+    -detuning) / 2, exponentiated per sample in closed form and multiplied
+    in order by ``ordered_product``.  An empty envelope gives the identity.
+    """
+    z = np.asarray(envelope, dtype=complex)
+    if not len(z):
+        return np.eye(2, dtype=complex)
+    a = np.stack([0.5 * coupling * z.real, -0.5 * coupling * z.imag,
+                  np.full(len(z), -0.5 * detuning)], axis=1)
+    # a . sigma is traceless with (a . sigma)^2 = |a|^2 I.
+    w = 2 * np.pi * dt * np.linalg.norm(a, axis=1)[:, None, None]
+    h = np.einsum("na,aij->nij", a, PAULIS[1:])
+    us = np.exp(-1j * np.pi * dt * detuning) * (
+        np.cos(w) * PAULIS[0] - 2j * np.pi * dt * np.sinc(w / np.pi) * h)
+    return ordered_product(us)
+
+
+def rabi_probability(t, f_rabi, detuning=0.0):
+    """Generalized Rabi formula: P(flip) for a resonant or detuned drive."""
+    t = np.asarray(t, dtype=float)
+    f_gen = np.hypot(f_rabi, detuning)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = np.where(f_gen > 0, (f_rabi / np.where(f_gen > 0, f_gen, 1.0)) ** 2, 0.0)
+    return weight * np.sin(np.pi * f_gen * t) ** 2
+
+
 def evolve_one(trace, *args, **kwargs):
     """One trace's unitaries, shape (r, 4, 4): a batch of one through ``evolve_trace``."""
     return evolve_trace([trace], *args, **kwargs)[0]
@@ -55,9 +87,6 @@ def rb_primitives(n_cliffords, seed):
     """Primitive gate names of a random RB sequence plus its recovery Clifford."""
     indices = np.random.default_rng(seed).integers(0, N_CLIFFORDS, size=n_cliffords).tolist()
     return sequence_primitives(indices + [recovery_index(indices)])
-
-
-PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def rb_cliffords(bench, qubit, detunings=(0.0,)):

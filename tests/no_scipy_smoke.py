@@ -5,7 +5,8 @@ gates on the trace engine, that program's trace and dense unitaries on
 wide converters (exchange off), a noiseless exchange-on gaussian spectroscopy
 probe on the trace engine (the kernel's 4x4 path), a 16-point gaussian
 sweep evolved as one batch and checked point by point against batches of
-one, a played program through
+one, the same check on a noisy exchange-off RB batch of 1- and 50-Clifford
+sequences (the trace fold's 2x2 spin blocks), a played program through
 synthesize, upconvert, its spectrum, SNR, SFDR, LO rejection and two-tone
 report, a program split across triggers through image dump, load and play
 (and one image with a dangling list entry, which play must reject), and the
@@ -163,6 +164,23 @@ def main():
     assert len(traces) == len(props) == 16, len(traces)
     for trace, u in zip(traces, props):
         gap = np.max(np.abs(u - evolve_trace([trace], *args, **kwargs)[0]))
+        assert gap < 1e-12, gap
+
+    # Exchange off, the trace engine folds a batch as two 2x2 spins and joins
+    # them once at the end: every RB sequence of a batch that mixes lengths
+    # matches a batch of its own.
+    rng = np.random.default_rng(8)
+    traces = []
+    for n_cliffords in (1, 50, 50, 1):
+        indices = rng.integers(0, N_CLIFFORDS, size=n_cliffords).tolist()
+        ops = [GateOp(g, 2) for g in sequence_primitives(indices + [recovery_index(indices)])]
+        traces.append(noisy.run_program(noisy.compile(ops)))
+    rows = NoiseSample(50e3 * np.linspace(-2.0, 2.0, 8), 50e3 * np.linspace(1.5, -1.5, 8))
+    physics = dict(model=noisy.model, lo_freq=noisy.cfg.carrier, noise=rows)
+    props = evolve_trace(traces, **physics)
+    assert not noisy.exchange_on and props.shape == (4, 8, 4, 4), props.shape
+    for trace, u in zip(traces, props):
+        gap = np.max(np.abs(u - evolve_trace([trace], **physics)[0]))
         assert gap < 1e-12, gap
 
     # The DAC output and its RF signal are one type, which the metrics read.

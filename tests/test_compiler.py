@@ -1,6 +1,9 @@
 """Frequency allocation, envelope synthesis, and program lowering."""
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from spinctl.errors import CapacityError, ConfigError, ProgramError
 from spinctl.controller.image_io import dump_image
 from spinctl.controller.executor import Transmitter, TxConfig
+from spinctl.controller.memory import MemoryImage, list_entry
 from spinctl.controller.nco import PHASE_WORDS, offset_to_ftw, quantize_unit
 from spinctl.compiler import (
     CalibrationSet,
@@ -188,6 +192,80 @@ def test_each_envelope_is_quantized_once_per_compile(monkeypatch):
     assert prog.n_triggers >= 2
     assert calls == [("rectangular", entry.half_pi_samples, entry.amplitude)]
     assert all(len(img.envelope) == entry.half_pi_samples for img in prog.images)
+
+
+def benchmark_workloads(monkeypatch):
+    """The benchmark's workload module (perfbench/workloads.py), loaded from
+    this checkout for one test."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+class Forgetful(dict):
+    """A lookup cache that keeps nothing, so every lookup is made again."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_per_compile_lookups_change_no_image(monkeypatch):
+    # Every image that every benchmark workload compiles at seeds 1-3, and a
+    # 700-Clifford RB sequence that splits across triggers, dumps
+    # byte-identical with the compiler's lookups remembered and with each
+    # made again at every gate: the slots, the calibrations and the envelope
+    # codes with their bytes through caches that keep nothing, and every
+    # list entry made and checked again at each append.
+    workloads = benchmark_workloads(monkeypatch)
+    dumped = []
+    compile_ = emit._Compiler.compile
+
+    def recording(self, ops):
+        prog = compile_(self, ops)
+        dumped.append([dump_image(img) for img in prog.images])
+        return prog
+
+    def every_image():
+        dumped.clear()
+        for w in workloads.WORKLOADS.values():
+            for seed in (1, 2, 3):
+                w.run(w.inputs(seed))
+        m, plan, cal = plan_and_cal()
+        compile_program([GateOp(g, 2) for g in rb_primitives(700, seed=3)], plan, cal)
+        return list(dumped)
+
+    monkeypatch.setattr(emit._Compiler, "compile", recording)
+    remembered = every_image()
+    init, schedule_entry = emit._Compiler.__init__, MemoryImage.schedule_entry
+
+    def forgetting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.slots, self.cals, self.codes = Forgetful(), Forgetful(), Forgetful()
+
+    monkeypatch.setattr(emit._Compiler, "__init__", forgetting)
+    monkeypatch.setattr(MemoryImage, "schedule_entry",
+                        lambda self, entry: schedule_entry(self, list_entry(*entry)))
+    made_again = every_image()
+    assert len(remembered) > 3 * len(workloads.WORKLOADS)
+    assert sum(len(images) > 1 for images in remembered) >= 4  # the pipeline's and the 700's
+    assert remembered == made_again
+
+
+def test_failed_lookups_raise_again_at_every_gate():
+    # Only lookups that succeed are remembered: a gate on a qubit with no
+    # calibration, or on a branch with no slot, raises each time it comes.
+    m, plan, cal = plan_and_cal()
+    bare = CalibrationSet(gates={(2, "main"): cal.gates[(2, "main")]})
+    compiler = emit._Compiler(plan, bare, amp_bits=10, phase_mod_bits=10)
+    for op, match in ((GateOp("x", 1), "no calibration for qubit 1"),
+                      (GateOp("x", 2, branch="high"), "no frequency slot")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                compiler.emit(op)
+            compiler.emit(GateOp("x", 2))
 
 
 def test_single_pi_gate_is_one_instruction():

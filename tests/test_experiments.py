@@ -42,13 +42,12 @@ from spinctl.physics import (
     DeviceModel,
     ReadoutFidelity,
     dense_propagators,
-    rabi_probability,
     rotation_for_phase,
     shot_rng,
 )
 
-from helpers import (evolve_one, final_state, quasi_static_rule, rb_cliffords, rb_decay,
-                     rb_survival)
+from helpers import (evolve_one, final_state, quasi_static_rule, rabi_probability, rb_cliffords,
+                     rb_decay, rb_survival)
 
 
 def plain_bench(**model_kw):

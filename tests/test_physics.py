@@ -22,19 +22,19 @@ from spinctl.physics import (
     born_probabilities,
     dense_propagators,
     detunings,
-    rabi_probability,
     transition_frequencies,
-    two_level_evolve,
 )
 import spinctl.physics.evolve as evolve
-from spinctl.compiler import GateOp, parse_program
+from spinctl.compiler import CompiledProgram, GateOp, parse_program
 from spinctl.experiments import Bench, run_allxy, run_qst_trajectory, run_rabi, run_rb
 from spinctl.experiments.base import noise_axes, noise_rule
+from spinctl.experiments.rabi import _rabi_image
 from spinctl.physics.evolve import _expm_batch
 from spinctl.physics.hamiltonian import diagonal_energies, drive_operator, generator_batch
 from spinctl.physics.state import ROUNDING_PER_FACTOR, renormalized
 
-from helpers import evolve_one, final_state, ordered_product, rb_primitives
+from helpers import (evolve_one, final_state, ordered_product, rabi_probability, rb_primitives,
+                     two_level_evolve)
 
 LO = 13.54e9
 FS = 1e9
@@ -565,6 +565,46 @@ def paths(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def folds(monkeypatch):
+    """The block size k of every table ``_fold`` gathers, the kernel's and
+    the trace fold's, in call order."""
+    sizes = []
+    fold = evolve._fold
+
+    def recording(table, which, scale):
+        sizes.append(table.shape[0])
+        return fold(table, which, scale)
+
+    monkeypatch.setattr(evolve, "_fold", recording)
+    return sizes
+
+
+def test_exchange_off_batches_fold_two_spins_and_match_the_sequential_product(folds):
+    # One batch at 8 noise rows: RB sequences of 1 and 100 Cliffords (lone
+    # constant bursts), a gaussian burst between constant ones, and
+    # simultaneous Rabi's bursts on both banks at once (kernel clusters).
+    # Every table is 2x2, the trace fold's powers and kernel products too.
+    # The reference powers 4x4 eigh exponentials, the engine closed-form
+    # 2x2 ones: only samples inside lone constant bursts may round apart.
+    bench = Bench(model(), TxConfig(lo_freq=LO))
+    img, _ = _rabi_image(bench, (1, 2), 300)
+    programs = [bench.compile([GateOp(g, 2) for g in rb_primitives(n, seed=6)]) for n in (1, 100)]
+    programs += [bench.compile(parse_program("x2 q2\ny q2 shape=gaussian\nx q1\n")),
+                 CompiledProgram(images=[img], ftws=bench.plan.ftws(), report={})]
+    traces = [bench.run_program(prog) for prog in programs]
+    assert [len(lone_constant_bursts(t)) < len([s for s in t.segments if np.any(s.amp_values)])
+            for t in traces] == [False, False, True, True]
+    rng = np.random.default_rng(2)
+    noise = NoiseSample(*(rng.normal(0.0, 40e3, 8) for _ in range(2)))
+    fast = evolve.evolve_trace(traces, bench.model, LO, noise=noise)
+    assert fast.shape == (4, 8, 4, 4) and folds and set(folds) == {2}
+    for trace, got in zip(traces, fast):
+        reference = sequential_propagators(trace, bench.model, LO, noise=noise)
+        lone = sum(s.n for s in lone_constant_bursts(trace))
+        assert np.max(np.abs(got - reference)) < max(1e-12, lone * ROUNDING_PER_FACTOR)
+
+
 def rule_rows(bench, n):
     """The noise rows of ``Bench.sample``'s n-node rule on ``bench``."""
     return noise_rule(noise_axes(bench.model, bench.exchange_on), n)[0]
@@ -723,7 +763,7 @@ def test_kernel_products_match_the_4x4_oracle_at_any_chunk_size(monkeypatch, pat
 
 
 @pytest.mark.parametrize("case", ["j_off", "exchange_on", "sigma_j"])
-def test_any_row_with_exchange_takes_the_4x4_path(paths, case):
+def test_any_row_with_exchange_takes_the_4x4_path(paths, folds, case):
     # sigma_j > 0: only the quadrature's centre node has delta_j = 0, so the
     # call's rows are not all separable.
     bench = {"j_off": Bench(model(j_off=0.3e6, sigma_detune=50e3), TxConfig(lo_freq=LO)),
@@ -732,8 +772,10 @@ def test_any_row_with_exchange_takes_the_4x4_path(paths, case):
     prog = bench.compile([GateOp("x", 2, shape="gaussian"), GateOp("y2", 1)])
     for engine in ("dense", "trace"):
         paths.update(spins=0, matrix=0)
+        folds.clear()
         bench.sample([prog], (1, 2), 100, [np.random.default_rng(0)], engine=engine)
         assert paths["spins"] == 0 and paths["matrix"] > 0
+        assert folds and set(folds) == {4}  # the trace fold too
     if case == "sigma_j":
         # The centre node's rows alone (delta_j = sigma_j x 0, zero to
         # rounding) meet E(11) = E(01) + E(10) exactly and take the spin path.
@@ -744,9 +786,17 @@ def test_any_row_with_exchange_takes_the_4x4_path(paths, case):
         e = diagonal_energies(*detunings(bench.model, LO, False, centre_rows))
         assert np.array_equal(e[:, 3], e[:, 1] + e[:, 2])
         paths.update(spins=0, matrix=0)
-        wf = synthesize(bench.run_program(prog), bench.cfg)
-        dense_propagators(wf, bench.model, LO, noise=centre_rows)
+        trace = bench.run_program(prog)
+        dense_propagators(synthesize(trace, bench.cfg), bench.model, LO, noise=centre_rows)
         assert paths["spins"] > 0 and paths["matrix"] == 0
+        folds.clear()
+        evolve_one(trace, bench.model, LO, noise=centre_rows)
+        assert folds and set(folds) == {2}
+        # One row with delta_j != 0 beside them takes the whole call to 4x4.
+        one_more = NoiseSample(*(np.append(r[centre], r[~centre][0]) for r in rows))
+        folds.clear()
+        evolve_one(trace, bench.model, LO, noise=one_more)
+        assert folds and set(folds) == {4}
 
 
 def test_spin_path_transients_do_not_grow_with_the_envelope():

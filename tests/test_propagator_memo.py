@@ -233,15 +233,15 @@ def test_noisy_sweep_hits_the_memo_across_points_and_stays_within_the_bound(monk
     # Exchange off, the quadrature has one dimension; every point brings the
     # same 3 + 5 rows, so the probe's 187 levels at this calibration (8 rows
     # each, one kernel chunk) and the spectator's power are made once for
-    # the whole sweep.  The levels are kept as two 2x2 per level and row,
-    # half a 4x4 matrix each; the power is 8 matrices.
+    # the whole sweep.  The levels and the power are kept as two 2x2 per
+    # level and row, half a 4x4 matrix each: the power is 4 matrices.
     bench = Bench(DeviceModel(sigma_detune=50e3), TxConfig())
     res = run_spectroscopy(bench, 2, sweep_freqs(n), shots=10_000, seed=2, shape="gaussian",
                            prepare_other=True, engine="trace")
     assert res.meta["quadrature"]["rows"] == 8 * n
     assert res.meta["propagator_memo"] == dict(
         level_hits=n - 1, level_misses=1, power_hits=n - 1, power_misses=1)
-    assert max(held) == 187 * 8 // 2 + 8 <= PropagatorMemo.bound
+    assert max(held) == 187 * 8 // 2 + 8 // 2 <= PropagatorMemo.bound
 
 
 def test_a_full_memo_keeps_nothing_more_and_changes_no_result(monkeypatch, recorded):

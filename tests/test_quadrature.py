@@ -20,11 +20,10 @@ from spinctl.physics import (
     NoiseSample,
     readout_probabilities,
     shot_rng,
-    two_level_evolve,
 )
 from spinctl.physics.state import renormalized
 
-from helpers import evolve_one, rb_primitives, sample_noise_batch
+from helpers import evolve_one, rb_primitives, sample_noise_batch, two_level_evolve
 
 # Shots that only set the quadrature's agreement target, 0.1 * 0.5 / sqrt(shots).
 MANY_SHOTS = 10**6
