@@ -6,15 +6,15 @@ differs only in the programs it builds and the statistics it extracts.
 compiled program into a burst trace, one propagator stack per batch and
 quadrature step on the chosen engine, vectorized readout, counts per
 program.  One program is a batch of one.  A runner passes every program it
-has built at once: spectroscopy its whole sweep, RB the sequences of one
-length, AllXY its 21 pairs, Deutsch-Jozsa its oracles; Rabi, which rewrites
-one image in place, passes one program per call.  The trace engine evolves
-a batch in one ``evolve_trace`` call, so the physics is built once for it;
-the dense engine synthesizes DAC samples and evolves each program's
-waveform on its own.  Every trace-engine call goes through the bench's one
-``PropagatorMemo``, keyed on the physics, so the points of a sweep that
+has built at once: spectroscopy and Rabi their whole sweeps, RB the
+sequences of one length, AllXY its 21 pairs, tomography every (time,
+basis) program, Deutsch-Jozsa its oracles.  Either engine evolves a batch
+in one call per quadrature step, so the physics is built once for it:
+``evolve_trace`` takes the traces, ``dense_propagators`` the DAC samples
+synthesized from them.  Every trace-engine call goes through the bench's
+one ``PropagatorMemo``, keyed on the physics, so the points of a sweep that
 only retunes an NCO share one exponential set, and each quadrature rule
-reuses those of earlier batches.
+reuses those of earlier batches; the dense engine uses none.
 
 Quasi-static noise is averaged, not sampled.  Readout is affine in the
 populations and ``sample`` returns per-qubit counts only, so each count is
@@ -202,9 +202,9 @@ class Bench:
         on a fresh transmitter, except that one with the image list of the
         program before it retunes that program's trace, as a sweep that
         rewrites only tuning words allows.  Either engine plays any
-        program, both banks at once included.  The trace engine evolves the
-        whole batch in one ``evolve_trace`` call per quadrature step, the
-        dense engine each program's waveform on its own.  A noiseless model
+        program, both banks at once included.  Either engine evolves the
+        whole batch in one call per quadrature step: ``evolve_trace``, with
+        the bench's memo, or ``dense_propagators``.  A noiseless model
         evolves once.  A noisy one averages P(read 1) over the quasi-static
         offsets with a Gauss-Hermite rule over ``noise_axes``: rules of 3
         and 5 nodes per axis in one propagator batch (one pass over the
@@ -245,10 +245,9 @@ class Bench:
         def p_read1(batch, noise):  # (len(batch), len(qubits), rows)
             physics = dict(model=self.model, lo_freq=self.cfg.carrier,
                            exchange_on=self.exchange_on, noise=noise)
-            if engine == "trace":
-                props = evolve_trace([played[i] for i in batch], **physics, memo=self.memo)
-            else:
-                props = np.stack([dense_propagators(played[i], **physics) for i in batch])
+            some = [played[i] for i in batch]
+            props = (evolve_trace(some, **physics, memo=self.memo) if engine == "trace"
+                     else dense_propagators(some, **physics))
             amps = renormalized(props[..., 0], n_samples[batch, None])  # unitaries on |00>
             return np.stack(readout_probabilities(amps, self.model), axis=1)[:, read]
 

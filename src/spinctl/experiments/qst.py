@@ -58,40 +58,27 @@ def project_physical(bloch: np.ndarray) -> tuple[np.ndarray, bool]:
     return bloch / norm, False
 
 
-def measured_projection(bench: Bench, prefix_ops, basis_gate, qubit, shots, rng) -> float:
-    ops = list(prefix_ops)
-    if basis_gate is not None:
-        ops.append(GateOp(basis_gate, qubit))
-    ((hits,),) = bench.sample([bench.compile(ops)], (qubit,), shots, [rng])
-    return 2.0 * corrected_p_up(hits / shots, bench.model, qubit) - 1.0
-
-
 def run_qst_trajectory(bench: Bench, times, *, qubit: int = 2, shots: int = 1000,
                        seed: int = 0) -> TomoResult:
-    """Tomography of the state after an x burst of each duration in ``times``."""
+    """Tomography of the state after an x burst of each duration in
+    ``times``: every (time, basis) program in one batch, each read from
+    ``shot_rng(seed, time index, basis index)``."""
     check_arguments([("shots", shots, "take at least 1 shot per basis")], qubit=qubit)
+    times = list(times)
     bench.new_tally()
     result = TomoResult(shots_per_basis=shots, seed=seed)
-    for idx, t in enumerate(times):
-        prefix = [] if t <= 0 else [GateOp("x2", qubit, duration=float(t))]
-        m = {}
-        for b, (axis, gate) in enumerate(BASES):
-            rng = shot_rng(seed, idx, b)
-            m[axis] = measured_projection(bench, prefix, gate, qubit, shots, rng)
+    programs = (bench.compile(([] if t <= 0 else [GateOp("x2", qubit, duration=float(t))])
+                              + ([] if gate is None else [GateOp(gate, qubit)]))
+                for t in times for _, gate in BASES)
+    rngs = [shot_rng(seed, idx, b) for idx in range(len(times)) for b in range(len(BASES))]
+    counts = bench.sample(programs, (qubit,), shots, rngs).reshape(len(times), len(BASES))
+    for t, hits in zip(times, counts):
+        m = {axis: 2.0 * corrected_p_up(h / shots, bench.model, qubit) - 1.0
+             for (axis, _), h in zip(BASES, hits)}
         # m(-z) = +z-component read through nothing equals z; after x2 it flips.
-        x = m["+x"]
-        y = -m["-y"]
-        z = 0.5 * (m["-z"] - m["+z"])
-        raw = np.array([x, y, z])
+        raw = np.array([m["+x"], -m["-y"], 0.5 * (m["-z"] - m["+z"])])
         mle, physical = project_physical(raw)
-        result.points.append(
-            TomoPoint(
-                time=float(t),
-                projections=m,
-                bloch_raw=raw,
-                bloch_mle=mle,
-                physical_before_mle=physical,
-            )
-        )
+        result.points.append(TomoPoint(time=float(t), projections=m, bloch_raw=raw,
+                                       bloch_mle=mle, physical_before_mle=physical))
     result.meta.update(bench.tallies())
     return result

@@ -32,15 +32,18 @@ def run_spectroscopy(
     is one program of the batch ``Bench.sample`` evolves at once.
 
     ``prepare_other`` flips the spectator qubit first, selecting the other
-    conditional branch when exchange is on.  An unknown ``shape`` or a
-    frequency at or beyond Nyquist around the carrier is rejected before
-    anything is compiled.
+    conditional branch when exchange is on.  An unknown ``shape``, or a
+    frequency that is not finite or lies at or beyond Nyquist around the
+    carrier, is rejected before anything is compiled.
     """
     frequencies = np.asarray(frequencies, dtype=float)
     carrier, nyq = bench.cfg.carrier, bench.cfg.f_clk / 2
     problems = ([f"shape={shape!r}: choose one of {sorted(SHAPES)}"]
                 if shape is not None and shape not in SHAPES else [])
-    beyond = frequencies[np.abs(frequencies - carrier) >= nyq]
+    finite = np.isfinite(frequencies)
+    if not finite.all():
+        problems.append(f"frequencies {frequencies[~finite].tolist()} Hz: each must be finite")
+    beyond = frequencies[finite & (np.abs(frequencies - carrier) >= nyq)]
     if len(beyond):
         problems.append(f"frequencies {beyond.tolist()} Hz: each under the Nyquist limit, "
                         f"{nyq / 1e6:g} MHz either side of the {carrier / 1e9:g} GHz carrier")

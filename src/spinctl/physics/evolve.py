@@ -1,13 +1,13 @@
 """Time evolution under a played burst trace.
 
 Both engines start from the transmitter's ``ExecutionTrace``, share one
-per-sample kernel, and return one total unitary per quasi-static noise
-draw, shape (r, 4, 4) per trace.  The caller picks one; neither falls back
-to the other.  The kernel factors the phase out: the drive changes the
-excitation number by exactly one, so with the diagonal
-P(phi) = exp(-i phi NUMBER_OP), H(a e^{i phi}) = P(phi) H(a) P(phi)^dagger,
-an identity, not an approximation.  Each distinct amplitude is exponentiated once per noise
-draw; each sample's factor is that exponential conjugated by its phase.
+per-sample kernel, take a batch of programs and return one total unitary
+per program and quasi-static noise draw, shape (P, r, 4, 4).  The caller
+picks one; neither falls back to the other.  The kernel factors the phase
+out: the drive changes the excitation number by exactly one, so with the
+diagonal P(phi) = exp(-i phi NUMBER_OP), H(a e^{i phi}) = P(phi) H(a) P(phi)^dagger,
+an identity, not an approximation.  Each distinct amplitude is exponentiated once
+per noise draw; each sample's factor is that exponential conjugated by its phase.
 
 One fold serves both engines: ``_fold`` gathers k x k factors, k = 2 per
 spin or 4, from a (k, k, m, ...) structure-of-arrays table at most _ENTRIES
@@ -42,31 +42,19 @@ bench, with j_off > 0, or with a nonzero delta_j in any row
 (sigma_j > 0).
 
 ``dense_propagators``
-    Reference path: the exact ordered product over the DAC samples
-    synthesized from the trace.
+    Reference path, for a batch of waveforms, shape (P, r, 4, 4): the exact
+    ordered product over the DAC samples synthesized from each trace.  One
+    exponential set and one fold serve the batch, each waveform padded with
+    the identity to the longest.
 
 ``evolve_trace``
-    Structured path, for a batch of traces at once, shape (P, r, 4, 4):
-    the idealized synthesis (no phase-table or DAC requantization) of each
-    trace itself; no samples are synthesized.  The whole batch runs in one
-    block structure, two 2x2 spins or 4x4, and is joined once at the end.
-    A lone constant burst telescopes to one matrix power of the kernel's
-    one-sample exponential, a (2r, 2, 2) or (r, 4, 4) stack, made once per
-    distinct (amplitude, n, ftw) under each physics per memo, which is what
-    makes randomized benchmarking tractable.  Any other cluster (a shaped
-    burst, or bursts on both banks at once) goes through the kernel: a
-    lone burst with its amplitude codes and phase-word angles as played,
-    so its levels are exactly the envelope's distinct amplitude codes at
-    any tuning word, and a cluster of overlapping bursts with |z| and
-    arg z of its summed samples, as the dense engine does.  Kernel
-    clusters with the same amplitude samples, such as the points of a
-    sweep that rewrites only a tuning word, share one exponential set and
-    one fold with a column per cluster and row.  The batch's powers,
-    kernel products and the identity make one table, which one fold
-    gathers with a column per (trace, row), per spin on the spin path,
-    each trace's clusters padded with the identity to the longest.  The
-    energies, the drive, the key bytes and the frames are built once per
-    batch.
+    Structured path, for a batch of traces, shape (P, r, 4, 4): the
+    idealized synthesis (no phase-table or DAC requantization) of each
+    trace itself; no samples are synthesized.  A lone constant burst
+    telescopes to one matrix power of the kernel's one-sample exponential,
+    which is what makes randomized benchmarking tractable; any other
+    cluster of bursts (a shaped burst, or bursts on both banks at once)
+    goes through the kernel, as the dense engine's samples do.
 
 ``PropagatorMemo``
     The trace engine's store of reusable products, each keyed on the physics
@@ -85,8 +73,7 @@ bench, with j_off > 0, or with a nonzero delta_j in any row
     row and a spin-path power half a matrix per row: a product that does
     not fit beside those held empties it first, so products of physics no
     longer in use cannot crowd out the current ones, and one larger than
-    the bound is not kept.  ``Bench`` owns one;
-    the dense engine uses none.
+    the bound is not kept.  ``Bench`` owns one; the dense engine uses none.
 
 The result is the only representation of an evolved program: the final
 state from basis state k is column k of a unitary, checked and rescaled by
@@ -265,12 +252,15 @@ def _joined(u: np.ndarray) -> np.ndarray:
 
 
 def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, drive: np.ndarray,
-                     dt: float, memo: PropagatorMemo | None = None, operator=None) -> np.ndarray:
+                     dt: float, memo: PropagatorMemo | None = None, operator=None,
+                     which: np.ndarray | None = None) -> np.ndarray:
     """Ordered product of the per-sample propagators of the envelope
     ``amp * exp(1j * phi)``, one per row of ``energies``, as
     structure-of-arrays blocks of shape (k, k, *g, R) for ``phi`` of shape
-    (n, *g): one product per column of ``phi``, each with the same
-    amplitudes.
+    (n, *g): one product per column of ``phi``.  ``amp`` holds one
+    amplitude per sample, shared by every column; or, given ``which`` of
+    ``phi``'s shape, the distinct levels that it indexes per sample and
+    column, where the index len(amp) is the identity (a pad).
 
     Sample k contributes P(phi_k) E(amp_k) P(phi_k)^dagger, with E
     exponentiated once per distinct amplitude and draw; the product is
@@ -282,21 +272,28 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
     ``_joined`` turns into 4x4 ones; otherwise they are 4x4
     (``_matrix_exponentials``), k = 4 and R = r.  At most _CHUNK
     exponentials are held at once: the draws are taken in groups that fit
-    beside the distinct amplitudes, and an envelope with more than _CHUNK
-    of them is split in halves.  Each group's exponentials come from
-    ``memo``, keyed on the block structure, the group's rows, ``operator``
-    (the drive and dt key part) and the level bytes, and counted as one
-    lookup per column.
+    beside the distinct amplitudes, and samples with more than _CHUNK
+    of them are split in halves, each with the levels it uses.  Each group's
+    exponentials come from ``memo``, keyed on the block structure, the
+    group's rows, ``operator`` (the drive and dt key part) and the level
+    bytes, and counted as one lookup per column.
     """
-    levels, which = np.unique(amp, return_inverse=True)
-    if len(levels) > _CHUNK:
-        (amp0, amp1), (phi0, phi1) = np.array_split(amp, 2), np.array_split(phi, 2)
-        return _soa_matmul(_sampled_product(amp1, phi1, energies, drive, dt, memo, operator),
-                           _sampled_product(amp0, phi0, energies, drive, dt, memo, operator))
+    if which is None:
+        amp, which = np.unique(amp, return_inverse=True)
+        which = which.reshape(-1, *(1,) * (phi.ndim - 1))
+    if len(amp) > _CHUNK and len(phi) > 1:
+        mid = (len(phi) + 1) // 2
+        halves = []
+        for part in (slice(mid, None), slice(mid)):  # the later half first
+            used, local = np.unique(which[part], return_inverse=True)
+            halves.append(_sampled_product(amp[used[used < len(amp)]], phi[part], energies, drive,
+                                           dt, memo, operator, local.reshape(which[part].shape)))
+        return _soa_matmul(*halves)
     columns = phi.shape[1:]
     spins = _separable(energies)
     exponentials = _spin_exponentials if spins else _matrix_exponentials
-    which = np.broadcast_to(which.reshape(-1, *(1,) * len(columns)), phi.shape)
+    padded = bool(np.any(which == len(amp)))
+    which = np.broadcast_to(which, phi.shape)
 
     def turns(part):  # P(phi_{k-1} - phi_k) over the slice, (k, samples, *columns, 1)
         window = phi[max(part.start - 1, 0) : part.stop]
@@ -306,14 +303,17 @@ def _sampled_product(amp: np.ndarray, phi: np.ndarray, energies: np.ndarray, dri
         t = np.exp(1j * steps)[..., None]  # e^{i (phi_k - phi_{k-1})}, to the powers kvec
         return np.stack([np.ones_like(t), t] if spins else [np.ones_like(t), t, t, t * t])
 
-    draws = _CHUNK // max(len(levels), 1)
+    draws = max(_CHUNK // max(len(amp), 1), 1)
     out = []
     for i in range(0, len(energies), draws):
         group = energies[i : i + draws]
-        compute = functools.partial(exponentials, levels, group, drive, dt)
+        compute = functools.partial(exponentials, amp, group, drive, dt)
         expm = (compute() if memo is None else
-                memo.get("level", (spins, group.tobytes(), *operator, levels.tobytes()), compute,
+                memo.get("level", (spins, group.tobytes(), *operator, amp.tobytes()), compute,
                          uses=math.prod(columns)))
+        if padded:  # the identity, after the levels
+            eye = _EYE[: len(expm), : len(expm), None, None]
+            expm = np.concatenate([expm, eye.repeat(expm.shape[3], axis=3)], axis=2)
         u = _fold(expm, which, turns)  # (k, k, *columns, blocks x group rows)
         out.append(u.reshape(*u.shape[:-1], -1, len(group)))
     total = np.concatenate(out, axis=-1) if len(out) > 1 else out[0]
@@ -330,23 +330,41 @@ def _energies(model: DeviceModel, lo_freq: float, exchange_on: bool, noise: Nois
 
 
 def dense_propagators(
-    waveform: Waveform,
+    waveforms: list[Waveform],
     model: DeviceModel,
     lo_freq: float,
     *,
     exchange_on: bool = False,
     noise: NoiseSample = ZERO_NOISE,
 ) -> np.ndarray:
-    """Total unitaries over every DAC sample of ``waveform``, one per noise
-    draw, shape (r, 4, 4).
+    """Total unitaries over every DAC sample of each waveform in
+    ``waveforms``, one per noise draw, shape (len(waveforms), r, 4, 4).
 
     Idle samples (zero envelope) evolve under the drive-free generator.
+    The batch's distinct |z| make one exponential set per draw group and
+    one fold takes a column per (waveform, row); a shorter waveform is
+    padded with the identity, its phase held so the pad's frame step is 0.
     """
     energies = _energies(model, lo_freq, exchange_on, noise)
-    dt = 1.0 / waveform.sample_rate
-    z = waveform.envelope
-    u = _joined(_sampled_product(np.abs(z), np.angle(z), energies, drive_operator(model), dt))
-    return u.transpose(2, 0, 1).copy()  # (4, 4, r) structure-of-arrays to (r, 4, 4)
+    if not len(waveforms):
+        return np.empty((0, len(energies), 4, 4), dtype=complex)
+    rates = {wf.sample_rate for wf in waveforms}
+    if len(rates) > 1:
+        raise ValueError(f"one batch plays at one sample rate, not {sorted(rates)}")
+    # Each waveform's levels first, so that no sort holds every sample at once.
+    # numpy 2.4's np.unique imports numpy.ma (2 MB) unless asked for an inverse.
+    own = [np.unique(np.abs(wf.envelope), return_inverse=True)[0] for wf in waveforms]
+    levels = np.unique(np.concatenate(own), return_inverse=True)[0]
+    which = np.full((max(len(wf.envelope) for wf in waveforms), len(waveforms)), len(levels))
+    phi = np.zeros(which.shape)
+    for p, wf in enumerate(waveforms):
+        n = len(wf.envelope)
+        which[:n, p] = np.searchsorted(levels, np.abs(wf.envelope))
+        phi[:n, p] = np.angle(wf.envelope)
+        phi[n:, p] = phi[n - 1, p] if n else 0.0
+    u = _sampled_product(levels, phi, energies, drive_operator(model), 1.0 / rates.pop(),
+                         which=which)
+    return _joined(u).transpose(2, 3, 0, 1).copy()  # (4, 4, P, r) to (P, r, 4, 4)
 
 
 def _clusters(trace: ExecutionTrace) -> list:

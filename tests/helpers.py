@@ -16,7 +16,7 @@ from spinctl.experiments.cliffords import (
     recovery_index,
     sequence_primitives,
 )
-from spinctl.physics import DeviceModel, NoiseSample, evolve_trace
+from spinctl.physics import DeviceModel, NoiseSample, dense_propagators, evolve_trace
 from spinctl.physics.state import renormalized
 
 
@@ -66,6 +66,12 @@ def rabi_probability(t, f_rabi, detuning=0.0):
 def evolve_one(trace, *args, **kwargs):
     """One trace's unitaries, shape (r, 4, 4): a batch of one through ``evolve_trace``."""
     return evolve_trace([trace], *args, **kwargs)[0]
+
+
+def dense_one(waveform, *args, **kwargs):
+    """One waveform's unitaries, shape (r, 4, 4): a batch of one through
+    ``dense_propagators``."""
+    return dense_propagators([waveform], *args, **kwargs)[0]
 
 
 def final_state(propagators, n_factors, k=0):

@@ -1,6 +1,8 @@
-"""Import every spinctl module and run a small over-rotated RB, two noisy
+"""Import every spinctl module and run a small over-rotated RB, a
+three-point Rabi sweep and one tomography point (each one batch), two noisy
 dense AllXY pairs on an exchange-off bench (the kernel's closed-form spin
-path), one noisy RB sequence and one program of gaussian and rectangular
+path), then both pairs evolved by ``dense_propagators`` as one batch and
+checked against batches of one, one noisy RB sequence and one program of gaussian and rectangular
 gates on the trace engine, that program's trace and dense unitaries on
 wide converters (exchange off), a noiseless exchange-on gaussian spectroscopy
 probe on the trace engine (the kernel's 4x4 path), a 16-point gaussian
@@ -50,7 +52,7 @@ def main():
     from spinctl.controller.memory import ListEntry
     from spinctl.controller.rf import upconvert
     import spinctl.experiments.base as base
-    from spinctl.experiments import Bench, run_rb, run_spectroscopy
+    from spinctl.experiments import Bench, run_qst_trajectory, run_rabi, run_rb, run_spectroscopy
     from spinctl.experiments.allxy import ALLXY_PAIRS, IDEAL_SIGMA_Z
     from spinctl.experiments.base import gauss_hermite
     from spinctl.experiments.cliffords import N_CLIFFORDS, recovery_index, sequence_primitives
@@ -72,7 +74,7 @@ def main():
         shot_rng,
     )
 
-    from helpers import evolve_one
+    from helpers import dense_one, evolve_one
 
     # Every rotation at 0.9 of its angle (calibrated against a 1/0.9 stronger
     # coupling): compiled, played and evolved like any RB, p near 0.976.
@@ -86,10 +88,18 @@ def main():
     res = run_rb(over, (1, 5, 10, 20, 40, 60, 100), n_sequences=20, repetitions=100, seed=1)
     assert 0.9 < res.p <= 1.0 and np.isfinite(res.p_stderr), res
 
+    # Rabi and tomography sample every program of a run in one batch: a pi
+    # burst of 0.5 us at the 1 MHz Rabi rate, and a pi/2 burst that leaves
+    # qubit 2 on the -y axis.
+    rabi = run_rabi(nominal, [0.0, 0.25e-6, 0.5e-6], shots=1_000, seed=1)
+    assert rabi.p1_q2[0] == 0.0 and rabi.p1_q2[2] > 0.95, rabi.p1_q2
+    (point,) = run_qst_trajectory(nominal, [0.25e-6], shots=1_000, seed=1).points
+    assert np.max(np.abs(point.bloch_mle - [0.0, -1.0, 0.0])) < 0.15, point
+
     assert gauss_hermite.cache_info().currsize == 0  # rules are made on first use
     noisy = Bench(DeviceModel(sigma_detune=50e3), TxConfig())
-    prog = noisy.compile([GateOp("x", 2), GateOp("x", 2)])
-    ((hits,),) = noisy.sample([prog], (2,), 10_000, [shot_rng(0, 5)], engine="dense")
+    double = noisy.compile([GateOp("x", 2), GateOp("x", 2)])
+    ((hits,),) = noisy.sample([double], (2,), 10_000, [shot_rng(0, 5)], engine="dense")
     assert hits > 9_900 and noisy.quadrature["calls"] == 1, (hits, noisy.quadrature)
 
     # Exchange off, the dense kernel evolves each spin as a 2x2 in closed
@@ -99,6 +109,16 @@ def main():
     ((hits,),) = noisy.sample([prog], (2,), 10_000, [shot_rng(0, k)], engine="dense")
     sigma_z = 2.0 * corrected_p_up(hits / 10_000, noisy.model, 2) - 1.0
     assert not noisy.exchange_on and abs(sigma_z - IDEAL_SIGMA_Z[k]) <= 0.05, sigma_z
+
+    # The two pairs as one dense batch: each matches a batch of its own.
+    waveforms = [synthesize(noisy.run_program(p), noisy.cfg) for p in (double, prog)]
+    rows = NoiseSample(50e3 * np.linspace(-2.0, 2.0, 8), 50e3 * np.linspace(-2.0, 2.0, 8))
+    physics = dict(model=noisy.model, lo_freq=noisy.cfg.carrier, noise=rows)
+    props = dense_propagators(waveforms, **physics)
+    assert props.shape == (2, 8, 4, 4), props.shape
+    for wf, u in zip(waveforms, props):
+        gap = np.max(np.abs(u - dense_one(wf, **physics)))
+        assert gap < 1e-12, gap
 
     # The trace engine folds the sequence's constant bursts as matrix powers.
     indices = np.random.default_rng(4).integers(0, N_CLIFFORDS, size=25).tolist()
@@ -130,7 +150,7 @@ def main():
     rows = NoiseSample(np.array([0.0, 30e3, -30e3]), np.array([-20e3, 0.0, 40e3]))
     physics = dict(model=wide.model, lo_freq=wide.cfg.carrier, noise=rows)
     fast = evolve_one(trace, **physics)
-    dense = dense_propagators(synthesize(trace, wide.cfg), **physics)
+    dense = dense_one(synthesize(trace, wide.cfg), **physics)
     assert not wide.exchange_on and fast.shape == dense.shape == (3, 4, 4), fast.shape
     assert np.max(np.abs(fast - dense)) < 1e-6, np.max(np.abs(fast - dense))
 

@@ -41,13 +41,12 @@ from spinctl.experiments.rabi import _rabi_image
 from spinctl.physics import (
     DeviceModel,
     ReadoutFidelity,
-    dense_propagators,
     rotation_for_phase,
     shot_rng,
 )
 
-from helpers import (evolve_one, final_state, quasi_static_rule, rabi_probability, rb_cliffords,
-                     rb_decay, rb_survival)
+from helpers import (dense_one, evolve_one, final_state, quasi_static_rule, rabi_probability,
+                     rb_cliffords, rb_decay, rb_survival)
 
 
 def plain_bench(**model_kw):
@@ -296,6 +295,12 @@ ENGINES_NAMED = re.escape("engine='fast': choose one of ('dense', 'trace')")
     (lambda: run_rabi(plain_bench(), [1e-7], qubit=3, simultaneous=True, shots=10),
      "^qubit=3: drive qubit"),
     (lambda: run_rabi(plain_bench(), [1e-7], shots=0), "^shots=0: take at least 1 shot per point"),
+    (lambda: run_rabi(plain_bench(), []), "^durations is empty: give at least one burst duration$"),
+    (lambda: run_rabi(plain_bench(), [np.nan]), r"^durations \[nan\] s: each must be finite$"),
+    (lambda: run_rabi(plain_bench(), [1e-7, np.inf, -np.inf]),
+     r"^durations \[inf, -inf\] s: each must be finite$"),
+    (lambda: run_rabi(plain_bench(), [np.nan, 1e-9], shots=0),
+     r"^durations \[nan\] s: .*; the longest Rabi duration .*, not 1; shots=0: "),
     (lambda: run_spectroscopy(plain_bench(), 3, [13.45e9]), "^qubit=3: probe qubit 1 or 2$"),
     (lambda: run_spectroscopy(plain_bench(), 2, [13.45e9], shots=0), "^shots=0: take at least"),
     (lambda: run_spectroscopy(plain_bench(), 2, [13.45e9], engine="fast"), f"^{ENGINES_NAMED}$"),
@@ -304,14 +309,16 @@ ENGINES_NAMED = re.escape("engine='fast': choose one of ('dense', 'trace')")
     (lambda: run_spectroscopy(plain_bench(), 2, [13.45e9, 15e9]),
      r"^frequencies \[15000000000\.0\] Hz: each under the Nyquist limit, 500 MHz either side "
      r"of the 13\.54 GHz carrier$"),
+    (lambda: run_spectroscopy(plain_bench(), 2, [13.45e9, np.nan, np.inf]),
+     r"^frequencies \[nan, inf\] Hz: each must be finite$"),
     (lambda: run_dj(exchange_bench(), shots=0), "^shots=0: take at least 1 shot per oracle"),
     (lambda: run_dj(exchange_bench(), engine="fast"), f"^{ENGINES_NAMED}$"),
     (lambda: run_dj(plain_bench(), shots=2.5, engine="fast"),
      rf"exchange_on=True\); shots=2\.5: .*; {ENGINES_NAMED}$"),
 ], ids=["allxy-qubit", "allxy-shots", "allxy-engine", "qst-qubit", "qst-shots", "rabi-qubit",
-        "rabi-simultaneous-qubit", "rabi-shots", "spectroscopy-qubit", "spectroscopy-shots",
-        "spectroscopy-engine", "spectroscopy-shape", "spectroscopy-nyquist", "dj-shots",
-        "dj-engine", "dj-all"])
+        "rabi-simultaneous-qubit", "rabi-shots", "rabi-empty", "rabi-nan", "rabi-inf", "rabi-all",
+        "spectroscopy-qubit", "spectroscopy-shots", "spectroscopy-engine", "spectroscopy-shape",
+        "spectroscopy-nyquist", "spectroscopy-nan", "dj-shots", "dj-engine", "dj-all"])
 def test_runners_reject_bad_arguments_before_compiling(monkeypatch, run, message):
     _no_compiling(monkeypatch)
     with pytest.raises(ConfigError, match=message):
@@ -319,7 +326,7 @@ def test_runners_reject_bad_arguments_before_compiling(monkeypatch, run, message
 
 
 @pytest.mark.parametrize("f_clk, durations, got", [
-    (1e9, [], 0), (1e9, [0.0, 1.4e-9], 1), (1e9, np.zeros(3), 0), (2e9, [0.7e-9], 1),
+    (1e9, [0.0, 1.4e-9], 1), (1e9, np.zeros(3), 0), (2e9, [0.7e-9], 1),
 ])
 def test_rabi_sweep_without_a_two_sample_burst_is_a_config_error(f_clk, durations, got):
     bench = Bench(DeviceModel(), TxConfig(f_clk=f_clk))
@@ -401,7 +408,7 @@ def test_long_program_runs_on_both_engines_and_they_agree():
     trace = bench.run_program(prog)
     wf = synthesize(trace, bench.cfg)
     args = (bench.model, bench.cfg.lo_freq)
-    dense = final_state(dense_propagators(wf, *args), len(wf))
+    dense = final_state(dense_one(wf, *args), len(wf))
     fast = final_state(evolve_one(trace, *args), trace.n_samples)
     assert abs(np.vdot(dense, fast)) ** 2 > 0.999
     ((hits,),) = bench.sample([prog], (2,), 1000, [shot_rng(0, 0)])
@@ -452,11 +459,11 @@ def test_simultaneous_rabi_agrees_across_engines():
     # |0>, so every basis input counts.
     for exchange_on in (False, True):
         bench = Bench(DeviceModel(), TxConfig(), exchange_on=exchange_on)
-        img, _ = _rabi_image(bench, (1, 2), 300)
+        img = _rabi_image(bench, (1, 2), 300)
         trace = bench.run_program(CompiledProgram(images=[img], ftws=bench.plan.ftws(), report={}))
         assert len({seg.bank for seg in trace.segments}) == 2
         physics = dict(model=bench.model, lo_freq=bench.cfg.lo_freq, exchange_on=exchange_on)
-        dense = dense_propagators(synthesize(trace, bench.cfg), **physics)
+        dense = dense_one(synthesize(trace, bench.cfg), **physics)
         fast = evolve_one(trace, **physics)
         for k in range(4):
             overlap = np.vdot(final_state(dense, 300, k), final_state(fast, 300, k))

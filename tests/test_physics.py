@@ -20,7 +20,6 @@ from spinctl.physics import (
     DeviceModel,
     NoiseSample,
     born_probabilities,
-    dense_propagators,
     detunings,
     transition_frequencies,
 )
@@ -33,8 +32,8 @@ from spinctl.physics.evolve import _expm_batch
 from spinctl.physics.hamiltonian import diagonal_energies, drive_operator, generator_batch
 from spinctl.physics.state import ROUNDING_PER_FACTOR, renormalized
 
-from helpers import (evolve_one, final_state, ordered_product, rabi_probability, rb_primitives,
-                     two_level_evolve)
+from helpers import (dense_one, evolve_one, final_state, ordered_product, rabi_probability,
+                     rb_primitives, two_level_evolve)
 
 LO = 13.54e9
 FS = 1e9
@@ -50,7 +49,7 @@ def model(**kw):
 
 def dense_final(wf, m, lo, k=0, **kw):
     """Dense-engine amplitudes after ``wf`` from basis state ``k``."""
-    return final_state(dense_propagators(wf, m, lo, **kw), len(wf), k)
+    return final_state(dense_one(wf, m, lo, **kw), len(wf), k)
 
 
 def resonant_waveform(offset, amp, n, fs=FS):
@@ -274,10 +273,10 @@ def test_dense_engine_batches_noise_draws():
         delta_f2=np.array([5e3, 0.0, -5e3]),
         delta_j=np.array([0.0, 1e3, 2e3]),
     )
-    batch = dense_propagators(wf, m, LO, exchange_on=True, noise=noise)
+    batch = dense_one(wf, m, LO, exchange_on=True, noise=noise)
     assert batch.shape == (3, 4, 4)
     for u, draw in zip(batch, zip(*noise)):
-        single = dense_propagators(wf, m, LO, exchange_on=True, noise=NoiseSample(*draw))[0]
+        single = dense_one(wf, m, LO, exchange_on=True, noise=NoiseSample(*draw))[0]
         assert np.max(np.abs(u - single)) < 1e-12
 
 
@@ -296,7 +295,7 @@ def test_dense_engine_matches_plain_per_sample_product():
     )
     energies = diagonal_energies(*detunings(m, LO, True, noise))
     plain = ordered_product(_expm_batch(generator_batch(z, energies, drive_operator(m)), 1 / FS))
-    kernel = dense_propagators(wf, m, LO, exchange_on=True, noise=noise)
+    kernel = dense_one(wf, m, LO, exchange_on=True, noise=noise)
     assert np.max(np.abs(kernel - plain)) < 1e-12
 
 
@@ -348,7 +347,7 @@ def test_trace_engine_matches_dense_on_a_recurring_burst(exchange_on):
     assert len({s.ref_word for s in x_bursts}) == 4
     physics = dict(exchange_on=exchange_on, noise=THREE_DRAWS)
     fast = evolve_one(trace, m, LO, **physics)
-    dense = dense_propagators(synthesize(trace, cfg), m, LO, **physics)
+    dense = dense_one(synthesize(trace, cfg), m, LO, **physics)
     assert fast.shape == dense.shape == (3, 4, 4)
     assert np.max(np.abs(dense - fast)) < 1e-6
 
@@ -588,7 +587,7 @@ def test_exchange_off_batches_fold_two_spins_and_match_the_sequential_product(fo
     # The reference powers 4x4 eigh exponentials, the engine closed-form
     # 2x2 ones: only samples inside lone constant bursts may round apart.
     bench = Bench(model(), TxConfig(lo_freq=LO))
-    img, _ = _rabi_image(bench, (1, 2), 300)
+    img = _rabi_image(bench, (1, 2), 300)
     programs = [bench.compile([GateOp(g, 2) for g in rb_primitives(n, seed=6)]) for n in (1, 100)]
     programs += [bench.compile(parse_program("x2 q2\ny q2 shape=gaussian\nx q1\n")),
                  CompiledProgram(images=[img], ftws=bench.plan.ftws(), report={})]
@@ -642,7 +641,7 @@ def test_runner_programs_at_j_zero_match_the_4x4_oracle_on_both_engines(monkeypa
     for trace in traces:
         paths.update(spins=0, matrix=0)
         wf = synthesize(trace, bench.cfg)
-        dense = dense_propagators(wf, m, LO, noise=noise)
+        dense = dense_one(wf, m, LO, noise=noise)
         assert dense.shape == (8, 4, 4) and paths["matrix"] == 0
         assert paths["spins"] >= (wf.envelope.size > 0)  # more if the levels split
         assert np.max(np.abs(dense - per_sample_product(wf.envelope, m, LO, noise))) < 1e-12
@@ -721,11 +720,11 @@ def test_spin_path_edge_cases_match_the_4x4_oracle(paths):
         (pair, NoiseSample(40e3 * x, 40e3 * x)),  # the 65-node rule
     ]
     for envelope, noise in cases:
-        got = dense_propagators(Waveform(envelope, FS), m, LO, noise=noise)
+        got = dense_one(Waveform(envelope, FS), m, LO, noise=noise)
         assert got.shape == (len(noise[0]), 4, 4)
         assert np.max(np.abs(got - per_sample_product(envelope, m, LO, noise))) < 1e-12
     assert paths["matrix"] == 0 and paths["spins"] >= len(cases)
-    assert np.array_equal(dense_propagators(Waveform(np.zeros(0), FS), m, LO, noise=three),
+    assert np.array_equal(dense_one(Waveform(np.zeros(0), FS), m, LO, noise=three),
                           np.array([np.eye(4)] * 3))
 
 
@@ -738,7 +737,7 @@ def test_spin_path_over_a_long_envelope_matches_the_4x4_oracle_to_rounding(paths
     m, rng = model(), np.random.default_rng(5)
     z = np.round((0.3 * (rng.random(20_000) - 0.5) + 0.2j * rng.random(20_000)) * 32) / 32
     noise = NoiseSample(np.array([0.0, 30e3, -30e3]), np.array([0.0, 30e3, -30e3]))
-    got = dense_propagators(Waveform(z, FS), m, LO, noise=noise)
+    got = dense_one(Waveform(z, FS), m, LO, noise=noise)
     assert paths == dict(spins=1, matrix=0)
     error = np.max(np.abs(got - per_sample_product(z, m, LO, noise)))
     assert error < len(z) * ROUNDING_PER_FACTOR
@@ -756,7 +755,7 @@ def test_kernel_products_match_the_4x4_oracle_at_any_chunk_size(monkeypatch, pat
     z = np.round((0.3 * (rng.random(700) - 0.5) + 0.2j * rng.random(700)) * 16) / 16
     z[100:160] = 0.0  # an idle stretch: angle 0 inside the envelope
     noise = NoiseSample(*(np.array([0.0, 30e3, -30e3]) for _ in range(2)))
-    got = dense_propagators(Waveform(z, FS), m, LO, exchange_on=exchange_on, noise=noise)
+    got = dense_one(Waveform(z, FS), m, LO, exchange_on=exchange_on, noise=noise)
     assert paths == dict(spins=int(not exchange_on), matrix=int(exchange_on))
     oracle = per_sample_product(z, m, LO, noise, exchange_on=exchange_on)
     assert np.max(np.abs(got - oracle)) < 1e-12
@@ -787,7 +786,7 @@ def test_any_row_with_exchange_takes_the_4x4_path(paths, folds, case):
         assert np.array_equal(e[:, 3], e[:, 1] + e[:, 2])
         paths.update(spins=0, matrix=0)
         trace = bench.run_program(prog)
-        dense_propagators(synthesize(trace, bench.cfg), bench.model, LO, noise=centre_rows)
+        dense_one(synthesize(trace, bench.cfg), bench.model, LO, noise=centre_rows)
         assert paths["spins"] > 0 and paths["matrix"] == 0
         folds.clear()
         evolve_one(trace, bench.model, LO, noise=centre_rows)

@@ -117,7 +117,7 @@ def separable_programs(bench):
     and the QST projections after an x burst, on one exchange-off bench."""
     progs = [(f"allxy {a}*{b}", bench.compile([GateOp(a, 2), GateOp(b, 2)]), (2,))
              for a, b in (("x", "i"), ("x2", "y2"), ("y", "x2"))]
-    img, _ = _rabi_image(bench, (1, 2), 700)
+    img = _rabi_image(bench, (1, 2), 700)
     progs.append(("rabi", CompiledProgram(images=[img], ftws=bench.plan.ftws(), report={}),
                   (1, 2)))
     prefix = [GateOp("x2", 2, duration=0.3e-6)]
